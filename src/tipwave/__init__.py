@@ -6,12 +6,10 @@ disturbance; computes the three characteristic-equation spectra that
 govern exponential decay; and cross-validates time-domain decay rates
 against spectral abscissae.
 
-The leapfrog stepping kernel has a compiled (Cython) and a NumPy
-implementation selected at import; set TIPWAVE_BACKEND=python|cython to
-force one. Both produce bit-identical trajectories.
+Each loop stores its fields as rows of one stacked array per time level
+and advances them with a single NumPy leapfrog stepper.
 """
 
-from ._backend import available_backends, default_backend_name, get_kernel
 from .wave_core import BoundaryTraces, FieldHistory, Grid, SystemParams
 from .energy import EnergyTrace, energy, fit_decay_rate
 from .signals import DisturbanceSpec, eval_d, eval_f
@@ -30,10 +28,14 @@ from .scenarios import ScenarioConfig, parse_config, run_scenario, serialize_con
 
 __version__ = "0.1.0"
 
+
+def default_backend_name() -> str:
+    """Name of the stepping implementation; there is only the NumPy stepper."""
+    return "python"
+
+
 __all__ = [
-    "available_backends",
     "default_backend_name",
-    "get_kernel",
     "BoundaryTraces",
     "FieldHistory",
     "Grid",

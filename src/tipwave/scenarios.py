@@ -27,12 +27,8 @@ import numpy as np
 from . import spectral
 from .energy import EnergyTrace, NoFitError, fit_decay_rate
 from .signals import DisturbanceSpec, eval_d, eval_f
-from .systems import EsoLoop, ObserverLoop, SingleFieldLoop, boundary_ode_states
-from ._kernels_py import (
-    LEFT_DIRICHLET_ZERO,
-    RIGHT_TIP_MASS,
-)
-from .wave_core import Grid, SystemParams
+from .systems import EsoLoop, ObserverLoop, SingleFieldLoop
+from .wave_core import LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS, Grid, SystemParams
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "serialize_config",
            "run_scenario", "ScenarioResult", "PRESETS", "MODES"]
@@ -326,81 +322,52 @@ def _build_loop(config: ScenarioConfig):
         loop = SingleFieldLoop(grid, params, u0, ut0,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS,
                                right_input0=f0)
-        tags = {"u": "H1"}
     elif config.mode == "observer_loop":
         loop = ObserverLoop(grid, params, u0, ut0,
                             _poly_on_grid(config.uhat0, grid),
                             _poly_on_grid(config.uhatt0, grid),
                             initial_disturbance=f0)
-        tags = {"u": "H1", "uhat": "H2", "err": "H2"}
     else:
         loop = EsoLoop(grid, params, u0, ut0,
                        _poly_on_grid(config.v0, grid), _poly_on_grid(config.vt0, grid),
                        _poly_on_grid(config.q0, grid), _poly_on_grid(config.qt0, grid),
                        initial_disturbance=f0)
-        tags = {"u": "H1", "v": "Hbb1", "q": "Hbb1"}
-    return loop, spec, tags
-
-
-def _loop_fields(loop):
-    if isinstance(loop, SingleFieldLoop):
-        return {"u": loop.field}
-    if isinstance(loop, ObserverLoop):
-        return {"u": loop.u, "uhat": loop.uhat}
-    return {"u": loop.u, "v": loop.v, "q": loop.q}
-
-
-def _loop_energies(loop) -> dict[str, float]:
-    if isinstance(loop, SingleFieldLoop):
-        return {"u_H1": loop.energy("H1")}
-    out = loop.energies()
-    if isinstance(loop, ObserverLoop):
-        return {"u_H1": out["u_H1"], "uhat_H2": out["uhat_H2"], "err_H2": out["err_H2"]}
-    return out
+    return loop, spec
 
 
 def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     grid = config.grid()
-    loop, spec, _tags = _build_loop(config)
+    loop, spec = _build_loop(config)
     dt = grid.dt
     n_steps = int(round(config.horizon / dt))
 
     writers = {name: _SnapshotWriter(os.path.join(out, f"snapshots_{name}.csv"), grid)
-               for name in _loop_fields(loop)}
-    energies0 = _loop_energies(loop)
+               for name in loop.fields()}
+    energies0 = loop.energies()
     traces = {key: EnergyTrace(space_tag=key.rsplit("_", 1)[1]) for key in energies0}
     boundary = {"t": [], "eta": [], "psi": []}
 
     for key, value in energies0.items():
         traces[key].append(0.0, value)
-    eta0, psi0 = boundary_ode_states(loop)
+    eta0, psi0 = loop.boundary_states()
     boundary["t"].append(0.0)
     boundary["eta"].append(eta0)
     boundary["psi"].append(psi0)
-    for name, fld in _loop_fields(loop).items():
-        writers[name].write(0.0, fld.curr)
+    for name, values in loop.fields().items():
+        writers[name].write(0.0, values)
 
     for k in range(n_steps):
-        t_now = k * dt
-        if isinstance(loop, SingleFieldLoop):
-            f_val = eval_f(spec, loop.traces.latest("value1"))
-            loop.step(right_input=f_val + eval_d(spec, t_now))
-        elif isinstance(loop, ObserverLoop):
-            f_val = eval_f(spec, loop.u_traces.latest("value1"))
-            loop.step(disturbance_value=f_val + eval_d(spec, t_now))
-        else:
-            loop.step(f_value=eval_f(spec, loop.tip_displacement()),
-                      d_value=eval_d(spec, t_now))
+        loop.step(k * dt, spec)
         t_new = (k + 1) * dt
-        for key, value in _loop_energies(loop).items():
+        for key, value in loop.energies().items():
             traces[key].append(t_new, value)
-        eta, psi = boundary_ode_states(loop)
+        eta, psi = loop.boundary_states()
         boundary["t"].append(t_new)
         boundary["eta"].append(eta)
         boundary["psi"].append(psi)
         if (k + 1) % config.stride == 0 or k + 1 == n_steps:
-            for name, fld in _loop_fields(loop).items():
-                writers[name].write(t_new, fld.curr)
+            for name, values in loop.fields().items():
+                writers[name].write(t_new, values)
 
     for w in writers.values():
         w.close()

@@ -61,7 +61,8 @@ def eval_d(spec: DisturbanceSpec, t: float) -> float:
     ts = [p[0] for p in spec.table]
     vs = [p[1] for p in spec.table]
     if t < ts[0] or t > ts[-1]:
-        warnings.warn(f"t={t} outside table domain [{ts[0]}, {ts[-1]}]; clamping")
+        # no t in the message, so a run past the domain warns once, not every step
+        warnings.warn(f"time outside table domain [{ts[0]}, {ts[-1]}]; clamping")
         return vs[0] if t < ts[0] else vs[-1]
     for (t0, v0), (t1, v1) in zip(spec.table, spec.table[1:]):
         if t <= t1:

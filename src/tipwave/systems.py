@@ -1,6 +1,9 @@
 """Coupled closed-loop systems and their boundary control laws.
 
-Three drivers share one stepping protocol:
+Three drivers share one interface (``step(t, spec)``, ``fields()``,
+``energies()``, ``boundary_states()``) and one stepper: each stores its
+fields as rows of one stacked array per time level and advances them
+with a single ``leapfrog_step``.
 
 * ``SingleFieldLoop``  one wave field with any boundary pair (open
   plant, or either error system of the estimator analysis);
@@ -22,34 +25,34 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from ._backend import get_kernel
-from ._kernels_py import (
+from .energy import energies as field_energies
+from .signals import DisturbanceSpec, eval_d, eval_f
+from .wave_core import (
     LEFT_DIRICHLET_ZERO,
     LEFT_ROBIN,
     RIGHT_DIRICHLET_VALUE,
     RIGHT_TIP_MASS,
-)
-from .wave_core import (
     BoundaryTraces,
     FieldHistory,
     Grid,
     SystemParams,
-    kernel_step,
+    leapfrog_step,
+    sample_traces,
     second_order_backstep,
+    slope_left,
 )
-from .energy import energy as field_energy
 
 __all__ = [
     "BlowUpError",
     "control_observer",
     "control_eso",
-    "boundary_ode_states",
     "SingleFieldLoop",
     "ObserverLoop",
     "EsoLoop",
 ]
 
 BLOWUP_LIMIT = 1e12
+NO_DISTURBANCE = DisturbanceSpec()
 
 
 class BlowUpError(RuntimeError):
@@ -88,12 +91,6 @@ def control_eso(v_traces: BoundaryTraces, q_traces: BoundaryTraces,
             - params.a * (v_traces.rate("slope1", 1) - q_traces.rate("slope1", 1)))
 
 
-def _guard(field: FieldHistory, name: str, step_index: int) -> None:
-    peak = float(np.max(np.abs(field.new)))
-    if not peak <= BLOWUP_LIMIT:
-        raise BlowUpError(name, step_index, field.t, peak)
-
-
 def _as_array(values, grid: Grid) -> NDArray[np.float64]:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (grid.n_nodes,):
@@ -101,140 +98,149 @@ def _as_array(values, grid: Grid) -> NDArray[np.float64]:
     return arr.copy()
 
 
-class SingleFieldLoop:
-    """One wave field under a fixed boundary pair.
+class _StackedLoop:
+    """Rows of fields stepped together; subclasses name and close them.
 
-    left_kind:  LEFT_DIRICHLET_ZERO or LEFT_ROBIN
-    right_kind: RIGHT_TIP_MASS or RIGHT_DIRICHLET_VALUE
-
-    Per-step inputs (Robin external slope, tip boundary input, pinned
-    value) are passed to ``step``; the constructor takes their t=0
-    values for the second-order start.
+    ``names`` lists the stepped rows in step order; a stack may carry
+    further rows derived from them (the observer-error row). Every
+    stepped row has boundary traces, sampled once per step.
     """
 
-    def __init__(self, grid: Grid, params: SystemParams, position, velocity,
-                 left_kind: int, right_kind: int,
-                 ext0: float = 0.0, right_input0: float = 0.0, kernel=None):
+    names: tuple[str, ...]
+
+    def __init__(self, grid: Grid, params: SystemParams, prev_rows, curr_rows):
         self.grid = grid
         self.params = params
-        self.left_kind = left_kind
-        self.right_kind = right_kind
-        self.kernel = kernel if kernel is not None else get_kernel()
-        p = _as_array(position, grid)
-        w = _as_array(velocity, grid)
-        prev = second_order_backstep(p, w, grid, params, left_kind, ext0,
-                                     right_kind, right_input0)
-        self.field = FieldHistory(prev, p, t=0.0)
-        self.traces = BoundaryTraces(dt=grid.dt)
-        self.traces.sample(self.field.curr, grid.dx)
+        self.levels = FieldHistory(np.stack(prev_rows), np.stack(curr_rows), t=0.0)
+        self.traces = {name: BoundaryTraces(dt=grid.dt) for name in self.names}
+        sample_traces(self.levels, grid, self.traces.values())
         self.step_index = 0
 
     @property
     def t(self) -> float:
-        return self.field.t
+        return self.levels.t
 
-    def step(self, ext: float = 0.0, right_input: float = 0.0) -> None:
-        kernel_step(self.field, self.grid, self.params,
-                    self.left_kind, ext, self.right_kind, right_input,
-                    kernel=self.kernel)
+    def fields(self) -> dict[str, NDArray[np.float64]]:
+        """Current level of each stepped field (views: copy to keep)."""
+        return dict(zip(self.names, self.levels.curr))
+
+    def _finish_step(self) -> None:
+        """Guard the new level, promote it and sample its traces."""
         self.step_index += 1
-        _guard(self.field, "field", self.step_index)
-        self.field.rotate(self.grid.dt)
-        self.traces.sample(self.field.curr, self.grid.dx)
+        new = self.levels.new[:len(self.names)]
+        if not float(np.max(np.abs(new))) <= BLOWUP_LIMIT:
+            for name, row in zip(self.names, new):
+                peak = float(np.max(np.abs(row)))
+                if not peak <= BLOWUP_LIMIT:
+                    raise BlowUpError(name, self.step_index, self.levels.t, peak)
+        self.levels.rotate(self.grid.dt)
+        sample_traces(self.levels, self.grid, self.traces.values())
 
-    def boundary_state(self) -> float:
-        """m * u_t(1), the plant's tip momentum state."""
-        return self.params.m * self.traces.rate("value1", 1)
+
+class SingleFieldLoop(_StackedLoop):
+    """One wave field u under a fixed boundary pair.
+
+    left_kind:  LEFT_DIRICHLET_ZERO or LEFT_ROBIN (homogeneous)
+    right_kind: RIGHT_TIP_MASS or RIGHT_DIRICHLET_VALUE
+
+    The right end receives f(u(1, t)) + d(t): the tip force, or the
+    pinned value. ``right_input0`` is its t=0 value for the second-order
+    start.
+    """
+
+    names = ("u",)
+
+    def __init__(self, grid: Grid, params: SystemParams, position, velocity,
+                 left_kind: int, right_kind: int, right_input0: float = 0.0):
+        self.left_kinds = (left_kind,)
+        self.right_kinds = (right_kind,)
+        p = _as_array(position, grid)
+        w = _as_array(velocity, grid)
+        prev = second_order_backstep(p, w, grid, params, left_kind, 0.0,
+                                     right_kind, right_input0)
+        super().__init__(grid, params, [prev], [p])
+
+    def step(self, t: float, spec: DisturbanceSpec = NO_DISTURBANCE) -> None:
+        """Advance one dt with the inputs evaluated at time t."""
+        s = eval_f(spec, self.traces["u"].latest("value1")) + eval_d(spec, t)
+        leapfrog_step(self.levels, self.grid, self.params,
+                      self.left_kinds, (0.0,), self.right_kinds, (s,))
+        self._finish_step()
+
+    def boundary_states(self) -> tuple[float, float]:
+        """(eta, eta) with eta = m * u_t(1), the plant's tip momentum."""
+        eta = self.params.m * self.traces["u"].rate("value1", 1)
+        return eta, eta
 
     def energy(self, space_tag: str, eta: float | None = None) -> float:
+        """Energy of u in any space; eta defaults to the tip momentum for
+        the tags that carry one."""
         if eta is None:
-            eta = self.boundary_state() if space_tag in ("H1", "H2", "H") else 0.0
-        return field_energy(space_tag, self.field, eta, self.params, self.grid)
+            eta = self.boundary_states()[0] if space_tag in ("H1", "H2", "H") else 0.0
+        return field_energies((space_tag,), self.levels, (eta,), self.params, self.grid)[0]
+
+    def energies(self) -> dict[str, float]:
+        return {"u_H1": self.energy("H1")}
 
 
-class ObserverLoop:
+class ObserverLoop(_StackedLoop):
     """Plant + Luenberger observer under estimated-state feedback.
 
     The plant keeps its pinned left end; the observer's left end is the
     Robin injection fed by the measured plant slope u_x(0, t). Both tip
     ends receive the same control, the plant additionally the
-    disturbance.
+    disturbance. A third row carries the observer error uhat - u.
     """
 
+    names = ("u", "uhat")
+    left_kinds = (LEFT_DIRICHLET_ZERO, LEFT_ROBIN)
+    right_kinds = (RIGHT_TIP_MASS, RIGHT_TIP_MASS)
+
     def __init__(self, grid: Grid, params: SystemParams,
-                 u0, ut0, uhat0, uhatt0,
-                 initial_disturbance: float = 0.0, kernel=None):
-        self.grid = grid
-        self.params = params
-        self.kernel = kernel if kernel is not None else get_kernel()
+                 u0, ut0, uhat0, uhatt0, initial_disturbance: float = 0.0):
         pu, wu = _as_array(u0, grid), _as_array(ut0, grid)
         ph, wh = _as_array(uhat0, grid), _as_array(uhatt0, grid)
         # warm-up control is 0, so the back-step sees S_u = F(0), S_obs = 0
-        from .wave_core import slope_left
-
         uprev = second_order_backstep(pu, wu, grid, params, LEFT_DIRICHLET_ZERO, 0.0,
                                       RIGHT_TIP_MASS, initial_disturbance)
         hprev = second_order_backstep(ph, wh, grid, params, LEFT_ROBIN,
                                       slope_left(pu, grid.dx), RIGHT_TIP_MASS, 0.0)
-        self.u = FieldHistory(uprev, pu, t=0.0)
-        self.uhat = FieldHistory(hprev, ph, t=0.0)
-        self.u_traces = BoundaryTraces(dt=grid.dt)
-        self.uhat_traces = BoundaryTraces(dt=grid.dt)
-        self.u_traces.sample(self.u.curr, grid.dx)
-        self.uhat_traces.sample(self.uhat.curr, grid.dx)
-        self.step_index = 0
+        super().__init__(grid, params, [uprev, hprev, hprev - uprev], [pu, ph, ph - pu])
         self.last_control = 0.0
 
-    @property
-    def t(self) -> float:
-        return self.u.t
-
-    def step(self, disturbance_value: float = 0.0) -> None:
-        """Advance plant and observer by one dt with F(t_n) given."""
-        g, p = self.grid, self.params
-        control = control_observer(self.uhat_traces, p)
-        measured_slope = self.u_traces.latest("slope0")
-        kernel_step(self.u, g, p, LEFT_DIRICHLET_ZERO, 0.0,
-                    RIGHT_TIP_MASS, control + disturbance_value, kernel=self.kernel)
-        kernel_step(self.uhat, g, p, LEFT_ROBIN, measured_slope,
-                    RIGHT_TIP_MASS, control, kernel=self.kernel)
-        self.step_index += 1
-        _guard(self.u, "u", self.step_index)
-        _guard(self.uhat, "uhat", self.step_index)
-        self.u.rotate(g.dt)
-        self.uhat.rotate(g.dt)
-        self.u_traces.sample(self.u.curr, g.dx)
-        self.uhat_traces.sample(self.uhat.curr, g.dx)
+    def step(self, t: float, spec: DisturbanceSpec = NO_DISTURBANCE) -> None:
+        """Advance plant and observer by one dt with F evaluated at time t."""
+        u_tr, uhat_tr = self.traces.values()
+        control = control_observer(uhat_tr, self.params)
+        disturbance = eval_f(spec, u_tr.latest("value1")) + eval_d(spec, t)
+        new = self.levels.new
+        leapfrog_step(self.levels, self.grid, self.params,
+                      self.left_kinds, (0.0, u_tr.latest("slope0")),
+                      self.right_kinds, (control + disturbance, control))
+        new[2] = new[1] - new[0]
+        self._finish_step()
         self.last_control = control
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi) = boundary-dynamics states of plant and observer."""
         p = self.params
-        shared = p.a * self.uhat_traces.latest("slope1")
-        eta = p.m * self.u_traces.rate("value1", 1) + shared
-        psi = p.m * self.uhat_traces.rate("value1", 1) + shared
+        u_tr, uhat_tr = self.traces.values()
+        shared = p.a * uhat_tr.latest("slope1")
+        eta = p.m * u_tr.rate("value1", 1) + shared
+        psi = p.m * uhat_tr.rate("value1", 1) + shared
         return eta, psi
 
-    def error_field(self) -> FieldHistory:
-        """Observer-error field uhat - u as a two-level history."""
-        err = FieldHistory(self.uhat.prev - self.u.prev,
-                           self.uhat.curr - self.u.curr, t=self.t)
-        return err
-
     def energies(self) -> dict[str, float]:
+        p = self.params
+        u_tr, uhat_tr = self.traces.values()
         eta, psi = self.boundary_states()
-        return {
-            "u_H1": field_energy("H1", self.u, eta, self.params, self.grid),
-            "uhat_H2": field_energy("H2", self.uhat, psi, self.params, self.grid),
-            "err_H2": field_energy(
-                "H2", self.error_field(),
-                self.params.m * (self.uhat_traces.rate("value1", 1)
-                                 - self.u_traces.rate("value1", 1)),
-                self.params, self.grid),
-        }
+        err = p.m * (uhat_tr.rate("value1", 1) - u_tr.rate("value1", 1))
+        e_u, e_uhat, e_err = field_energies(("H1", "H2", "H2"), self.levels,
+                                            (eta, psi, err), p, self.grid)
+        return {"u_H1": e_u, "uhat_H2": e_uhat, "err_H2": e_err}
 
 
-class EsoLoop:
+class EsoLoop(_StackedLoop):
     """Plant + extended-state-observer pair under disturbance cancellation.
 
     Step order matters and is fixed: control from traces at t_n, then u,
@@ -243,14 +249,12 @@ class EsoLoop:
     identity holds exactly at every sample time.
     """
 
-    def __init__(self, grid: Grid, params: SystemParams,
-                 u0, ut0, v0, vt0, q0, qt0,
-                 initial_disturbance: float = 0.0, kernel=None):
-        self.grid = grid
-        self.params = params
-        self.kernel = kernel if kernel is not None else get_kernel()
-        from .wave_core import slope_left
+    names = ("u", "v", "q")
+    left_kinds = (LEFT_DIRICHLET_ZERO, LEFT_ROBIN, LEFT_ROBIN)
+    right_kinds = (RIGHT_TIP_MASS, RIGHT_TIP_MASS, RIGHT_DIRICHLET_VALUE)
 
+    def __init__(self, grid: Grid, params: SystemParams,
+                 u0, ut0, v0, vt0, q0, qt0, initial_disturbance: float = 0.0):
         pu, wu = _as_array(u0, grid), _as_array(ut0, grid)
         pv, wv = _as_array(v0, grid), _as_array(vt0, grid)
         pq, wq = _as_array(q0, grid), _as_array(qt0, grid)
@@ -260,69 +264,34 @@ class EsoLoop:
                                       slope_left(pu, grid.dx), RIGHT_TIP_MASS, 0.0)
         qprev = second_order_backstep(pq, wq, grid, params, LEFT_ROBIN, 0.0,
                                       RIGHT_DIRICHLET_VALUE, vprev[-1] - uprev[-1])
-        self.u = FieldHistory(uprev, pu, t=0.0)
-        self.v = FieldHistory(vprev, pv, t=0.0)
-        self.q = FieldHistory(qprev, pq, t=0.0)
-        self.u_traces = BoundaryTraces(dt=grid.dt)
-        self.v_traces = BoundaryTraces(dt=grid.dt)
-        self.q_traces = BoundaryTraces(dt=grid.dt)
-        for tr, f in ((self.u_traces, self.u), (self.v_traces, self.v),
-                      (self.q_traces, self.q)):
-            tr.sample(f.curr, grid.dx)
-        self.step_index = 0
+        super().__init__(grid, params, [uprev, vprev, qprev], [pu, pv, pq])
         self.last_control = 0.0
 
-    @property
-    def t(self) -> float:
-        return self.u.t
-
-    def tip_displacement(self) -> float:
-        """u(1, t) at the current level, the argument of the uncertainty."""
-        return self.u_traces.latest("value1")
-
-    def step(self, f_value: float = 0.0, d_value: float = 0.0) -> None:
-        """One dt advance with uncertainty and disturbance values at t_n."""
-        g, p = self.grid, self.params
-        control = control_eso(self.v_traces, self.q_traces, p)
-        measured_slope = self.u_traces.latest("slope0")
-        kernel_step(self.u, g, p, LEFT_DIRICHLET_ZERO, 0.0,
-                    RIGHT_TIP_MASS, control + f_value + d_value, kernel=self.kernel)
-        kernel_step(self.v, g, p, LEFT_ROBIN, measured_slope,
-                    RIGHT_TIP_MASS, control, kernel=self.kernel)
-        kernel_step(self.q, g, p, LEFT_ROBIN, 0.0,
-                    RIGHT_DIRICHLET_VALUE, self.v.new[-1] - self.u.new[-1],
-                    kernel=self.kernel)
-        self.step_index += 1
-        for f, name in ((self.u, "u"), (self.v, "v"), (self.q, "q")):
-            _guard(f, name, self.step_index)
-            f.rotate(g.dt)
-        for tr, f in ((self.u_traces, self.u), (self.v_traces, self.v),
-                      (self.q_traces, self.q)):
-            tr.sample(f.curr, g.dx)
+    def step(self, t: float, spec: DisturbanceSpec = NO_DISTURBANCE) -> None:
+        """One dt advance with uncertainty f(u(1, t)) and disturbance d(t)."""
+        u_tr, v_tr, q_tr = self.traces.values()
+        control = control_eso(v_tr, q_tr, self.params)
+        f_value = eval_f(spec, u_tr.latest("value1"))
+        new = self.levels.new
+        # q's pinned tip is a placeholder here, set from the closed u, v rows
+        leapfrog_step(self.levels, self.grid, self.params,
+                      self.left_kinds, (0.0, u_tr.latest("slope0"), 0.0),
+                      self.right_kinds, (control + f_value + eval_d(spec, t), control, 0.0))
+        new[2, -1] = new[1, -1] - new[0, -1]
+        self._finish_step()
         self.last_control = control
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi): tip-dynamics states of the closed loop."""
         p = self.params
-        slope_gap = p.a * (self.v_traces.latest("slope1") - self.q_traces.latest("slope1"))
-        eta = p.m * self.u_traces.rate("value1", 1) + slope_gap
-        psi = eta - p.m * self.q_traces.rate("value1", 1)
+        u_tr, v_tr, q_tr = self.traces.values()
+        slope_gap = p.a * (v_tr.latest("slope1") - q_tr.latest("slope1"))
+        eta = p.m * u_tr.rate("value1", 1) + slope_gap
+        psi = eta - p.m * q_tr.rate("value1", 1)
         return eta, psi
 
     def energies(self) -> dict[str, float]:
         eta, _ = self.boundary_states()
-        return {
-            "u_H1": field_energy("H1", self.u, eta, self.params, self.grid),
-            "v_Hbb1": field_energy("Hbb1", self.v, 0.0, self.params, self.grid),
-            "q_Hbb1": field_energy("Hbb1", self.q, 0.0, self.params, self.grid),
-        }
-
-
-def boundary_ode_states(loop) -> tuple[float, float]:
-    """(eta, psi) of a loop; the plant-only driver reports (eta, eta)."""
-    if isinstance(loop, (ObserverLoop, EsoLoop)):
-        return loop.boundary_states()
-    if isinstance(loop, SingleFieldLoop):
-        eta = loop.boundary_state()
-        return eta, eta
-    raise TypeError(f"not a loop state: {type(loop).__name__}")
+        e_u, e_v, e_q = field_energies(("H1", "Hbb1", "Hbb1"), self.levels,
+                                       (eta, 0.0, 0.0), self.params, self.grid)
+        return {"u_H1": e_u, "v_Hbb1": e_v, "q_Hbb1": e_q}

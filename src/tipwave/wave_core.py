@@ -1,6 +1,8 @@
-"""Finite-difference core for one scalar wave field u_tt = u_xx on [0, 1].
+"""Finite-difference core for scalar wave fields u_tt = u_xx on [0, 1].
 
-The field is advanced by an explicit leapfrog scheme on a uniform grid,
+A loop's fields are stored as rows of one (n_fields, n_nodes) array per
+time level and advanced together by an explicit leapfrog scheme on a
+uniform grid,
 
     u_j^{n+1} = 2 u_j^n - u_j^{n-1} + r^2 (u_{j+1}^n - 2 u_j^n + u_{j-1}^n),
 
@@ -18,23 +20,31 @@ boundary acceleration; the Robin closure uses a centered first
 difference, which keeps the whole scheme second order. One-sided
 3-point stencils (exact on quadratics) supply the boundary slopes that
 feed the control laws.
+
+Each row is closed at both ends by its own pair of boundary kinds:
+LEFT_DIRICHLET_ZERO or LEFT_ROBIN at x = 0, RIGHT_TIP_MASS or
+RIGHT_DIRICHLET_VALUE at x = 1.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._backend import get_kernel
-from ._kernels_py import (
-    LEFT_DIRICHLET_ZERO,
-    LEFT_ROBIN,
-    RIGHT_DIRICHLET_VALUE,
-    RIGHT_TIP_MASS,
-)
+LEFT_DIRICHLET_ZERO = 0
+LEFT_ROBIN = 1
+RIGHT_TIP_MASS = 0
+RIGHT_DIRICHLET_VALUE = 1
+
+# node columns read by the closures (0, 1, N-1, N; 0, N) and by the
+# trace sample (0, 1, 2, N-2, N-1, N)
+_CLOSURE_NODES = np.array([0, 1, -2, -1])
+_END_NODES = np.array([0, -1])
+_TRACE_NODES = np.array([0, 1, 2, -3, -2, -1])
 
 __all__ = [
     "SystemParams",
@@ -43,11 +53,11 @@ __all__ = [
     "BoundaryTraces",
     "WarmupError",
     "StructuralError",
-    "step_interior",
-    "apply_dirichlet_zero_left",
-    "apply_tip_mass_right",
-    "apply_robin_left",
-    "apply_dirichlet_trace_right",
+    "LEFT_DIRICHLET_ZERO",
+    "LEFT_ROBIN",
+    "RIGHT_TIP_MASS",
+    "RIGHT_DIRICHLET_VALUE",
+    "leapfrog_step",
     "sample_traces",
     "backward_time_derivative",
     "slope_left",
@@ -139,11 +149,13 @@ class Grid:
 
 
 class FieldHistory:
-    """Three consecutive time levels of one discretized field.
+    """Three consecutive time levels of one field, or of a stack of fields.
 
     ``prev`` and ``curr`` hold the two completed levels at t - dt and t;
-    ``new`` is the level under construction at t + dt. ``rotate`` cycles
-    the three buffers without copying, so no level ever aliases another.
+    ``new`` is the level under construction at t + dt. A level is either
+    one row of nodes or an (n_fields, n_nodes) stack of rows. ``rotate``
+    cycles the three buffers without copying, so no level ever aliases
+    another.
     """
 
     __slots__ = ("prev", "curr", "new", "t")
@@ -151,8 +163,9 @@ class FieldHistory:
     def __init__(self, prev: NDArray, curr: NDArray, t: float = 0.0):
         prev = np.asarray(prev, dtype=float)
         curr = np.asarray(curr, dtype=float)
-        if prev.shape != curr.shape or prev.ndim != 1:
-            raise StructuralError(f"level shapes differ: {prev.shape} vs {curr.shape}")
+        if prev.shape != curr.shape or prev.ndim not in (1, 2):
+            raise StructuralError(
+                f"levels must be equal 1-d or 2-d arrays, got {prev.shape} and {curr.shape}")
         self.prev = prev.copy()
         self.curr = curr.copy()
         self.new = np.empty_like(curr)
@@ -160,7 +173,7 @@ class FieldHistory:
 
     @property
     def n_nodes(self) -> int:
-        return self.curr.shape[0]
+        return self.curr.shape[-1]
 
     def rotate(self, dt: float) -> None:
         """Promote the finished new level; recycle the oldest buffer."""
@@ -179,100 +192,52 @@ def _check(field: FieldHistory, grid: Grid) -> None:
             f"field has {field.n_nodes} nodes, grid expects {grid.n_nodes}")
 
 
-def step_interior(field: FieldHistory, grid: Grid) -> FieldHistory:
-    """Fill the new level at interior nodes j = 1..n_cells-1.
+def leapfrog_step(levels: FieldHistory, grid: Grid, params: SystemParams,
+                  left_kinds: Sequence[int], exts: Sequence[float],
+                  right_kinds: Sequence[int], right_inputs: Sequence[float]) -> FieldHistory:
+    """Fill the new level of the first ``len(left_kinds)`` stacked rows.
 
-    Boundary nodes of ``field.new`` are left untouched; apply one of the
-    boundary closures afterwards.
+    One interior update covers all of them. Then, in row order, row i is
+    closed at x = 0 by ``left_kinds[i]`` (Robin input ``exts[i]``) and at
+    x = 1 by ``right_kinds[i]``, whose tip input or pinned value is
+    ``right_inputs[i]``. Later rows are left untouched.
     """
-    _check(field, grid)
-    r2 = grid.r * grid.r
-    p, c, out = field.prev, field.curr, field.new
-    out[1:-1] = 2.0 * c[1:-1] - p[1:-1] + r2 * (c[2:] - 2.0 * c[1:-1] + c[:-2])
-    return field
-
-
-def apply_dirichlet_zero_left(field: FieldHistory) -> FieldHistory:
-    field.new[0] = 0.0
-    return field
-
-
-def apply_tip_mass_right(field: FieldHistory, boundary_input: float,
-                         disturbance: float, params: SystemParams,
-                         grid: Grid) -> FieldHistory:
-    """Close the tip-mass end: u_x(1) + m u_tt(1) = U + F.
-
-    Eliminating the ghost node between the interior stencil at j = N and
-    the centered boundary relation gives the scalar update
-
-        u_N^{n+1} = 2 u_N^n - u_N^{n-1}
-                    + dt^2 (S - (u_N^n - u_{N-1}^n)/dx) / (m + dx/2).
-    """
-    _check(field, grid)
-    if not params.m > 0.0:
-        raise ValueError(f"tip mass must be positive, got {params.m}")
-    dx, dt = grid.dx, grid.dt
-    c, p = field.curr, field.prev
-    s = boundary_input + disturbance
-    field.new[-1] = (2.0 * c[-1] - p[-1]
-                     + dt * dt * (s - (c[-1] - c[-2]) / dx) / (params.m + 0.5 * dx))
-    return field
-
-
-def apply_robin_left(field: FieldHistory, external_input: float,
-                     params: SystemParams, grid: Grid) -> FieldHistory:
-    """Close the Robin end: u_x(0) = gamma u_t(0) + beta u(0) + ext.
-
-    The centered time derivative makes the eliminated relation linear in
-    the unknown node value; the linear coefficient 1/r^2 + gamma/r is
-    strictly positive for gamma, dt, dx > 0.
-    """
-    _check(field, grid)
-    dx, dt, r = grid.dx, grid.dt, grid.r
-    gamma, beta = params.gamma, params.beta
+    _check(levels, grid)
+    r, dx, dt = grid.r, grid.dx, grid.dt
+    gamma, beta, m = params.gamma, params.beta, params.m
     r2 = r * r
-    denom = 1.0 / r2 + gamma / r
-    assert denom > 0.0
-    c, p = field.curr, field.prev
-    field.new[0] = (2.0 * (c[1] - c[0]) + (2.0 * c[0] - p[0]) / r2
-                    + (gamma / r) * p[0] - 2.0 * dx * beta * c[0]
-                    - 2.0 * dx * external_input) / denom
-    return field
+    k = len(left_kinds)
+    p, c, out = levels.prev[:k], levels.curr[:k], levels.new[:k]
+    # The rows are contiguous, so the stencil runs over them as one line;
+    # the values it leaves at the row ends are overwritten by the closures.
+    pf, cf, outf = p.reshape(-1), c.reshape(-1), out.reshape(-1)
+    outf[1:-1] = 2.0 * cf[1:-1] - pf[1:-1] + r2 * (cf[2:] - 2.0 * cf[1:-1] + cf[:-2])
+    rows = zip(c.take(_CLOSURE_NODES, axis=1).tolist(), p.take(_END_NODES, axis=1).tolist(),
+               left_kinds, exts, right_kinds, right_inputs)
+    for i, ((c0, c1, cm, cn), (p0, pn), left, ext, right, s) in enumerate(rows):
+        if left == LEFT_ROBIN:
+            out[i, 0] = (2.0 * (c1 - c0) + (2.0 * c0 - p0) / r2
+                         + (gamma / r) * p0 - 2.0 * dx * beta * c0
+                         - 2.0 * dx * ext) / (1.0 / r2 + gamma / r)
+        else:
+            out[i, 0] = 0.0
+        if right == RIGHT_TIP_MASS:
+            out[i, -1] = 2.0 * cn - pn + dt * dt * (s - (cn - cm) / dx) / (m + 0.5 * dx)
+        else:
+            out[i, -1] = s
+    return levels
 
 
-def apply_dirichlet_trace_right(field: FieldHistory, value: float) -> FieldHistory:
-    field.new[-1] = value
-    return field
-
-
-def kernel_step(field: FieldHistory, grid: Grid, params: SystemParams,
-                left_kind: int, ext: float,
-                right_kind: int, right_input: float,
-                kernel=None) -> FieldHistory:
-    """One fused interior+boundary step through the selected backend.
-
-    Produces bit-identical results to composing ``step_interior`` with
-    the individual boundary closures.
-    """
-    _check(field, grid)
-    if kernel is None:
-        kernel = get_kernel()
-    kernel(field.prev, field.curr, field.new, grid.r, grid.dx, grid.dt,
-           left_kind, ext, params.gamma, params.beta,
-           right_kind, right_input, params.m)
-    return field
-
-
-def slope_left(values: NDArray, dx: float) -> float:
+def slope_left(values, dx: float) -> float:
     """One-sided second-order u_x(0); exact on quadratics."""
-    if values.shape[0] < 3:
+    if len(values) < 3:
         raise StructuralError("grid too coarse for one-sided slopes")
     return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx)
 
 
-def slope_right(values: NDArray, dx: float) -> float:
+def slope_right(values, dx: float) -> float:
     """One-sided second-order u_x(1); exact on quadratics."""
-    if values.shape[0] < 3:
+    if len(values) < 3:
         raise StructuralError("grid too coarse for one-sided slopes")
     return (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dx)
 
@@ -299,7 +264,8 @@ class BoundaryTraces:
         for name in ("value0", "value1", "slope0", "slope1"):
             setattr(self, name, deque(getattr(self, name), maxlen=self.depth))
 
-    def sample(self, values: NDArray, dx: float) -> None:
+    def sample(self, values, dx: float) -> None:
+        """Record one row: all of its nodes, or just the six next to the ends."""
         self.value0.append(float(values[0]))
         self.value1.append(float(values[-1]))
         self.slope0.append(slope_left(values, dx))
@@ -319,11 +285,14 @@ class BoundaryTraces:
             return 0.0
 
 
-def sample_traces(field: FieldHistory, grid: Grid, traces: BoundaryTraces) -> BoundaryTraces:
-    """Record boundary values and one-sided slopes of the current level."""
-    _check(field, grid)
-    traces.sample(field.curr, grid.dx)
-    return traces
+def sample_traces(levels: FieldHistory, grid: Grid,
+                  traces: Collection[BoundaryTraces]) -> None:
+    """Record the current level of the first ``len(traces)`` stacked rows,
+    row i into ``traces[i]``."""
+    _check(levels, grid)
+    edges = levels.curr[:len(traces)].take(_TRACE_NODES, axis=1).tolist()
+    for tr, row in zip(traces, edges):
+        tr.sample(row, grid.dx)
 
 
 def backward_time_derivative(samples, order: int, dt: float) -> float:
@@ -332,10 +301,9 @@ def backward_time_derivative(samples, order: int, dt: float) -> float:
         raise ValueError(f"order must be 1 or 2, got {order}")
     if len(samples) < order + 1:
         raise WarmupError(f"need {order + 1} samples, have {len(samples)}")
-    s = list(samples)[-3:]
     if order == 1:
-        return (s[-1] - s[-2]) / dt
-    return (s[-1] - 2.0 * s[-2] + s[-3]) / (dt * dt)
+        return (samples[-1] - samples[-2]) / dt
+    return (samples[-1] - 2.0 * samples[-2] + samples[-3]) / (dt * dt)
 
 
 def second_order_backstep(position: NDArray, velocity: NDArray, grid: Grid,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tipwave import (
+    DisturbanceSpec,
     EsoLoop,
     Grid,
     ObserverLoop,
@@ -19,6 +20,7 @@ from tipwave import (
 )
 from tipwave.energy import EnergyTrace, fit_decay_rate, fit_envelope_rate
 from tipwave.scenarios import parse_config, run_scenario
+from tipwave.signals import eval_d
 from tipwave.spectral import (
     CharFamily,
     compute_spectrum,
@@ -26,7 +28,7 @@ from tipwave.spectral import (
     spectral_abscissa,
     verify_strip_counts,
 )
-from tipwave._kernels_py import (
+from tipwave.wave_core import (
     LEFT_DIRICHLET_ZERO,
     LEFT_ROBIN,
     RIGHT_DIRICHLET_VALUE,
@@ -62,11 +64,13 @@ def spectra100():
     return out
 
 
-def drive_eso(grid, params, dfun, horizon, sample_every=1):
+def drive_eso(grid, params, spec, horizon, sample_every=1):
+    """ESO loop from the cubic profiles under f = sin(u(1, t)) and spec's d."""
     x = grid.nodes()
     loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3, 0 * x,
                    0 * x, 0 * x,
-                   initial_disturbance=float(np.sin(x[-1] ** 3 - 3 * x[-1] ** 2) + dfun(0.0)))
+                   initial_disturbance=float(np.sin(x[-1] ** 3 - 3 * x[-1] ** 2)
+                                             + eval_d(spec, 0.0)))
     rec = {"t": [0.0], "Eu": [], "Ev": [], "Eq": [], "eta": [], "psi": []}
     e = loop.energies()
     rec["Eu"].append(e["u_H1"]); rec["Ev"].append(e["v_Hbb1"]); rec["Eq"].append(e["q_Hbb1"])
@@ -74,9 +78,7 @@ def drive_eso(grid, params, dfun, horizon, sample_every=1):
     rec["eta"].append(eta); rec["psi"].append(psi)
     n_steps = int(round(horizon / grid.dt))
     for k in range(n_steps):
-        t = k * grid.dt
-        loop.step(f_value=float(np.sin(loop.tip_displacement())),
-                  d_value=float(dfun(t)))
+        loop.step(k * grid.dt, spec)
         if (k + 1) % sample_every == 0:
             e = loop.energies()
             eta, psi = loop.boundary_states()
@@ -102,8 +104,8 @@ def test_criterion_1_conservation():
         loop = SingleFieldLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
         e0 = loop.energy("H1")
-        for _ in range(int(round(10.0 / grid.dt))):
-            loop.step()
+        for k in range(int(round(10.0 / grid.dt))):
+            loop.step(k * grid.dt)
         drift[n_cells] = abs(loop.energy("H1") - e0) / e0
     elapsed = time.perf_counter() - t0
     ratio = drift[100] / drift[200]
@@ -149,8 +151,8 @@ def test_criterion_3_spectrum_vs_time_domain(spectra100):
     loop = ObserverLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3, 0 * x)
     trace = EnergyTrace("H1")
     trace.append(0.0, loop.energies()["u_H1"])
-    for _ in range(int(round(80.0 / grid.dt))):
-        loop.step(0.0)
+    for k in range(int(round(80.0 / grid.dt))):
+        loop.step(k * grid.dt)
         trace.append(loop.t, loop.energies()["u_H1"])
     elapsed = time.perf_counter() - t0
     rate, _ = fit_decay_rate(trace, window=0.5, t_skip=2.0)
@@ -174,10 +176,10 @@ def test_criterion_4_boundary_slope_decay_lemma(spectra100):
                            LEFT_ROBIN, RIGHT_DIRICHLET_VALUE)
     times, slopes = [], []
     energy_trace = EnergyTrace("Hbb")
-    for _ in range(int(round(8.0 / grid.dt))):
-        loop.step(ext=0.0, right_input=0.0)
+    for k in range(int(round(8.0 / grid.dt))):
+        loop.step(k * grid.dt)
         times.append(loop.t)
-        slopes.append(loop.traces.latest("slope1"))
+        slopes.append(loop.traces["u"].latest("slope1"))
         if loop.t <= 6.5:  # past that the trace sits on the dispersion floor
             energy_trace.append(loop.t, loop.energy("Hbb"))
     spectrum = spectra100["Abb"]["spectrum"]
@@ -257,8 +259,9 @@ def test_criterion_7_square_integrable_disturbance():
     """
     params = SystemParams()
     grid = Grid(n_cells=100, r=0.5)
-    rec = drive_eso(grid, params, lambda t: np.exp(-t), horizon=240.0,
-                    sample_every=4)
+    rec = drive_eso(grid, params, DisturbanceSpec(d_kind="exp_decay", rate=1.0,
+                                                  f_kind="sin_of_tip"),
+                    horizon=240.0, sample_every=4)
     t = rec["t"]
     i60 = int(np.searchsorted(t, 60.0))
     plant60 = rec["Eu"][i60] / rec["Eu"][0]
@@ -284,24 +287,26 @@ def test_criterion_8_equivalence_of_formulations():
     for n_cells in (100, 200):
         grid = Grid(n_cells=n_cells, r=0.5)
         x = grid.nodes()
-        dfun = lambda t: float(np.cos(2 * t))
+        d = DisturbanceSpec(d_kind="cosine", frequency=2.0)
+        minus_d = DisturbanceSpec(d_kind="cosine", amplitude=-1.0, frequency=2.0)
         loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3,
-                       0 * x, 0 * x, 0 * x, initial_disturbance=dfun(0.0))
+                       0 * x, 0 * x, 0 * x, initial_disturbance=1.0)
         verr = SingleFieldLoop(grid, params, -3 * x ** 3 + 3 * x ** 2, 0 * x,
-                               LEFT_ROBIN, RIGHT_TIP_MASS, right_input0=-dfun(0.0))
+                               LEFT_ROBIN, RIGHT_TIP_MASS, right_input0=-1.0)
         qerr = SingleFieldLoop(grid, params, 3 * x ** 3 - 3 * x ** 2, 0 * x,
                                LEFT_ROBIN, RIGHT_DIRICHLET_VALUE)
         dv = dq = 0.0
         for k in range(int(round(8.0 / grid.dt))):
             t = k * grid.dt
-            loop.step(f_value=0.0, d_value=dfun(t))
-            verr.step(ext=0.0, right_input=-dfun(t))
-            qerr.step(ext=0.0, right_input=0.0)
-            vhat_loop = loop.v.curr - loop.u.curr
-            qhat_loop = loop.q.curr - vhat_loop
-            dv = max(dv, np.sqrt(np.trapezoid((vhat_loop - verr.field.curr) ** 2,
+            loop.step(t, d)
+            verr.step(t, minus_d)
+            qerr.step(t)
+            fields = loop.fields()
+            vhat_loop = fields["v"] - fields["u"]
+            qhat_loop = fields["q"] - vhat_loop
+            dv = max(dv, np.sqrt(np.trapezoid((vhat_loop - verr.fields()["u"]) ** 2,
                                               dx=grid.dx)))
-            dq = max(dq, np.sqrt(np.trapezoid((qhat_loop - qerr.field.curr) ** 2,
+            dq = max(dq, np.sqrt(np.trapezoid((qhat_loop - qerr.fields()["u"]) ** 2,
                                               dx=grid.dx)))
         disc[n_cells] = (dv, dq)
     rv = disc[100][0] / disc[200][0]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tipwave import EnergyTrace, FieldHistory, Grid, SystemParams, energy, fit_decay_rate
-from tipwave.energy import NoFitError, envelope_samples, fit_envelope_rate
+from tipwave.energy import NoFitError, energies, envelope_samples, fit_envelope_rate
 
 ALL_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
 
@@ -40,6 +40,16 @@ class TestEnergy:
             base + params.beta * 4.0 + 9.0 / params.m, rel=1e-12)
         assert energy("H", f, 3.0, params, grid) == pytest.approx(
             base + 9.0 / (params.m + params.alpha * params.a), rel=1e-12)
+
+    def test_stacked_rows_match_single_rows(self, grid, params):
+        rng = np.random.default_rng(7)
+        prev, curr = rng.normal(size=(2, 3, grid.n_nodes))
+        tags, etas = ("H1", "H2", "Hbb1"), (0.3, -1.2, 0.0)
+        stacked = energies(tags, FieldHistory(prev, curr), etas, params, grid)
+        single = [energy(tag, FieldHistory(p, c), eta, params, grid)
+                  for tag, p, c, eta in zip(tags, prev, curr, etas)]
+        assert stacked == single
+        assert all(type(e) is float for e in stacked)
 
     def test_unknown_tag(self, grid, params):
         with pytest.raises(ValueError):

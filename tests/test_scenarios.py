@@ -1,5 +1,6 @@
 import hashlib
 import os
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -180,12 +181,63 @@ class TestRunScenario:
         summary = open(result.summary_path).read()
         assert "FAIL" in summary
 
+    def test_summary_prints_plain_floats(self, short_run):
+        assert "np.float64" not in open(short_run.summary_path).read()
+
+    def test_clamped_table_warns_once(self, tmp_path):
+        cfg = parse_config("mode = open_plant\nn_cells = 10\nhorizon = 0.5\n"
+                           "d_kind = table\nd_table = 0:0 0.1:1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            run_scenario(cfg, out_dir=str(tmp_path / "table"))
+        assert [str(w.message) for w in caught] == [
+            "time outside table domain [0.0, 0.1]; clamping"]
+
     def test_observer_summary_includes_abscissae(self, tmp_path):
         cfg = parse_config("mode = observer_loop\nhorizon = 1\n"
                            "u0 = 0 0 -3 1\nuhat0 = 0 0 0 -2\nn_max = 10\n")
         result = run_scenario(cfg, out_dir=str(tmp_path / "obs"))
         assert set(result.abscissae) == {"A", "A2", "combined"}
         assert result.abscissae["combined"] == pytest.approx(-0.0228969, abs=1e-4)
+
+
+# sha256 of every CSV, recorded before the loops were stacked into one
+# array per time level; the stepper must reproduce them byte for byte
+GOLDEN = {
+    "sec4": ("preset = reproduce_sec4\nhorizon = 0.5\n", {
+        "boundary_states.csv": "a5e42e0812cb16247655ecf23f56144f8614f73f049131b2a54c461791609f53",
+        "energy_q_Hbb1.csv": "81c46ab1511e11e139f033c32e6ac5a905d10306bc36b2b93ced9008fd95da46",
+        "energy_u_H1.csv": "715c6c3241c6bd56c0f53bb3128c6874ee27ee67c2e0680ba294292335449881",
+        "energy_v_Hbb1.csv": "fb736ccaa4d3b131903d20955bfd93f2100146fac7364c1407bc55aa4d643031",
+        "snapshots_q.csv": "55c825fa9362bcf1a190f558b61f056e78378605f89fc89661b84357ad5ca9af",
+        "snapshots_u.csv": "9581acd01dae309c9e729c7f1d6a8a009084b83b62ed8dfaec6fd54667554ff4",
+        "snapshots_v.csv": "313c8e53fdd58bed7c0c2bcc7b1d72bac6d07dda0a56c77454dc37b125bb5e77",
+    }),
+    "counterexample": ("preset = counterexample_sec3\nhorizon = 0.5\n", {
+        "boundary_states.csv": "0b79cff00fc7fdb3ac4a42c257ebe617ff9f600d5ff02db35c70eb25c84b2386",
+        "energy_err_H2.csv": "2db6dc8046d75ca64fa8149a8242ad49eaa4861c20ed25c3ba653980d407a4ea",
+        "energy_u_H1.csv": "2e4b860dc349bc11f7c2ff809c26c9e83f25f43cdb3bdfdb60b60a1f86f924fc",
+        "energy_uhat_H2.csv": "6053d61c19a38fd7f2d78b470b930cacb622df4e0c1a3cf6385eb7302143d983",
+        "snapshots_u.csv": "1bfd0eddaba947a4f06e89078a15df9270b06221b2097b4e8b1c92c3f329821e",
+        "snapshots_uhat.csv": "8608bb8c82bf8c54c5807e0be491186221004ad9582d337e9d518d252995a206",
+    }),
+    "open_plant": ("mode = open_plant\nhorizon = 0.5\nu0 = 0 0 -3 1\nut0 = 0 0.5\n"
+                   "f_kind = sin_of_tip\nd_kind = cosine\nstride = 10\n", {
+        "boundary_states.csv": "f7ddc31a03b3fb7413f22fa822c36b4ed5f46521b43dab95e286dd8c1400dc03",
+        "energy_u_H1.csv": "1cef2d77e5732494866a01a076298a20d86afba2a7f47be6088ab2bf3452acab",
+        "snapshots_u.csv": "44e7803af914cf9ff6f82c8ea126ada83281709a9bb18da7a4352e6b5e14ba81",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_artifacts(tmp_path, name):
+    text, expected = GOLDEN[name]
+    out = tmp_path / name
+    run_scenario(parse_config(text), out_dir=str(out))
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in os.listdir(out) if f.endswith(".csv")}
+    assert digests == expected
 
 
 class TestCli:

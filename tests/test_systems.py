@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from tipwave import EsoLoop, Grid, ObserverLoop, SingleFieldLoop
-from tipwave.systems import (
-    BlowUpError,
-    boundary_ode_states,
-    control_eso,
-    control_observer,
-)
-from tipwave.wave_core import BoundaryTraces
-from tipwave._kernels_py import (
+from tipwave import DisturbanceSpec, EsoLoop, Grid, ObserverLoop, SingleFieldLoop
+from tipwave.systems import BlowUpError, control_eso, control_observer
+from tipwave.wave_core import (
     LEFT_DIRICHLET_ZERO,
     LEFT_ROBIN,
     RIGHT_DIRICHLET_VALUE,
     RIGHT_TIP_MASS,
+    BoundaryTraces,
 )
+
+# f = sin(u(1, t)), d = cos(2t): the reference experiment's inputs
+SEC4_INPUTS = DisturbanceSpec(d_kind="cosine", frequency=2.0, f_kind="sin_of_tip")
 
 
 def traces_from(dt, value1=(), slope1=(), value0=(), slope0=()):
@@ -84,35 +82,31 @@ class TestBoundaryStates:
     def test_zero_state(self, grid, params):
         x = grid.nodes()
         loop = EsoLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x)
-        assert boundary_ode_states(loop) == (0.0, 0.0)
+        assert loop.boundary_states() == (0.0, 0.0)
 
     def test_linear_tip_velocity(self, grid, params):
         x = grid.nodes()
         loop = EsoLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x)
         dt = grid.dt
-        loop.u_traces.value1.extend([0.0, dt, 2 * dt])  # u_t(1) = 1
-        assert boundary_ode_states(loop) == pytest.approx((5.0, 5.0), rel=1e-12)
+        loop.traces["u"].value1.extend([0.0, dt, 2 * dt])  # u_t(1) = 1
+        assert loop.boundary_states() == pytest.approx((5.0, 5.0), rel=1e-12)
 
     def test_plant_driver_reports_tip_momentum(self, grid, params):
         x = grid.nodes()
         loop = SingleFieldLoop(grid, params, 0 * x, 0 * x,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
-        loop.traces.value1.extend([0.0, grid.dt])
-        eta, psi = boundary_ode_states(loop)
+        loop.traces["u"].value1.extend([0.0, grid.dt])
+        eta, psi = loop.boundary_states()
         assert eta == psi == pytest.approx(params.m, rel=1e-12)
-
-    def test_rejects_non_loop(self):
-        with pytest.raises(TypeError):
-            boundary_ode_states(42)
 
 
 class TestObserverLoop:
     def test_zero_data_stays_zero(self, grid, params):
         x = grid.nodes()
         loop = ObserverLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x)
-        for _ in range(50):
-            loop.step(0.0)
-        assert not loop.u.curr.any() and not loop.uhat.curr.any()
+        for k in range(50):
+            loop.step(k * grid.dt)
+        assert not loop.fields()["u"].any() and not loop.fields()["uhat"].any()
 
     def test_constant_disturbance_stationary_pair(self, grid, params):
         """u = x, uhat = -1/beta is held by the loop under F = 1."""
@@ -121,10 +115,11 @@ class TestObserverLoop:
                             -np.ones_like(x) / params.beta, 0 * x,
                             initial_disturbance=1.0)
         e0 = loop.energies()["u_H1"]
-        for _ in range(int(round(20.0 / grid.dt))):
-            loop.step(disturbance_value=1.0)
-        np.testing.assert_allclose(loop.u.curr, x, atol=1e-10)
-        np.testing.assert_allclose(loop.uhat.curr, -1.0 / params.beta, atol=1e-10)
+        unit = DisturbanceSpec(d_kind="constant", constant=1.0)
+        for k in range(int(round(20.0 / grid.dt))):
+            loop.step(k * grid.dt, unit)
+        np.testing.assert_allclose(loop.fields()["u"], x, atol=1e-10)
+        np.testing.assert_allclose(loop.fields()["uhat"], -1.0 / params.beta, atol=1e-10)
         e1 = loop.energies()["u_H1"]
         assert abs(e1 - e0) <= 0.05 * e0
 
@@ -133,8 +128,8 @@ class TestObserverLoop:
         loop = ObserverLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
                             -2 * x ** 3, 0 * x)
         e0 = loop.energies()["err_H2"]
-        for _ in range(int(round(30.0 / grid.dt))):
-            loop.step(0.0)
+        for k in range(int(round(30.0 / grid.dt))):
+            loop.step(k * grid.dt)
         assert loop.energies()["err_H2"] < 0.5 * e0
 
 
@@ -147,8 +142,8 @@ class TestErrorSystemDissipation:
                                np.zeros_like(x), LEFT_ROBIN, RIGHT_TIP_MASS)
         prev_e = loop.energy("H2")
         worst = 0.0
-        for _ in range(int(round(5.0 / grid.dt))):
-            loop.step()
+        for k in range(int(round(5.0 / grid.dt))):
+            loop.step(k * grid.dt)
             e = loop.energy("H2")
             worst = max(worst, e - prev_e)
             prev_e = e
@@ -168,20 +163,19 @@ class TestEsoLoop:
     def test_zero_data_stays_zero(self, grid, params):
         x = grid.nodes()
         loop = EsoLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x)
-        for _ in range(50):
-            loop.step(0.0, 0.0)
-        for f in (loop.u, loop.v, loop.q):
-            assert not f.curr.any()
+        for k in range(50):
+            loop.step(k * grid.dt)
+        for values in loop.fields().values():
+            assert not values.any()
 
     def test_coupling_identity_exact(self, grid, params):
         x = grid.nodes()
         loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3,
                        0 * x, 0 * x, 0 * x, initial_disturbance=1.0)
         for k in range(200):
-            t = k * grid.dt
-            loop.step(f_value=float(np.sin(loop.tip_displacement())),
-                      d_value=float(np.cos(2 * t)))
-            assert loop.q.curr[-1] == loop.v.curr[-1] - loop.u.curr[-1]
+            loop.step(k * grid.dt, SEC4_INPUTS)
+            fields = loop.fields()
+            assert fields["q"][-1] == fields["v"][-1] - fields["u"][-1]
 
     def test_estimation_error_system_ignores_disturbance(self, grid, params):
         """The pinned-end error system is autonomous: two runs agree bitwise."""
@@ -190,9 +184,9 @@ class TestEsoLoop:
         for _ in range(2):
             loop = SingleFieldLoop(grid, params, 3 * x ** 3 - 3 * x ** 2,
                                    0 * x, LEFT_ROBIN, RIGHT_DIRICHLET_VALUE)
-            for _ in range(300):
-                loop.step(ext=0.0, right_input=0.0)
-            runs.append(loop.field.curr.copy())
+            for k in range(300):
+                loop.step(k * grid.dt)
+            runs.append(loop.fields()["u"].copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_reconstructed_error_nearly_disturbance_free(self, grid, params):
@@ -200,14 +194,15 @@ class TestEsoLoop:
         any disturbance, up to the O(dx^2) coupling residue."""
         x = grid.nodes()
         recon = {}
-        for name, dfun in (("cos", lambda t: np.cos(2 * t)),
-                           ("exp", lambda t: np.exp(-t))):
+        for name, spec in (("cos", DisturbanceSpec(d_kind="cosine", frequency=2.0)),
+                           ("exp", DisturbanceSpec(d_kind="exp_decay", rate=1.0))):
             loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
                            -2 * x ** 3, 0 * x, 0 * x, 0 * x,
-                           initial_disturbance=float(dfun(0.0)))
+                           initial_disturbance=1.0)
             for k in range(int(round(4.0 / grid.dt))):
-                loop.step(f_value=0.0, d_value=float(dfun(k * grid.dt)))
-            recon[name] = loop.q.curr - loop.v.curr + loop.u.curr
+                loop.step(k * grid.dt, spec)
+            fields = loop.fields()
+            recon[name] = fields["q"] - fields["v"] + fields["u"]
         gap = np.max(np.abs(recon["cos"] - recon["exp"]))
         assert gap <= 50.0 * grid.dx ** 2
 
@@ -218,8 +213,8 @@ class TestEsoLoop:
         loop = SingleFieldLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
         e0 = loop.energy("H1")
-        for _ in range(int(round(10.0 / grid.dt))):
-            loop.step()
+        for k in range(int(round(10.0 / grid.dt))):
+            loop.step(k * grid.dt)
         assert abs(loop.energy("H1") - e0) / e0 < 1e-3
 
 
@@ -228,8 +223,17 @@ class TestBlowUpGuard:
         x = grid.nodes()
         loop = SingleFieldLoop(grid, params, 8e11 * x, 0 * x,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
+        huge = DisturbanceSpec(d_kind="constant", constant=1e15)
         with pytest.raises(BlowUpError) as err:
-            for _ in range(2000):
-                loop.step(right_input=1e15)
+            for k in range(2000):
+                loop.step(k * grid.dt, huge)
         assert err.value.step_index >= 1
         assert err.value.value > 1e12
+
+    def test_names_first_bad_field_in_row_order(self, grid, params):
+        x = grid.nodes()
+        loop = EsoLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x)
+        loop.levels.curr[1:] = 2e12  # v and q rows
+        with pytest.raises(BlowUpError) as err:
+            loop.step(0.0)
+        assert err.value.field_name == "v" and err.value.step_index == 1

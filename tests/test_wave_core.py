@@ -3,24 +3,93 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tipwave import FieldHistory, Grid, SystemParams
 from tipwave.wave_core import (
+    LEFT_DIRICHLET_ZERO,
+    LEFT_ROBIN,
+    RIGHT_DIRICHLET_VALUE,
+    RIGHT_TIP_MASS,
     StructuralError,
     WarmupError,
-    apply_dirichlet_trace_right,
-    apply_dirichlet_zero_left,
-    apply_robin_left,
-    apply_tip_mass_right,
     backward_time_derivative,
     BoundaryTraces,
+    leapfrog_step,
     sample_traces,
     second_order_backstep,
     slope_left,
     slope_right,
-    step_interior,
 )
-from tipwave._kernels_py import LEFT_DIRICHLET_ZERO, LEFT_ROBIN, RIGHT_TIP_MASS
+
+
+# ----------------------------------------------------------------------
+# Reference implementation: one field, one operation at a time. The
+# sympy tests below check these closures against the symbolic ghost-node
+# elimination; the stacked ``leapfrog_step`` must match them bit for bit.
+# ----------------------------------------------------------------------
+
+def _check(field, grid):
+    if field.n_nodes != grid.n_nodes:
+        raise StructuralError(
+            f"field has {field.n_nodes} nodes, grid expects {grid.n_nodes}")
+
+
+def step_interior(field, grid):
+    """Fill the new level at interior nodes j = 1..n_cells-1."""
+    _check(field, grid)
+    r2 = grid.r * grid.r
+    p, c, out = field.prev, field.curr, field.new
+    out[1:-1] = 2.0 * c[1:-1] - p[1:-1] + r2 * (c[2:] - 2.0 * c[1:-1] + c[:-2])
+    return field
+
+
+def apply_dirichlet_zero_left(field):
+    field.new[0] = 0.0
+    return field
+
+
+def apply_tip_mass_right(field, boundary_input, disturbance, params, grid):
+    """Close the tip-mass end: u_x(1) + m u_tt(1) = U + F.
+
+    Eliminating the ghost node between the interior stencil at j = N and
+    the centered boundary relation gives the scalar update
+
+        u_N^{n+1} = 2 u_N^n - u_N^{n-1}
+                    + dt^2 (S - (u_N^n - u_{N-1}^n)/dx) / (m + dx/2).
+    """
+    _check(field, grid)
+    if not params.m > 0.0:
+        raise ValueError(f"tip mass must be positive, got {params.m}")
+    dx, dt = grid.dx, grid.dt
+    c, p = field.curr, field.prev
+    s = boundary_input + disturbance
+    field.new[-1] = (2.0 * c[-1] - p[-1]
+                     + dt * dt * (s - (c[-1] - c[-2]) / dx) / (params.m + 0.5 * dx))
+    return field
+
+
+def apply_robin_left(field, external_input, params, grid):
+    """Close the Robin end: u_x(0) = gamma u_t(0) + beta u(0) + ext.
+
+    The centered time derivative makes the eliminated relation linear in
+    the unknown node value, with coefficient 1/r^2 + gamma/r > 0.
+    """
+    _check(field, grid)
+    dx, r = grid.dx, grid.r
+    gamma, beta = params.gamma, params.beta
+    r2 = r * r
+    denom = 1.0 / r2 + gamma / r
+    c, p = field.curr, field.prev
+    field.new[0] = (2.0 * (c[1] - c[0]) + (2.0 * c[0] - p[0]) / r2
+                    + (gamma / r) * p[0] - 2.0 * dx * beta * c[0]
+                    - 2.0 * dx * external_input) / denom
+    return field
+
+
+def apply_dirichlet_trace_right(field, value):
+    field.new[-1] = value
+    return field
 
 
 def make_field(grid, curr, prev=None):
@@ -212,22 +281,22 @@ class TestDirichletTraceRight:
 class TestTraces:
     def test_linear_slopes_exact(self, grid):
         tr = BoundaryTraces(dt=grid.dt)
-        f = make_field(grid, grid.nodes())
-        sample_traces(f, grid, tr)
+        f = make_field(grid, grid.nodes()[None])
+        sample_traces(f, grid, [tr])
         assert tr.latest("slope0") == pytest.approx(1.0, abs=1e-13)
         assert tr.latest("slope1") == pytest.approx(1.0, abs=1e-13)
 
     def test_quadratic_slopes_exact(self, grid):
         tr = BoundaryTraces(dt=grid.dt)
-        f = make_field(grid, grid.nodes() ** 2)
-        sample_traces(f, grid, tr)
+        f = make_field(grid, grid.nodes()[None] ** 2)
+        sample_traces(f, grid, [tr])
         assert tr.latest("slope0") == pytest.approx(0.0, abs=1e-12)
         assert tr.latest("slope1") == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_field_zero_traces(self, grid):
         tr = BoundaryTraces(dt=grid.dt)
-        f = make_field(grid, np.zeros(grid.n_nodes))
-        sample_traces(f, grid, tr)
+        f = make_field(grid, np.zeros((1, grid.n_nodes)))
+        sample_traces(f, grid, [tr])
         assert tr.latest("value0") == 0.0 and tr.latest("value1") == 0.0
         assert tr.latest("slope0") == 0.0 and tr.latest("slope1") == 0.0
 
@@ -285,6 +354,48 @@ class TestLinearity:
             return f.new.copy()
 
         np.testing.assert_array_equal(advance(-curr, -prev), -advance(curr, prev))
+
+
+class TestStackedStep:
+    @given(data=st.data(), n_rows=st.integers(1, 3), n_cells=st.integers(3, 40),
+           r=st.floats(0.05, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_composed_closures(self, data, n_rows, n_cells, r):
+        """One stacked step equals step_interior + apply_* on each row."""
+        grid = Grid(n_cells=n_cells, r=r)
+        params = SystemParams(m=3.0, alpha=1.7, a=2.4, beta=0.9, gamma=2.1)
+        values = arrays(np.float64, (n_rows, grid.n_nodes),
+                        elements=st.floats(-2.0, 2.0))
+        prev, curr = data.draw(values), data.draw(values)
+        lefts = data.draw(st.lists(st.sampled_from([LEFT_DIRICHLET_ZERO, LEFT_ROBIN]),
+                                   min_size=n_rows, max_size=n_rows))
+        rights = data.draw(st.lists(st.sampled_from([RIGHT_TIP_MASS, RIGHT_DIRICHLET_VALUE]),
+                                    min_size=n_rows, max_size=n_rows))
+        inputs = st.lists(st.floats(-3.0, 3.0), min_size=n_rows, max_size=n_rows)
+        exts, rins = data.draw(inputs), data.draw(inputs)
+
+        stacked = FieldHistory(prev, curr)
+        leapfrog_step(stacked, grid, params, lefts, exts, rights, rins)
+
+        for i in range(n_rows):
+            row = FieldHistory(prev[i], curr[i])
+            step_interior(row, grid)
+            if lefts[i] == LEFT_ROBIN:
+                apply_robin_left(row, exts[i], params, grid)
+            else:
+                apply_dirichlet_zero_left(row)
+            if rights[i] == RIGHT_TIP_MASS:
+                apply_tip_mass_right(row, rins[i], 0.0, params, grid)
+            else:
+                apply_dirichlet_trace_right(row, rins[i])
+            np.testing.assert_array_equal(stacked.new[i], row.new)
+
+    def test_leaves_unstepped_rows_alone(self, grid, params):
+        levels = FieldHistory(np.ones((3, grid.n_nodes)), np.ones((3, grid.n_nodes)))
+        levels.new[:] = 7.0
+        leapfrog_step(levels, grid, params, [LEFT_ROBIN] * 2, [0.0] * 2,
+                      [RIGHT_TIP_MASS] * 2, [0.0] * 2)
+        assert (levels.new[2] == 7.0).all() and not (levels.new[:2] == 7.0).any()
 
 
 class TestBackstep:
