@@ -1,22 +1,21 @@
-"""The compiled and NumPy kernels must agree bit for bit."""
+"""The stepping implementation must match the composed closures bit for bit."""
 
 import numpy as np
 import pytest
 
-from tipwave import EsoLoop, FieldHistory, Grid, SystemParams
-from tipwave._backend import available_backends, get_kernel
-from tipwave._kernels_py import (
+from tipwave import FieldHistory, Grid, SystemParams, default_backend_name
+from tipwave.wave_core import (
     LEFT_DIRICHLET_ZERO,
     LEFT_ROBIN,
     RIGHT_DIRICHLET_VALUE,
     RIGHT_TIP_MASS,
+    leapfrog_step,
 )
-from tipwave.wave_core import (
+from test_wave_core import (
     apply_dirichlet_trace_right,
     apply_dirichlet_zero_left,
     apply_robin_left,
     apply_tip_mass_right,
-    kernel_step,
     step_interior,
 )
 
@@ -28,20 +27,19 @@ BC_CASES = [
 ]
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", [default_backend_name()])
 @pytest.mark.parametrize("left,right", BC_CASES)
 def test_fused_kernel_matches_composed_ops(backend, left, right):
     grid = Grid(n_cells=37, r=0.8)
     params = SystemParams(m=3.0, alpha=1.7, a=2.4, beta=0.9, gamma=2.1)
     rng = np.random.default_rng(1234)
-    kernel = get_kernel(backend)
     for trial in range(10):
         curr = rng.uniform(-2, 2, grid.n_nodes)
         prev = rng.uniform(-2, 2, grid.n_nodes)
         ext, rin = rng.uniform(-3, 3, 2)
 
-        fused = FieldHistory(prev, curr)
-        kernel_step(fused, grid, params, left, ext, right, rin, kernel=kernel)
+        fused = FieldHistory(prev[None, :], curr[None, :])
+        leapfrog_step(fused, grid, params, [left], [ext], [right], [rin])
 
         composed = FieldHistory(prev, curr)
         step_interior(composed, grid)
@@ -54,27 +52,4 @@ def test_fused_kernel_matches_composed_ops(backend, left, right):
         else:
             apply_dirichlet_trace_right(composed, rin)
 
-        np.testing.assert_array_equal(fused.new, composed.new)
-
-
-@pytest.mark.skipif("cython" not in available_backends(),
-                    reason="compiled kernel not built")
-def test_backends_bit_identical_over_long_trajectory():
-    grid = Grid(n_cells=50, r=0.5)
-    params = SystemParams()
-    x = grid.nodes()
-    loops = {
-        name: EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3, 0 * x,
-                      0 * x, 0 * x, initial_disturbance=1.0,
-                      kernel=get_kernel(name))
-        for name in ("python", "cython")
-    }
-    for k in range(500):
-        t = k * grid.dt
-        for loop in loops.values():
-            loop.step(f_value=float(np.sin(loop.tip_displacement())),
-                      d_value=float(np.cos(2 * t)))
-    for field in ("u", "v", "q"):
-        np.testing.assert_array_equal(
-            getattr(loops["python"], field).curr,
-            getattr(loops["cython"], field).curr)
+        np.testing.assert_array_equal(fused.new[0], composed.new)
