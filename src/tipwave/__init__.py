@@ -10,7 +10,7 @@ Each loop stores its fields as rows of one stacked array per time level
 and advances them with a single NumPy leapfrog stepper.
 """
 
-from .wave_core import BoundaryTraces, FieldHistory, Grid, SystemParams
+from .wave_core import FieldHistory, Grid, SystemParams
 from .energy import EnergyTrace, energy, fit_decay_rate
 from .signals import DisturbanceSpec, eval_d, eval_f
 from .spectral import (
@@ -36,7 +36,6 @@ def default_backend_name() -> str:
 
 __all__ = [
     "default_backend_name",
-    "BoundaryTraces",
     "FieldHistory",
     "Grid",
     "SystemParams",

@@ -33,8 +33,7 @@ from .wave_core import LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS, Grid, SystemParams
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "serialize_config",
            "run_scenario", "ScenarioResult", "PRESETS", "MODES"]
 
-MODES = ("open_plant", "observer_loop", "eso_loop", "spectrum",
-         "reproduce_sec4", "counterexample_sec3")
+MODES = ("open_plant", "observer_loop", "eso_loop", "spectrum")
 
 _EARLY_WINDOW = 2.0  # time units used as the "startup" reference for boundedness
 
@@ -191,11 +190,10 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfi
         except (ValueError, IndexError) as exc:
             violations.append(f"bad value for {key!r}: {exc}")
 
-    if cfg.mode not in MODES or cfg.mode in PRESETS:
-        if cfg.mode == "":
-            violations.append("mode is required (or give a preset)")
-        elif cfg.mode not in MODES:
-            violations.append(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
+    if cfg.mode == "":
+        violations.append("mode is required (or give a preset)")
+    elif cfg.mode not in MODES:
+        violations.append(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
     if not cfg.horizon > 0:
         violations.append(f"horizon must be positive, got {cfg.horizon}")
     if cfg.n_cells < 10:
@@ -343,31 +341,23 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
 
     writers = {name: _SnapshotWriter(os.path.join(out, f"snapshots_{name}.csv"), grid)
                for name in loop.fields()}
-    energies0 = loop.energies()
-    traces = {key: EnergyTrace(space_tag=key.rsplit("_", 1)[1]) for key in energies0}
+    traces = {key: EnergyTrace(space_tag=key.rsplit("_", 1)[1]) for key in loop.energies()}
     boundary = {"t": [], "eta": [], "psi": []}
 
-    for key, value in energies0.items():
-        traces[key].append(0.0, value)
-    eta0, psi0 = loop.boundary_states()
-    boundary["t"].append(0.0)
-    boundary["eta"].append(eta0)
-    boundary["psi"].append(psi0)
-    for name, values in loop.fields().items():
-        writers[name].write(0.0, values)
-
-    for k in range(n_steps):
-        loop.step(k * dt, spec)
-        t_new = (k + 1) * dt
+    # record k is the state at t = k*dt: the initial data, then each step's result
+    for k in range(n_steps + 1):
+        if k:
+            loop.step((k - 1) * dt, spec)
+        t = k * dt
         for key, value in loop.energies().items():
-            traces[key].append(t_new, value)
+            traces[key].append(t, value)
         eta, psi = loop.boundary_states()
-        boundary["t"].append(t_new)
+        boundary["t"].append(t)
         boundary["eta"].append(eta)
         boundary["psi"].append(psi)
-        if (k + 1) % config.stride == 0 or k + 1 == n_steps:
+        if k % config.stride == 0 or k == n_steps:
             for name, values in loop.fields().items():
-                writers[name].write(t_new, values)
+                writers[name].write(t, values)
 
     for w in writers.values():
         w.close()
@@ -429,7 +419,7 @@ def _check_thresholds(config, traces, boundary) -> list[str]:
         pooled_all.append(psi.max())
         pooled_early.append(psi[early].max())
         if pooled_all:
-            sup_all, sup_early = max(pooled_all), max(pooled_early)
+            sup_all, sup_early = float(max(pooled_all)), float(max(pooled_early))
             if not sup_all <= config.threshold_bounded_factor * sup_early:
                 failures.append(
                     f"boundedness: sup {sup_all!r} exceeds "

@@ -13,14 +13,18 @@ with a single ``leapfrog_step``.
   q(1, t) is pinned to the output mismatch v(1, t) - u(1, t) and the
   control cancels the estimated total disturbance q_x(1) + m q_tt(1).
 
-The control evaluated at step n uses boundary traces up to t_n only
-(one-step explicit lag), and returns 0 while the trace buffers warm up.
-Time derivatives of traces are backward differences; q_tt(1) comes from
-differencing the pinned q(1) trace, never from a one-sided spatial
-second derivative.
+Each loop samples the few boundary values its control laws read once
+per step and keeps the last three samples. The control evaluated at
+step n uses samples up to t_n only (one-step explicit lag), and returns
+0 until it has enough samples to difference. Time derivatives are
+backward differences of the samples; q_tt(1) comes from differencing
+the pinned q(1) samples, never from a one-sided spatial second
+derivative.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,14 +36,15 @@ from .wave_core import (
     LEFT_ROBIN,
     RIGHT_DIRICHLET_VALUE,
     RIGHT_TIP_MASS,
-    BoundaryTraces,
     FieldHistory,
     Grid,
     SystemParams,
+    WarmupError,
+    backward_time_derivative,
     leapfrog_step,
-    sample_traces,
     second_order_backstep,
     slope_left,
+    slope_right,
 )
 
 __all__ = [
@@ -53,6 +58,8 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e12
 NO_DISTURBANCE = DisturbanceSpec()
+# node columns a boundary sample reads: three next to each end of a row
+_EDGE_NODES = np.array([0, 1, 2, -3, -2, -1])
 
 
 class BlowUpError(RuntimeError):
@@ -68,27 +75,39 @@ class BlowUpError(RuntimeError):
             f"|value| = {value:.3e} > {BLOWUP_LIMIT:.0e}")
 
 
-def control_observer(observer_traces: BoundaryTraces, params: SystemParams) -> float:
-    """Estimated-state feedback from the observer's tip traces."""
-    if len(observer_traces) < 2:
+def control_observer(uhat1, uhatx1, dt: float, params: SystemParams) -> float:
+    """Estimated-state feedback from the observer's tip value and tip
+    slope samples (oldest first)."""
+    if len(uhat1) < 2:
         return 0.0
-    return (-params.alpha * observer_traces.rate("value1", 1)
-            - params.a * observer_traces.rate("slope1", 1))
+    return (-params.alpha * backward_time_derivative(uhat1, 1, dt)
+            - params.a * backward_time_derivative(uhatx1, 1, dt))
 
 
-def control_eso(v_traces: BoundaryTraces, q_traces: BoundaryTraces,
-                params: SystemParams) -> float:
-    """Disturbance-cancelling feedback from the estimator traces.
+def control_eso(v1, vx1, q1, qx1, dt: float, params: SystemParams) -> float:
+    """Disturbance-cancelling feedback from the estimators' tip value and
+    tip slope samples (oldest first).
 
     The q_x(1) + m q_tt(1) part cancels the estimated total disturbance;
     the v - q differences estimate the plant's tip velocity and angular
     velocity.
     """
-    if len(v_traces) < 3 or len(q_traces) < 3:
+    if len(v1) < 3 or len(q1) < 3:
         return 0.0
-    return (q_traces.latest("slope1") + params.m * q_traces.rate("value1", 2)
-            - params.alpha * (v_traces.rate("value1", 1) - q_traces.rate("value1", 1))
-            - params.a * (v_traces.rate("slope1", 1) - q_traces.rate("slope1", 1)))
+    return (qx1[-1] + params.m * backward_time_derivative(q1, 2, dt)
+            - params.alpha * (backward_time_derivative(v1, 1, dt)
+                              - backward_time_derivative(q1, 1, dt))
+            - params.a * (backward_time_derivative(vx1, 1, dt)
+                          - backward_time_derivative(qx1, 1, dt)))
+
+
+def _rate(samples, dt: float) -> float:
+    """Backward first difference of a sample history; 0.0 while it holds
+    a single sample."""
+    try:
+        return backward_time_derivative(samples, 1, dt)
+    except WarmupError:
+        return 0.0
 
 
 def _as_array(values, grid: Grid) -> NDArray[np.float64]:
@@ -102,8 +121,11 @@ class _StackedLoop:
     """Rows of fields stepped together; subclasses name and close them.
 
     ``names`` lists the stepped rows in step order; a stack may carry
-    further rows derived from them (the observer-error row). Every
-    stepped row has boundary traces, sampled once per step.
+    further rows derived from them (the observer-error row). At the
+    start and after every step the loop samples the stepped rows'
+    boundaries: each row's tip value u(1), then each row's tip slope
+    u_x(1), then the plant's measured slope u_x(0). The last three
+    samples are kept, enough for a backward second difference.
     """
 
     names: tuple[str, ...]
@@ -112,8 +134,8 @@ class _StackedLoop:
         self.grid = grid
         self.params = params
         self.levels = FieldHistory(np.stack(prev_rows), np.stack(curr_rows), t=0.0)
-        self.traces = {name: BoundaryTraces(dt=grid.dt) for name in self.names}
-        sample_traces(self.levels, grid, self.traces.values())
+        self._history: deque[tuple[float, ...]] = deque(maxlen=3)
+        self._sample()
         self.step_index = 0
 
     @property
@@ -124,8 +146,19 @@ class _StackedLoop:
         """Current level of each stepped field (views: copy to keep)."""
         return dict(zip(self.names, self.levels.curr))
 
+    def _sample(self) -> None:
+        dx = self.grid.dx
+        rows = self.levels.curr[:len(self.names)].take(_EDGE_NODES, axis=1).tolist()
+        self._history.append((*[row[-1] for row in rows],
+                              *[slope_right(row, dx) for row in rows],
+                              slope_left(rows[0], dx)))
+
+    def _series(self) -> list[tuple[float, ...]]:
+        """The history of each sampled quantity, oldest first, in sample order."""
+        return list(zip(*self._history))
+
     def _finish_step(self) -> None:
-        """Guard the new level, promote it and sample its traces."""
+        """Guard the new level, promote it and sample its boundaries."""
         self.step_index += 1
         new = self.levels.new[:len(self.names)]
         if not float(np.max(np.abs(new))) <= BLOWUP_LIMIT:
@@ -134,7 +167,7 @@ class _StackedLoop:
                 if not peak <= BLOWUP_LIMIT:
                     raise BlowUpError(name, self.step_index, self.levels.t, peak)
         self.levels.rotate(self.grid.dt)
-        sample_traces(self.levels, self.grid, self.traces.values())
+        self._sample()
 
 
 class SingleFieldLoop(_StackedLoop):
@@ -162,14 +195,14 @@ class SingleFieldLoop(_StackedLoop):
 
     def step(self, t: float, spec: DisturbanceSpec = NO_DISTURBANCE) -> None:
         """Advance one dt with the inputs evaluated at time t."""
-        s = eval_f(spec, self.traces["u"].latest("value1")) + eval_d(spec, t)
+        s = eval_f(spec, self._history[-1][0]) + eval_d(spec, t)
         leapfrog_step(self.levels, self.grid, self.params,
                       self.left_kinds, (0.0,), self.right_kinds, (s,))
         self._finish_step()
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, eta) with eta = m * u_t(1), the plant's tip momentum."""
-        eta = self.params.m * self.traces["u"].rate("value1", 1)
+        eta = self.params.m * _rate(self._series()[0], self.grid.dt)
         return eta, eta
 
     def energy(self, space_tag: str, eta: float | None = None) -> float:
@@ -206,35 +239,33 @@ class ObserverLoop(_StackedLoop):
         hprev = second_order_backstep(ph, wh, grid, params, LEFT_ROBIN,
                                       slope_left(pu, grid.dx), RIGHT_TIP_MASS, 0.0)
         super().__init__(grid, params, [uprev, hprev, hprev - uprev], [pu, ph, ph - pu])
-        self.last_control = 0.0
 
     def step(self, t: float, spec: DisturbanceSpec = NO_DISTURBANCE) -> None:
         """Advance plant and observer by one dt with F evaluated at time t."""
-        u_tr, uhat_tr = self.traces.values()
-        control = control_observer(uhat_tr, self.params)
-        disturbance = eval_f(spec, u_tr.latest("value1")) + eval_d(spec, t)
+        u1, uhat1, _, uhatx1, ux0 = self._series()
+        control = control_observer(uhat1, uhatx1, self.grid.dt, self.params)
+        disturbance = eval_f(spec, u1[-1]) + eval_d(spec, t)
         new = self.levels.new
         leapfrog_step(self.levels, self.grid, self.params,
-                      self.left_kinds, (0.0, u_tr.latest("slope0")),
+                      self.left_kinds, (0.0, ux0[-1]),
                       self.right_kinds, (control + disturbance, control))
         new[2] = new[1] - new[0]
         self._finish_step()
-        self.last_control = control
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi) = boundary-dynamics states of plant and observer."""
-        p = self.params
-        u_tr, uhat_tr = self.traces.values()
-        shared = p.a * uhat_tr.latest("slope1")
-        eta = p.m * u_tr.rate("value1", 1) + shared
-        psi = p.m * uhat_tr.rate("value1", 1) + shared
+        p, dt = self.params, self.grid.dt
+        u1, uhat1, _, uhatx1, _ = self._series()
+        shared = p.a * uhatx1[-1]
+        eta = p.m * _rate(u1, dt) + shared
+        psi = p.m * _rate(uhat1, dt) + shared
         return eta, psi
 
     def energies(self) -> dict[str, float]:
-        p = self.params
-        u_tr, uhat_tr = self.traces.values()
+        p, dt = self.params, self.grid.dt
+        u1, uhat1 = self._series()[:2]
         eta, psi = self.boundary_states()
-        err = p.m * (uhat_tr.rate("value1", 1) - u_tr.rate("value1", 1))
+        err = p.m * (_rate(uhat1, dt) - _rate(u1, dt))
         e_u, e_uhat, e_err = field_energies(("H1", "H2", "H2"), self.levels,
                                             (eta, psi, err), p, self.grid)
         return {"u_H1": e_u, "uhat_H2": e_uhat, "err_H2": e_err}
@@ -243,7 +274,7 @@ class ObserverLoop(_StackedLoop):
 class EsoLoop(_StackedLoop):
     """Plant + extended-state-observer pair under disturbance cancellation.
 
-    Step order matters and is fixed: control from traces at t_n, then u,
+    Step order matters and is fixed: control from samples at t_n, then u,
     then v (Robin fed by the measured plant slope), then q, whose right
     node is pinned to the fresh levels' mismatch v - u so the coupling
     identity holds exactly at every sample time.
@@ -265,29 +296,27 @@ class EsoLoop(_StackedLoop):
         qprev = second_order_backstep(pq, wq, grid, params, LEFT_ROBIN, 0.0,
                                       RIGHT_DIRICHLET_VALUE, vprev[-1] - uprev[-1])
         super().__init__(grid, params, [uprev, vprev, qprev], [pu, pv, pq])
-        self.last_control = 0.0
 
     def step(self, t: float, spec: DisturbanceSpec = NO_DISTURBANCE) -> None:
         """One dt advance with uncertainty f(u(1, t)) and disturbance d(t)."""
-        u_tr, v_tr, q_tr = self.traces.values()
-        control = control_eso(v_tr, q_tr, self.params)
-        f_value = eval_f(spec, u_tr.latest("value1"))
+        u1, v1, q1, _, vx1, qx1, ux0 = self._series()
+        control = control_eso(v1, vx1, q1, qx1, self.grid.dt, self.params)
+        f_value = eval_f(spec, u1[-1])
         new = self.levels.new
         # q's pinned tip is a placeholder here, set from the closed u, v rows
         leapfrog_step(self.levels, self.grid, self.params,
-                      self.left_kinds, (0.0, u_tr.latest("slope0"), 0.0),
+                      self.left_kinds, (0.0, ux0[-1], 0.0),
                       self.right_kinds, (control + f_value + eval_d(spec, t), control, 0.0))
         new[2, -1] = new[1, -1] - new[0, -1]
         self._finish_step()
-        self.last_control = control
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi): tip-dynamics states of the closed loop."""
-        p = self.params
-        u_tr, v_tr, q_tr = self.traces.values()
-        slope_gap = p.a * (v_tr.latest("slope1") - q_tr.latest("slope1"))
-        eta = p.m * u_tr.rate("value1", 1) + slope_gap
-        psi = eta - p.m * q_tr.rate("value1", 1)
+        p, dt = self.params, self.grid.dt
+        u1, _, q1, _, vx1, qx1, _ = self._series()
+        slope_gap = p.a * (vx1[-1] - qx1[-1])
+        eta = p.m * _rate(u1, dt) + slope_gap
+        psi = eta - p.m * _rate(q1, dt)
         return eta, psi
 
     def energies(self) -> dict[str, float]:

@@ -19,7 +19,8 @@ The tip-mass closure uses a centered second difference in time for the
 boundary acceleration; the Robin closure uses a centered first
 difference, which keeps the whole scheme second order. One-sided
 3-point stencils (exact on quadratics) supply the boundary slopes that
-feed the control laws.
+feed the control laws, and backward differences of sampled boundary
+values supply their time derivatives.
 
 Each row is closed at both ends by its own pair of boundary kinds:
 LEFT_DIRICHLET_ZERO or LEFT_ROBIN at x = 0, RIGHT_TIP_MASS or
@@ -28,9 +29,8 @@ RIGHT_DIRICHLET_VALUE at x = 1.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Collection, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,17 +40,14 @@ LEFT_ROBIN = 1
 RIGHT_TIP_MASS = 0
 RIGHT_DIRICHLET_VALUE = 1
 
-# node columns read by the closures (0, 1, N-1, N; 0, N) and by the
-# trace sample (0, 1, 2, N-2, N-1, N)
+# node columns read by the closures (0, 1, N-1, N; 0, N)
 _CLOSURE_NODES = np.array([0, 1, -2, -1])
 _END_NODES = np.array([0, -1])
-_TRACE_NODES = np.array([0, 1, 2, -3, -2, -1])
 
 __all__ = [
     "SystemParams",
     "Grid",
     "FieldHistory",
-    "BoundaryTraces",
     "WarmupError",
     "StructuralError",
     "LEFT_DIRICHLET_ZERO",
@@ -58,7 +55,6 @@ __all__ = [
     "RIGHT_TIP_MASS",
     "RIGHT_DIRICHLET_VALUE",
     "leapfrog_step",
-    "sample_traces",
     "backward_time_derivative",
     "slope_left",
     "slope_right",
@@ -180,11 +176,6 @@ class FieldHistory:
         self.prev, self.curr, self.new = self.curr, self.new, self.prev
         self.t += dt
 
-    def copy(self) -> "FieldHistory":
-        out = FieldHistory(self.prev, self.curr, self.t)
-        out.new[:] = self.new
-        return out
-
 
 def _check(field: FieldHistory, grid: Grid) -> None:
     if field.n_nodes != grid.n_nodes:
@@ -240,59 +231,6 @@ def slope_right(values, dx: float) -> float:
     if len(values) < 3:
         raise StructuralError("grid too coarse for one-sided slopes")
     return (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dx)
-
-
-@dataclass
-class BoundaryTraces:
-    """Ring buffers of sampled boundary quantities for one field.
-
-    value0/value1 are the node values at x=0 and x=1; slope0/slope1 the
-    one-sided spatial derivatives there. Depth 4 is enough for the
-    backward second differences the control laws need.
-    """
-
-    dt: float
-    depth: int = 4
-    value0: deque = field(default_factory=lambda: deque(maxlen=4))
-    value1: deque = field(default_factory=lambda: deque(maxlen=4))
-    slope0: deque = field(default_factory=lambda: deque(maxlen=4))
-    slope1: deque = field(default_factory=lambda: deque(maxlen=4))
-
-    def __post_init__(self):
-        if self.depth < 3:
-            raise StructuralError("trace buffers need depth >= 3")
-        for name in ("value0", "value1", "slope0", "slope1"):
-            setattr(self, name, deque(getattr(self, name), maxlen=self.depth))
-
-    def sample(self, values, dx: float) -> None:
-        """Record one row: all of its nodes, or just the six next to the ends."""
-        self.value0.append(float(values[0]))
-        self.value1.append(float(values[-1]))
-        self.slope0.append(slope_left(values, dx))
-        self.slope1.append(slope_right(values, dx))
-
-    def __len__(self) -> int:
-        return len(self.value1)
-
-    def latest(self, key: str) -> float:
-        return getattr(self, key)[-1]
-
-    def rate(self, key: str, order: int = 1) -> float:
-        """Backward time derivative of one trace; 0.0 while warming up."""
-        try:
-            return backward_time_derivative(getattr(self, key), order, self.dt)
-        except WarmupError:
-            return 0.0
-
-
-def sample_traces(levels: FieldHistory, grid: Grid,
-                  traces: Collection[BoundaryTraces]) -> None:
-    """Record the current level of the first ``len(traces)`` stacked rows,
-    row i into ``traces[i]``."""
-    _check(levels, grid)
-    edges = levels.curr[:len(traces)].take(_TRACE_NODES, axis=1).tolist()
-    for tr, row in zip(traces, edges):
-        tr.sample(row, grid.dx)
 
 
 def backward_time_derivative(samples, order: int, dt: float) -> float:

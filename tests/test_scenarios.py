@@ -181,6 +181,15 @@ class TestRunScenario:
         summary = open(result.summary_path).read()
         assert "FAIL" in summary
 
+    def test_bounded_factor_passes_at_criterion_6_bound(self, tmp_path):
+        """The estimator energies and |psi| stay within 10x of their t <= 2 peak."""
+        cfg = parse_config("preset = reproduce_sec4\nhorizon = 4\n"
+                           "spectral_summary = false\n"
+                           "threshold_bounded_factor = 10\n")
+        result = run_scenario(cfg, out_dir=str(tmp_path / "bounded"))
+        assert result.threshold_failures == []
+        assert open(result.summary_path).read().splitlines()[-1] == "thresholds: PASS"
+
     def test_summary_prints_plain_floats(self, short_run):
         assert "np.float64" not in open(short_run.summary_path).read()
 
@@ -201,8 +210,9 @@ class TestRunScenario:
         assert result.abscissae["combined"] == pytest.approx(-0.0228969, abs=1e-4)
 
 
-# sha256 of every CSV, recorded before the loops were stacked into one
-# array per time level; the stepper must reproduce them byte for byte
+# sha256 of every artifact: the CSVs were recorded before the loops were
+# stacked into one array per time level, summary.txt before the boundary
+# samples moved into one history per loop; both must reproduce byte for byte
 GOLDEN = {
     "sec4": ("preset = reproduce_sec4\nhorizon = 0.5\n", {
         "boundary_states.csv": "a5e42e0812cb16247655ecf23f56144f8614f73f049131b2a54c461791609f53",
@@ -212,6 +222,7 @@ GOLDEN = {
         "snapshots_q.csv": "55c825fa9362bcf1a190f558b61f056e78378605f89fc89661b84357ad5ca9af",
         "snapshots_u.csv": "9581acd01dae309c9e729c7f1d6a8a009084b83b62ed8dfaec6fd54667554ff4",
         "snapshots_v.csv": "313c8e53fdd58bed7c0c2bcc7b1d72bac6d07dda0a56c77454dc37b125bb5e77",
+        "summary.txt": "94667d266fdb6a16eb66cdf964e5b42533ac9e2c874a8bdba91acb9fd14282ce",
     }),
     "counterexample": ("preset = counterexample_sec3\nhorizon = 0.5\n", {
         "boundary_states.csv": "0b79cff00fc7fdb3ac4a42c257ebe617ff9f600d5ff02db35c70eb25c84b2386",
@@ -220,12 +231,14 @@ GOLDEN = {
         "energy_uhat_H2.csv": "6053d61c19a38fd7f2d78b470b930cacb622df4e0c1a3cf6385eb7302143d983",
         "snapshots_u.csv": "1bfd0eddaba947a4f06e89078a15df9270b06221b2097b4e8b1c92c3f329821e",
         "snapshots_uhat.csv": "8608bb8c82bf8c54c5807e0be491186221004ad9582d337e9d518d252995a206",
+        "summary.txt": "ac44ad4670600cfb842374b0e7032efae8787b94710b440845628d94f7a1ea53",
     }),
     "open_plant": ("mode = open_plant\nhorizon = 0.5\nu0 = 0 0 -3 1\nut0 = 0 0.5\n"
                    "f_kind = sin_of_tip\nd_kind = cosine\nstride = 10\n", {
         "boundary_states.csv": "f7ddc31a03b3fb7413f22fa822c36b4ed5f46521b43dab95e286dd8c1400dc03",
         "energy_u_H1.csv": "1cef2d77e5732494866a01a076298a20d86afba2a7f47be6088ab2bf3452acab",
         "snapshots_u.csv": "44e7803af914cf9ff6f82c8ea126ada83281709a9bb18da7a4352e6b5e14ba81",
+        "summary.txt": "560e9564eb968cb7d784280971deeee9a22a624b3fb5828e63c3a64d3a233dcd",
     }),
 }
 
@@ -236,7 +249,7 @@ def test_golden_artifacts(tmp_path, name):
     out = tmp_path / name
     run_scenario(parse_config(text), out_dir=str(out))
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
-               for f in os.listdir(out) if f.endswith(".csv")}
+               for f in os.listdir(out)}
     assert digests == expected
 
 
@@ -270,6 +283,16 @@ class TestCli:
                                        "spectral_summary = false\n"
                                        "threshold_plant_energy_ratio = 1e-9\n")
         assert cli_main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 3
+
+    def test_bounded_factor_exit_code(self, tmp_path):
+        """A run always exceeds a factor below 1 times its own early peak."""
+        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\nhorizon = 1\n"
+                                       "spectral_summary = false\n"
+                                       "threshold_bounded_factor = 0.01\n")
+        assert cli_main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 3
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        fails = [line for line in summary if line.startswith("FAIL: ")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL: boundedness: sup 11.9992")
 
     def test_override_flag(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\nhorizon = 1\n"

@@ -8,74 +8,66 @@ from tipwave.wave_core import (
     LEFT_ROBIN,
     RIGHT_DIRICHLET_VALUE,
     RIGHT_TIP_MASS,
-    BoundaryTraces,
+    slope_left,
+    slope_right,
 )
 
 # f = sin(u(1, t)), d = cos(2t): the reference experiment's inputs
 SEC4_INPUTS = DisturbanceSpec(d_kind="cosine", frequency=2.0, f_kind="sin_of_tip")
 
 
-def traces_from(dt, value1=(), slope1=(), value0=(), slope0=()):
-    tr = BoundaryTraces(dt=dt)
-    for key, series in (("value1", value1), ("slope1", slope1),
-                        ("value0", value0), ("slope0", slope0)):
-        getattr(tr, key).extend(series)
-    return tr
+def push_tip_samples(loop, tips):
+    """Append boundary samples that differ from the latest one only in
+    the plant's tip value u(1)."""
+    latest = loop._history[-1]
+    loop._history.extend((tip,) + latest[1:] for tip in tips)
 
 
 class TestControlObserver:
     def test_stationary_traces_zero_control(self, params):
-        tr = traces_from(0.01, value1=[2.0] * 3, slope1=[1.0] * 3)
-        assert control_observer(tr, params) == 0.0
+        assert control_observer([2.0] * 3, [1.0] * 3, 0.01, params) == 0.0
 
     def test_linear_tip_trace(self, params):
         dt = 0.01
-        tr = traces_from(dt, value1=[0.0, dt, 2 * dt], slope1=[0.0] * 3)
-        assert control_observer(tr, params) == pytest.approx(-2.0, rel=1e-12)
+        control = control_observer([0.0, dt, 2 * dt], [0.0] * 3, dt, params)
+        assert control == pytest.approx(-2.0, rel=1e-12)
 
     def test_both_terms_sum(self, params):
         dt = 0.01
         ramp = [0.0, dt, 2 * dt]
-        tr = traces_from(dt, value1=ramp, slope1=ramp)
         # independent scalar arithmetic: -alpha*1 - a*1
-        assert control_observer(tr, params) == pytest.approx(
+        assert control_observer(ramp, ramp, dt, params) == pytest.approx(
             -params.alpha - params.a, rel=1e-12)
 
     def test_warmup_returns_zero(self, params):
-        tr = traces_from(0.01, value1=[1.0], slope1=[1.0])
-        assert control_observer(tr, params) == 0.0
+        assert control_observer([1.0], [1.0], 0.01, params) == 0.0
 
 
 class TestControlEso:
     def test_all_zero(self, params):
-        dt = 0.01
         zeros = [0.0] * 3
-        v = traces_from(dt, value1=zeros, slope1=zeros)
-        q = traces_from(dt, value1=zeros, slope1=zeros)
-        assert control_eso(v, q, params) == 0.0
+        assert control_eso(zeros, zeros, zeros, zeros, 0.01, params) == 0.0
 
     def test_quadratic_tip_trace_gives_mass_term(self, params):
         dt = 0.01
         zeros = [0.0] * 3
-        v = traces_from(dt, value1=zeros, slope1=zeros)
-        q = traces_from(dt, value1=[0.0, dt ** 2, 4 * dt ** 2], slope1=zeros)
+        q1 = [0.0, dt ** 2, 4 * dt ** 2]
         # m * q_tt with q(1,t) = t^2 -> 2m = 10, plus -alpha*(0 - q_t)
         q_t = (4 * dt ** 2 - dt ** 2) / dt
         expected = params.m * 2.0 + params.alpha * q_t
-        assert control_eso(v, q, params) == pytest.approx(expected, rel=1e-10)
+        assert control_eso(zeros, zeros, q1, zeros, dt, params) == pytest.approx(
+            expected, rel=1e-10)
 
     def test_single_velocity_term(self, params):
         dt = 0.01
         zeros = [0.0] * 3
-        v = traces_from(dt, value1=[0.0, dt, 2 * dt], slope1=zeros)
-        q = traces_from(dt, value1=zeros, slope1=zeros)
-        assert control_eso(v, q, params) == pytest.approx(-2.0, rel=1e-12)
+        v1 = [0.0, dt, 2 * dt]
+        assert control_eso(v1, zeros, zeros, zeros, dt, params) == pytest.approx(
+            -2.0, rel=1e-12)
 
     def test_warmup(self, params):
-        dt = 0.01
-        v = traces_from(dt, value1=[0.0, 1.0], slope1=[0.0, 0.0])
-        q = traces_from(dt, value1=[0.0, 1.0], slope1=[0.0, 0.0])
-        assert control_eso(v, q, params) == 0.0
+        ramp, zeros = [0.0, 1.0], [0.0, 0.0]
+        assert control_eso(ramp, zeros, ramp, zeros, 0.01, params) == 0.0
 
 
 class TestBoundaryStates:
@@ -88,16 +80,30 @@ class TestBoundaryStates:
         x = grid.nodes()
         loop = EsoLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x)
         dt = grid.dt
-        loop.traces["u"].value1.extend([0.0, dt, 2 * dt])  # u_t(1) = 1
+        push_tip_samples(loop, [0.0, dt, 2 * dt])  # u_t(1) = 1
         assert loop.boundary_states() == pytest.approx((5.0, 5.0), rel=1e-12)
 
     def test_plant_driver_reports_tip_momentum(self, grid, params):
         x = grid.nodes()
         loop = SingleFieldLoop(grid, params, 0 * x, 0 * x,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
-        loop.traces["u"].value1.extend([0.0, grid.dt])
+        push_tip_samples(loop, [0.0, grid.dt])
         eta, psi = loop.boundary_states()
         assert eta == psi == pytest.approx(params.m, rel=1e-12)
+
+    def test_samples_match_fields(self, grid, params):
+        """Each step's boundary sample is read off the fields it follows."""
+        x = grid.nodes()
+        loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3,
+                       0 * x, 0 * x, 0 * x, initial_disturbance=1.0)
+        for k in range(20):
+            loop.step(k * grid.dt, SEC4_INPUTS)
+            rows = list(loop.fields().values())
+            assert loop._history[-1] == (
+                *[row[-1] for row in rows],
+                *[slope_right(row, grid.dx) for row in rows],
+                slope_left(rows[0], grid.dx))
+        assert len(loop._history) == 3
 
 
 class TestObserverLoop:

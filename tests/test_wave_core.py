@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tipwave import FieldHistory, Grid, SystemParams
+from tipwave import FieldHistory, Grid, SingleFieldLoop, SystemParams
 from tipwave.wave_core import (
     LEFT_DIRICHLET_ZERO,
     LEFT_ROBIN,
@@ -14,9 +14,7 @@ from tipwave.wave_core import (
     StructuralError,
     WarmupError,
     backward_time_derivative,
-    BoundaryTraces,
     leapfrog_step,
-    sample_traces,
     second_order_backstep,
     slope_left,
     slope_right,
@@ -278,27 +276,26 @@ class TestDirichletTraceRight:
         assert f.curr[-1] == 0.7
 
 
+def boundary_sample(grid, params, position):
+    """The (u(1), u_x(1), u_x(0)) sample a one-field loop takes of its
+    initial level."""
+    loop = SingleFieldLoop(grid, params, position, 0 * position, LEFT_ROBIN, RIGHT_TIP_MASS)
+    return loop._history[-1]
+
+
 class TestTraces:
-    def test_linear_slopes_exact(self, grid):
-        tr = BoundaryTraces(dt=grid.dt)
-        f = make_field(grid, grid.nodes()[None])
-        sample_traces(f, grid, [tr])
-        assert tr.latest("slope0") == pytest.approx(1.0, abs=1e-13)
-        assert tr.latest("slope1") == pytest.approx(1.0, abs=1e-13)
+    def test_linear_slopes_exact(self, grid, params):
+        _, slope1, slope0 = boundary_sample(grid, params, grid.nodes())
+        assert slope0 == pytest.approx(1.0, abs=1e-13)
+        assert slope1 == pytest.approx(1.0, abs=1e-13)
 
-    def test_quadratic_slopes_exact(self, grid):
-        tr = BoundaryTraces(dt=grid.dt)
-        f = make_field(grid, grid.nodes()[None] ** 2)
-        sample_traces(f, grid, [tr])
-        assert tr.latest("slope0") == pytest.approx(0.0, abs=1e-12)
-        assert tr.latest("slope1") == pytest.approx(2.0, abs=1e-12)
+    def test_quadratic_slopes_exact(self, grid, params):
+        _, slope1, slope0 = boundary_sample(grid, params, grid.nodes() ** 2)
+        assert slope0 == pytest.approx(0.0, abs=1e-12)
+        assert slope1 == pytest.approx(2.0, abs=1e-12)
 
-    def test_zero_field_zero_traces(self, grid):
-        tr = BoundaryTraces(dt=grid.dt)
-        f = make_field(grid, np.zeros((1, grid.n_nodes)))
-        sample_traces(f, grid, [tr])
-        assert tr.latest("value0") == 0.0 and tr.latest("value1") == 0.0
-        assert tr.latest("slope0") == 0.0 and tr.latest("slope1") == 0.0
+    def test_zero_field_zero_traces(self, grid, params):
+        assert boundary_sample(grid, params, np.zeros(grid.n_nodes)) == (0.0, 0.0, 0.0)
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(StructuralError):
@@ -327,9 +324,10 @@ class TestBackwardDerivatives:
             backward_time_derivative([1.0], 1, 0.1)
         with pytest.raises(WarmupError):
             backward_time_derivative([1.0, 2.0], 2, 0.1)
-        tr = BoundaryTraces(dt=0.1)
-        tr.sample(np.zeros(5) + 1.0, 0.25)
-        assert tr.rate("value1", 1) == 0.0  # warm-up substitution
+        grid = Grid(n_cells=4, r=0.4)  # dx = 0.25, dt = 0.1
+        loop = SingleFieldLoop(grid, SystemParams(), np.zeros(5) + 1.0, np.zeros(5),
+                               LEFT_ROBIN, RIGHT_TIP_MASS)
+        assert loop.boundary_states() == (0.0, 0.0)  # warm-up substitution
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
