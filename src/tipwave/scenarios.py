@@ -349,9 +349,10 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
         if k:
             loop.step((k - 1) * dt, spec)
         t = k * dt
-        for key, value in loop.energies().items():
+        states = loop.boundary_states()
+        for key, value in loop._energies(states).items():
             traces[key].append(t, value)
-        eta, psi = loop.boundary_states()
+        eta, psi = states
         boundary["t"].append(t)
         boundary["eta"].append(eta)
         boundary["psi"].append(psi)

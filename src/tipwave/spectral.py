@@ -431,6 +431,14 @@ def compute_spectrum(family: CharFamily, n_max: int = 100,
     ladder (extra real roots, displaced central pairs), is swept by the
     argument principle. Conjugate roots are mirrored from the upper
     half-plane and re-validated.
+
+    The roots are then sorted by (imag, real) and deduplicated: a root
+    within DEDUPE_RADIUS of an already kept one is dropped. Each root is
+    checked only against the window of kept roots at most DEDUPE_RADIUS
+    below it in imaginary part, the only ones that can be that close. On
+    the ladders, about pi apart in imaginary part, that window holds only
+    copies of the same root, so the dedupe is linear in the number of
+    roots (``_dedupe``).
     """
     if n_max < n_low:
         n_low = n_max
@@ -460,14 +468,8 @@ def compute_spectrum(family: CharFamily, n_max: int = 100,
     roots += mirrored
 
     roots.sort(key=lambda item: (item[0].imag, item[0].real))
-    unique: list[tuple[complex, float, bool, complex | None]] = []
-    for item in roots:
-        if any(abs(item[0] - kept[0]) <= DEDUPE_RADIUS for kept in unique):
-            continue
-        unique.append(item)
-
     eigenvalues = []
-    for z, res, ok, seed in unique:
+    for z, res, ok, seed in _dedupe(roots):
         n = family.branch_index(z)
         if abs(n) > n_max:
             continue
@@ -475,6 +477,30 @@ def compute_spectrum(family: CharFamily, n_max: int = 100,
             n=n, seed=family.seed(n) if seed is None else seed,
             refined=z, residual=res, converged=ok and res <= RESIDUAL_TOL))
     return Spectrum(family=family, n_max=n_max, eigenvalues=eigenvalues)
+
+
+def _dedupe(roots):
+    """Keep each root unless an earlier kept one lies within DEDUPE_RADIUS.
+
+    ``roots`` must be sorted by imaginary part, so the kept list is too.
+    The scan walks it backwards and stops at the first kept root more
+    than DEDUPE_RADIUS below in imaginary part: |z - w| >= |Im(z - w)|,
+    so none before it can be within the radius. The result equals the
+    pairwise check against every kept root, in the same order.
+    """
+    unique = []
+    for item in roots:
+        z = item[0]
+        duplicate = False
+        for kept in reversed(unique):
+            if z.imag - kept[0].imag > DEDUPE_RADIUS:
+                break
+            if abs(z - kept[0]) <= DEDUPE_RADIUS:
+                duplicate = True
+                break
+        if not duplicate:
+            unique.append(item)
+    return unique
 
 
 def spectral_abscissa(spectrum: Spectrum) -> float:

@@ -157,6 +157,15 @@ class _StackedLoop:
         """The history of each sampled quantity, oldest first, in sample order."""
         return list(zip(*self._history))
 
+    def energies(self) -> dict[str, float]:
+        """Energy of each field in its space, keyed "<field>_<tag>".
+
+        Subclasses compute it in ``_energies(states)`` from the
+        ``boundary_states()`` pair, so a caller that records both
+        computes the states once.
+        """
+        return self._energies(self.boundary_states())
+
     def _finish_step(self) -> None:
         """Guard the new level, promote it and sample its boundaries."""
         self.step_index += 1
@@ -212,8 +221,8 @@ class SingleFieldLoop(_StackedLoop):
             eta = self.boundary_states()[0] if space_tag in ("H1", "H2", "H") else 0.0
         return field_energies((space_tag,), self.levels, (eta,), self.params, self.grid)[0]
 
-    def energies(self) -> dict[str, float]:
-        return {"u_H1": self.energy("H1")}
+    def _energies(self, states: tuple[float, float]) -> dict[str, float]:
+        return {"u_H1": self.energy("H1", states[0])}
 
 
 class ObserverLoop(_StackedLoop):
@@ -261,10 +270,10 @@ class ObserverLoop(_StackedLoop):
         psi = p.m * _rate(uhat1, dt) + shared
         return eta, psi
 
-    def energies(self) -> dict[str, float]:
+    def _energies(self, states: tuple[float, float]) -> dict[str, float]:
         p, dt = self.params, self.grid.dt
         u1, uhat1 = self._series()[:2]
-        eta, psi = self.boundary_states()
+        eta, psi = states
         err = p.m * (_rate(uhat1, dt) - _rate(u1, dt))
         e_u, e_uhat, e_err = field_energies(("H1", "H2", "H2"), self.levels,
                                             (eta, psi, err), p, self.grid)
@@ -319,8 +328,8 @@ class EsoLoop(_StackedLoop):
         psi = eta - p.m * _rate(q1, dt)
         return eta, psi
 
-    def energies(self) -> dict[str, float]:
-        eta, _ = self.boundary_states()
+    def _energies(self, states: tuple[float, float]) -> dict[str, float]:
+        eta, _ = states
         e_u, e_v, e_q = field_energies(("H1", "Hbb1", "Hbb1"), self.levels,
                                        (eta, 0.0, 0.0), self.params, self.grid)
         return {"u_H1": e_u, "v_Hbb1": e_v, "q_Hbb1": e_q}

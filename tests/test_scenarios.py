@@ -14,6 +14,7 @@ from tipwave.scenarios import (
     run_scenario,
     serialize_config,
 )
+from tipwave.systems import EsoLoop, ObserverLoop
 
 
 def tree_digest(root):
@@ -190,6 +191,21 @@ class TestRunScenario:
         assert result.threshold_failures == []
         assert open(result.summary_path).read().splitlines()[-1] == "thresholds: PASS"
 
+    @pytest.mark.parametrize("mode,loop_class", [("observer_loop", ObserverLoop),
+                                                 ("eso_loop", EsoLoop)])
+    def test_boundary_states_computed_once_per_record(self, tmp_path, monkeypatch,
+                                                      mode, loop_class):
+        """The energy pass reuses the states recorded in boundary_states.csv."""
+        calls = []
+        original = loop_class.boundary_states
+        monkeypatch.setattr(loop_class, "boundary_states",
+                            lambda self: calls.append(1) or original(self))
+        cfg = parse_config(f"mode = {mode}\nhorizon = 0.05\nspectral_summary = false\n")
+        result = run_scenario(cfg, out_dir=str(tmp_path / mode))
+        records = len(open(os.path.join(result.out_dir, "boundary_states.csv")).readlines()) - 1
+        assert records == 11
+        assert len(calls) <= records + 1  # one per record, plus listing the energy keys
+
     def test_summary_prints_plain_floats(self, short_run):
         assert "np.float64" not in open(short_run.summary_path).read()
 
@@ -212,7 +228,8 @@ class TestRunScenario:
 
 # sha256 of every artifact: the CSVs were recorded before the loops were
 # stacked into one array per time level, summary.txt before the boundary
-# samples moved into one history per loop; both must reproduce byte for byte
+# samples moved into one history per loop, the spectrum cases before the
+# root dedupe became a windowed scan; all must reproduce byte for byte
 GOLDEN = {
     "sec4": ("preset = reproduce_sec4\nhorizon = 0.5\n", {
         "boundary_states.csv": "a5e42e0812cb16247655ecf23f56144f8614f73f049131b2a54c461791609f53",
@@ -239,6 +256,18 @@ GOLDEN = {
         "energy_u_H1.csv": "1cef2d77e5732494866a01a076298a20d86afba2a7f47be6088ab2bf3452acab",
         "snapshots_u.csv": "44e7803af914cf9ff6f82c8ea126ada83281709a9bb18da7a4352e6b5e14ba81",
         "summary.txt": "560e9564eb968cb7d784280971deeee9a22a624b3fb5828e63c3a64d3a233dcd",
+    }),
+    "spectrum_A2": ("mode = spectrum\nfamily = A2\nn_max = 200\n", {
+        "spectrum_A2.csv": "b95adabfeede6ef976f88889dbaa57203d3c4398a0b868adbead55686a275e8e",
+        "summary.txt": "4269655a5677bec8207a780c053962d76bdf37f53eb4c77c50be6282c9ffc0b4",
+    }),
+    "spectrum_A": ("mode = spectrum\nfamily = A\nn_max = 200\n", {
+        "spectrum_A.csv": "ca240fdca762da3d201aa0fa43960c3d759a1bf3450c5a2db8a986cbddf71558",
+        "summary.txt": "81bb11773b79c4ea8881b19a9b474ecdb555b5fc4f42c2803a07bcc79130d2e5",
+    }),
+    "spectrum_Abb": ("mode = spectrum\nfamily = Abb\nn_max = 200\n", {
+        "spectrum_Abb.csv": "0d3fa37179d17ec87e0e461ffcfa7fec0517318bf1593ec86a53ebd90d8eb0c8",
+        "summary.txt": "144791b123e2aadacab108310374d1affce0218a69482f3d56a0685ef3f3fb32",
     }),
 }
 

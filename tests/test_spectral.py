@@ -1,12 +1,17 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tipwave import SystemParams
 from tipwave.spectral import (
+    DEDUPE_RADIUS,
     CharFamily,
     HypothesisError,
+    _dedupe,
     asymptotic_seed,
     char_residual,
     combined_abscissa,
@@ -230,6 +235,73 @@ class TestSpectrum:
         lo0, hi0 = strip_interval(0)
         lo1, _ = strip_interval(1)
         assert hi0 == lo1 and lo0 == -hi0
+
+
+R = DEDUPE_RADIUS
+
+
+def dedupe_pairwise(roots):
+    """The quadratic dedupe that ``_dedupe`` replaced, kept as its oracle."""
+    unique = []
+    for item in roots:
+        if any(abs(item[0] - kept[0]) <= R for kept in unique):
+            continue
+        unique.append(item)
+    return unique
+
+
+# shared anchors let groups of roots overlap
+ANCHORS = st.one_of(st.sampled_from([0j, -0.4 + 2.2j, -1e-3 + 0j]),
+                    st.builds(complex, st.floats(-5.0, 1.0), st.floats(-50.0, 50.0)))
+
+
+@st.composite
+def root_groups(draw):
+    """Roots from a mix of groups that sit at or near the dedupe radius."""
+    roots = []
+    for _ in range(draw(st.integers(1, 6))):
+        base = draw(ANCHORS)
+        kind = draw(st.sampled_from(["chain", "row", "exact", "conjugate", "cloud"]))
+        if kind == "chain":
+            # Im spaced 0.6 R: whether a root is kept depends on its predecessors
+            roots += [base + 0.6 * R * k * 1j for k in range(draw(st.integers(2, 8)))]
+        elif kind == "row":
+            # equal imaginary parts, real parts differing by up to 3 R
+            offsets = draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=6))
+            roots += [complex(base.real + d * R, base.imag) for d in offsets]
+        elif kind == "exact":
+            # pairs exactly R apart, across and along the imaginary axis
+            roots += [complex(0.0, base.imag), complex(R, base.imag),
+                      complex(base.real, 0.0), complex(base.real, R)]
+        elif kind == "conjugate":
+            # near the real axis a root's conjugate can lie within R
+            z = complex(base.real, draw(st.floats(0.0, 2.0)) * R)
+            roots += [z, z.conjugate()]
+        else:
+            steps = st.floats(-2.0, 2.0)
+            roots += [base + complex(draw(steps), draw(steps)) * R
+                      for _ in range(draw(st.integers(1, 6)))]
+    return roots
+
+
+class TestDedupe:
+    @given(root_groups())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_dedupe(self, zs):
+        roots = sorted(((z, i) for i, z in enumerate(zs)),
+                       key=lambda item: (item[0].imag, item[0].real))
+        assert _dedupe(roots) == dedupe_pairwise(roots)
+
+    def test_ladder_with_twins_is_linear(self):
+        """The pairwise check needs ~4e8 comparisons here; the window needs ~4e4."""
+        ladder = [complex(-0.4, math.pi * k) for k in range(-10_000, 10_000)]
+        roots = [(z, "root") for z in ladder] + [(z + 1e-8, "twin") for z in ladder]
+        roots.sort(key=lambda item: (item[0].imag, item[0].real))
+        t0 = time.perf_counter()
+        unique = _dedupe(roots)
+        elapsed = time.perf_counter() - t0
+        assert unique == [(z, "root") for z in ladder]
+        assert elapsed < 2.0
 
 
 class TestRieszDefect:
