@@ -200,6 +200,10 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfi
         violations.append(f"n_cells must be >= 10, got {cfg.n_cells}")
     if not 0.0 < cfg.r <= 1.0:
         violations.append(f"Courant ratio must satisfy 0 < r <= 1, got {cfg.r}")
+    if cfg.threshold_bounded_factor is not None and cfg.horizon <= _EARLY_WINDOW:
+        violations.append(
+            f"threshold_bounded_factor needs horizon > {_EARLY_WINDOW} (its early "
+            f"window), got {cfg.horizon}")
     if cfg.stride < 1:
         violations.append(f"stride must be >= 1, got {cfg.stride}")
     if cfg.family not in spectral.FAMILY_TAGS:
@@ -261,14 +265,19 @@ class ScenarioResult:
 
 
 class _SnapshotWriter:
-    def __init__(self, path, grid: Grid):
+    """Rows ``t,x,value`` of one field; ``x_text`` holds each node's
+    ``",x,"`` text, formatted once per run and shared by every field."""
+
+    def __init__(self, path, x_text: list[str]):
         self.fh = open(path, "w", newline="")
         self.fh.write("t,x,value\n")
-        self.x = grid.nodes()
+        self.x_text = x_text
 
     def write(self, t: float, values) -> None:
-        for xj, vj in zip(self.x, values):
-            self.fh.write(f"{float(t)!r},{float(xj)!r},{float(vj)!r}\n")
+        t_text = repr(float(t))
+        write = self.fh.write
+        for xj, vj in zip(self.x_text, values.tolist()):
+            write(f"{t_text}{xj}{vj!r}\n")
 
     def close(self):
         self.fh.close()
@@ -339,7 +348,8 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     dt = grid.dt
     n_steps = int(round(config.horizon / dt))
 
-    writers = {name: _SnapshotWriter(os.path.join(out, f"snapshots_{name}.csv"), grid)
+    x_text = [f",{xj!r}," for xj in grid.nodes().tolist()]
+    writers = {name: _SnapshotWriter(os.path.join(out, f"snapshots_{name}.csv"), x_text)
                for name in loop.fields()}
     traces = {key: EnergyTrace(space_tag=key.rsplit("_", 1)[1]) for key in loop.energies()}
     boundary = {"t": [], "eta": [], "psi": []}
@@ -368,7 +378,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     with open(os.path.join(out, "boundary_states.csv"), "w", newline="") as fh:
         fh.write("t,eta,psi\n")
         for t, eta, psi in zip(boundary["t"], boundary["eta"], boundary["psi"]):
-            fh.write(f"{float(t)!r},{float(eta)!r},{float(psi)!r}\n")
+            fh.write(f"{t!r},{eta!r},{psi!r}\n")
 
     fitted = {}
     for key, trace in traces.items():

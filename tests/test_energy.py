@@ -99,6 +99,16 @@ class TestEnergyTrace:
         t0, e0, tag = rows[1].split(",")
         assert float(t0) == 0.0 and float(e0) == 1.0 and tag == "Hbb"
 
+    def test_csv_prints_plain_floats_for_numpy_input(self, tmp_path):
+        tr = EnergyTrace("H1")
+        for k in range(3):
+            tr.append(np.float64(0.1) * k, np.float64(1.5) ** -k)
+        path = tmp_path / "trace.csv"
+        tr.write_csv(path)
+        text = path.read_text()
+        assert "np.float64(" not in text
+        assert text.splitlines()[2] == "0.1,0.6666666666666666,H1"
+
 
 class TestFitDecayRate:
     @staticmethod

@@ -2,6 +2,7 @@ import hashlib
 import os
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +11,13 @@ from tipwave.cli import main as cli_main
 from tipwave.scenarios import (
     ConfigError,
     PRESETS,
+    _SnapshotWriter,
     parse_config,
     run_scenario,
     serialize_config,
 )
 from tipwave.systems import EsoLoop, ObserverLoop
+from tipwave.wave_core import Grid
 
 
 def tree_digest(root):
@@ -206,6 +209,16 @@ class TestRunScenario:
         assert records == 11
         assert len(calls) <= records + 1  # one per record, plus listing the energy keys
 
+    @pytest.mark.parametrize("mode", ["open_plant", "observer_loop", "eso_loop"])
+    def test_boundary_records_are_python_floats(self, tmp_path, mode):
+        """boundary_states.csv is written from t = k*dt and the loops'
+        boundary_states() pairs with no float() coercion."""
+        cfg = parse_config(f"mode = {mode}\nhorizon = 0.05\nspectral_summary = false\n")
+        result = run_scenario(cfg, out_dir=str(tmp_path / mode))
+        for key in ("t", "eta", "psi"):
+            assert len(result.boundary[key]) == 11
+            assert all(type(v) is float for v in result.boundary[key]), key
+
     def test_summary_prints_plain_floats(self, short_run):
         assert "np.float64" not in open(short_run.summary_path).read()
 
@@ -226,10 +239,58 @@ class TestRunScenario:
         assert result.abscissae["combined"] == pytest.approx(-0.0228969, abs=1e-4)
 
 
+def write_snapshots_per_node(path, x, snapshots):
+    """The reference writer: every node formatted through NumPy scalars."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,x,value\n")
+        for t, values in snapshots:
+            for xj, vj in zip(x, values):
+                fh.write(f"{float(t)!r},{float(xj)!r},{float(vj)!r}\n")
+
+
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                  2.2250738585072014e-308, 1e-300, 1e308, -1e308,
+                  1.7976931348623157e308, -1.7976931348623157e308,
+                  1.0, -3.0, 1e16, 1e22, 2.0 ** 53, 123456789.0, 0.1, -2.0 / 3.0)
+
+
+class TestSnapshotWriter:
+    @given(n_cells=st.integers(3, 2000),
+           r=st.sampled_from([0.5, 1.0, 0.3, 0.25, 0.9]),
+           ks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3, unique=True),
+           extra=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_node_writer(self, tmp_path_factory, n_cells, r, ks, extra, seed):
+        grid = Grid(n_cells=n_cells, r=r)
+        rng = np.random.default_rng(seed)
+        n = grid.n_nodes
+        snapshots = []
+        for k in sorted(ks):
+            # magnitudes 1e-300..1e300, special values, integral floats and
+            # arbitrary doubles, mixed along the row
+            values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+            pick = rng.random(n)
+            values = np.where(pick < 0.2, rng.choice(SPECIAL_VALUES, n), values)
+            values = np.where((pick >= 0.2) & (pick < 0.3),
+                              np.round(rng.uniform(-1e6, 1e6, n)), values)
+            values[rng.integers(0, n, len(extra))] = extra
+            snapshots.append((k * grid.dt, values))
+        out = tmp_path_factory.mktemp("snap")
+        write_snapshots_per_node(out / "expected.csv", grid.nodes(), snapshots)
+        writer = _SnapshotWriter(out / "actual.csv",
+                                 [f",{xj!r}," for xj in grid.nodes().tolist()])
+        for t, values in snapshots:
+            writer.write(t, values)
+        writer.close()
+        assert (out / "actual.csv").read_bytes() == (out / "expected.csv").read_bytes()
+
+
 # sha256 of every artifact: the CSVs were recorded before the loops were
 # stacked into one array per time level, summary.txt before the boundary
 # samples moved into one history per loop, the spectrum cases before the
-# root dedupe became a windowed scan; all must reproduce byte for byte
+# root dedupe became a windowed scan, sec4_n1600 before the snapshot
+# writer formatted from Python floats; all must reproduce byte for byte
 GOLDEN = {
     "sec4": ("preset = reproduce_sec4\nhorizon = 0.5\n", {
         "boundary_states.csv": "a5e42e0812cb16247655ecf23f56144f8614f73f049131b2a54c461791609f53",
@@ -240,6 +301,18 @@ GOLDEN = {
         "snapshots_u.csv": "9581acd01dae309c9e729c7f1d6a8a009084b83b62ed8dfaec6fd54667554ff4",
         "snapshots_v.csv": "313c8e53fdd58bed7c0c2bcc7b1d72bac6d07dda0a56c77454dc37b125bb5e77",
         "summary.txt": "94667d266fdb6a16eb66cdf964e5b42533ac9e2c874a8bdba91acb9fd14282ce",
+    }),
+    # node reprs such as 0.021875000000000002 at 1601 nodes
+    "sec4_n1600": ("preset = reproduce_sec4\nn_cells = 1600\nhorizon = 0.05\n"
+                   "spectral_summary = false\n", {
+        "boundary_states.csv": "66dacb9131ab681565e0e05f5397a774fdcd3ee494064d90a3d6a8747dbbb849",
+        "energy_q_Hbb1.csv": "052c45c28e9c6121aae8d5b0a9a226ff065f6a80ae8825cf9a04d6b20d1fb1ec",
+        "energy_u_H1.csv": "6dae7005a5a58eaab96ccdcfc7e060bfbf6c98be139342108f91ae28075f9b42",
+        "energy_v_Hbb1.csv": "876c577cba9382fd80f4f4fbefdac70d517e81ced01e53c5019dc459690ff127",
+        "snapshots_q.csv": "14dfcee3c08fa7902538af85a1dd86050eadbbcc7bd6af7355697ada99275ad8",
+        "snapshots_u.csv": "c00a31f25919242fc60dbc77f15c71841250a21fdea7d693950fe4707a65e0cf",
+        "snapshots_v.csv": "8661a628d1a54f61f83d3d4ee2abe0f844780c0ef2f663007619f87b2dae7ba2",
+        "summary.txt": "3d3881f6c93152610e00ecb22fe6970d14dc54f8fa660144c68866974b344382",
     }),
     "counterexample": ("preset = counterexample_sec3\nhorizon = 0.5\n", {
         "boundary_states.csv": "0b79cff00fc7fdb3ac4a42c257ebe617ff9f600d5ff02db35c70eb25c84b2386",
@@ -315,13 +388,22 @@ class TestCli:
 
     def test_bounded_factor_exit_code(self, tmp_path):
         """A run always exceeds a factor below 1 times its own early peak."""
-        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\nhorizon = 1\n"
+        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\nhorizon = 4\n"
                                        "spectral_summary = false\n"
                                        "threshold_bounded_factor = 0.01\n")
         assert cli_main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 3
         summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
         fails = [line for line in summary if line.startswith("FAIL: ")]
         assert len(fails) == 1 and fails[0].startswith("FAIL: boundedness: sup 11.9992")
+
+    def test_bounded_factor_needs_horizon_past_early_window(self, tmp_path, capsys):
+        """At horizon <= 2 the supremum is the early peak, so any factor >= 1 passes."""
+        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\nhorizon = 1\n"
+                                       "spectral_summary = false\n"
+                                       "threshold_bounded_factor = 10\n")
+        assert cli_main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "threshold_bounded_factor needs horizon > 2.0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_override_flag(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\nhorizon = 1\n"
