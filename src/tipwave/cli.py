@@ -17,7 +17,6 @@ import sys
 
 from .energy import EnergyTrace, NoFitError, fit_decay_rate
 from .scenarios import ConfigError, parse_config, run_scenario
-from .spectral import HypothesisError
 from .systems import BlowUpError
 
 
@@ -39,9 +38,6 @@ def _cmd_simulate(args) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 2
-    except HypothesisError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     print(f"artifacts written to {result.out_dir}")
     if result.threshold_failures:
         for msg in result.threshold_failures:
@@ -62,11 +58,7 @@ def _cmd_spectrum(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    try:
-        result = run_scenario(config, out_dir=args.out)
-    except HypothesisError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    result = run_scenario(config, out_dir=args.out)
     for tag, value in result.abscissae.items():
         print(f"spectral abscissa {tag} = {value!r}")
     print(f"artifacts written to {result.out_dir}")

@@ -124,9 +124,7 @@ def fit_decay_rate(trace: EnergyTrace, window: float = 0.5,
     sel = t >= t_start
     if sel.sum() < 20:
         raise NoFitError(f"need >= 20 samples in window, have {int(sel.sum())}")
-    design = np.vstack([t[sel], np.ones(int(sel.sum()))]).T
-    (rate, log_amp), *_ = np.linalg.lstsq(design, np.log(e[sel]), rcond=None)
-    return float(rate), float(log_amp)
+    return _fit_log_linear(t[sel], e[sel])
 
 
 def envelope_samples(times, values, width: float):
@@ -163,6 +161,11 @@ def fit_envelope_rate(times, values, width: float,
     sel = (centers >= t_start) & (centers <= t_end) & (maxima > 1e-300)
     if sel.sum() < 4:
         raise NoFitError(f"need >= 4 envelope windows, have {int(sel.sum())}")
-    design = np.vstack([centers[sel], np.ones(int(sel.sum()))]).T
-    (rate, log_amp), *_ = np.linalg.lstsq(design, np.log(maxima[sel]), rcond=None)
+    return _fit_log_linear(centers[sel], maxima[sel])
+
+
+def _fit_log_linear(t, values) -> tuple[float, float]:
+    """Least-squares line through (t, ln values): (slope, intercept)."""
+    design = np.vstack([t, np.ones(t.size)]).T
+    (rate, log_amp), *_ = np.linalg.lstsq(design, np.log(values), rcond=None)
     return float(rate), float(log_amp)

@@ -121,13 +121,30 @@ PRESETS: dict[str, dict[str, str]] = {
     },
 }
 
-_FLOAT_KEYS = ("m", "alpha", "a", "beta", "gamma", "r", "horizon",
-               "d_amplitude", "d_frequency", "d_rate", "d_constant", "f_gain",
-               "threshold_plant_energy_ratio", "threshold_bounded_factor")
-_INT_KEYS = ("n_cells", "stride", "n_max")
-_POLY_KEYS = ("u0", "ut0", "v0", "vt0", "q0", "qt0", "uhat0", "uhatt0")
-_STR_KEYS = ("mode", "d_kind", "f_kind", "out_dir", "family")
-_BOOL_KEYS = ("spectral_summary",)
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text.lower() == "true"
+
+
+# (parse, format) per ScenarioConfig annotation; a format that returns
+# None leaves its key out of the text (an unset threshold, an empty table)
+_CODECS = {
+    "float": (float, repr),
+    "float | None": (float, lambda value: None if value is None else repr(value)),
+    "int": (int, str),
+    "str": (str, str),
+    "bool": (_parse_bool, lambda flag: "true" if flag else "false"),
+    "tuple[float, ...]": (lambda text: tuple(float(tok) for tok in text.split()),
+                          lambda coeffs: " ".join(repr(c) for c in coeffs)),
+    "tuple[tuple[float, float], ...]": (
+        lambda text: tuple((float(tok.split(":")[0]), float(tok.split(":")[1]))
+                           for tok in text.split()),
+        lambda pairs: " ".join(f"{t!r}:{v!r}" for t, v in pairs) or None),
+}
+_KEY_CODECS = {f.name: _CODECS[f.type] for f in dataclasses.fields(ScenarioConfig)
+               if f.name != "warnings"}
 
 
 def _parse_lines(text: str) -> list[tuple[str, str]]:
@@ -168,25 +185,12 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfi
 
     cfg = ScenarioConfig()
     for key, value in expanded:
+        if key not in _KEY_CODECS:
+            violations.append(f"unknown key {key!r}")
+            continue
+        parse, _ = _KEY_CODECS[key]
         try:
-            if key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _POLY_KEYS:
-                setattr(cfg, key, tuple(float(tok) for tok in value.split()))
-            elif key in _STR_KEYS:
-                setattr(cfg, key, value)
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {value!r}")
-                setattr(cfg, key, value.lower() == "true")
-            elif key == "d_table":
-                cfg.d_table = tuple(
-                    (float(tok.split(":")[0]), float(tok.split(":")[1]))
-                    for tok in value.split())
-            else:
-                violations.append(f"unknown key {key!r}")
+            setattr(cfg, key, parse(value))
         except (ValueError, IndexError) as exc:
             violations.append(f"bad value for {key!r}: {exc}")
 
@@ -198,8 +202,6 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfi
         violations.append(f"horizon must be positive, got {cfg.horizon}")
     if cfg.n_cells < 10:
         violations.append(f"n_cells must be >= 10, got {cfg.n_cells}")
-    if not 0.0 < cfg.r <= 1.0:
-        violations.append(f"Courant ratio must satisfy 0 < r <= 1, got {cfg.r}")
     if cfg.threshold_bounded_factor is not None and cfg.horizon <= _EARLY_WINDOW:
         violations.append(
             f"threshold_bounded_factor needs horizon > {_EARLY_WINDOW} (its early "
@@ -208,43 +210,32 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfi
         violations.append(f"stride must be >= 1, got {cfg.stride}")
     if cfg.family not in spectral.FAMILY_TAGS:
         violations.append(f"unknown family {cfg.family!r}")
-    for key in ("m", "alpha", "a", "beta", "gamma"):
-        if not getattr(cfg, key) > 0:
-            violations.append(f"{key} must be positive, got {getattr(cfg, key)}")
-    try:
-        cfg.disturbance()
-    except ValueError as exc:
-        violations.append(str(exc))
+    # the rest is checked by the objects the run builds from the config
+    params = _build(cfg.params, violations)
+    _build(cfg.grid, violations)
+    _build(cfg.disturbance, violations)
+    if params is not None and cfg.mode == "spectrum" and cfg.family in spectral.FAMILY_TAGS:
+        _build(lambda: spectral.CharFamily(cfg.family, params), violations)
     if violations:
         raise ConfigError(violations)
 
-    cfg.warnings = cfg.params().hypothesis_warnings()
+    cfg.warnings = params.hypothesis_warnings()
     return cfg
+
+
+def _build(make, violations: list[str]):
+    """``make()``, or None with its ValueError message added to ``violations``."""
+    try:
+        return make()
+    except ValueError as exc:
+        violations.append(str(exc))
+        return None
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical flat text; parse(serialize(cfg)) == cfg."""
-    lines = []
-    for f in dataclasses.fields(ScenarioConfig):
-        if f.name == "warnings":
-            continue
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if f.name in _POLY_KEYS:
-            text = " ".join(repr(c) for c in value)
-        elif f.name == "d_table":
-            if not value:
-                continue
-            text = " ".join(f"{t!r}:{v!r}" for t, v in value)
-        elif f.name in _BOOL_KEYS:
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
-    return "\n".join(lines) + "\n"
+    texts = ((key, to_text(getattr(cfg, key))) for key, (_, to_text) in _KEY_CODECS.items())
+    return "".join(f"{key} = {text}\n" for key, text in texts if text is not None)
 
 
 def _poly_on_grid(coeffs, grid: Grid):
@@ -351,7 +342,8 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     x_text = [f",{xj!r}," for xj in grid.nodes().tolist()]
     writers = {name: _SnapshotWriter(os.path.join(out, f"snapshots_{name}.csv"), x_text)
                for name in loop.fields()}
-    traces = {key: EnergyTrace(space_tag=key.rsplit("_", 1)[1]) for key in loop.energies()}
+    traces = {key: EnergyTrace(space_tag=tag)
+              for key, tag in zip(loop.energy_keys, loop.energy_tags)}
     boundary = {"t": [], "eta": [], "psi": []}
 
     # record k is the state at t = k*dt: the initial data, then each step's result
@@ -360,7 +352,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
             loop.step((k - 1) * dt, spec)
         t = k * dt
         states = loop.boundary_states()
-        for key, value in loop._energies(states).items():
+        for key, value in loop.energies(states).items():
             traces[key].append(t, value)
         eta, psi = states
         boundary["t"].append(t)
@@ -373,8 +365,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     for w in writers.values():
         w.close()
     for key, trace in traces.items():
-        name, tag = key.rsplit("_", 1)
-        trace.write_csv(os.path.join(out, f"energy_{name}_{tag}.csv"))
+        trace.write_csv(os.path.join(out, f"energy_{key}.csv"))
     with open(os.path.join(out, "boundary_states.csv"), "w", newline="") as fh:
         fh.write("t,eta,psi\n")
         for t, eta, psi in zip(boundary["t"], boundary["eta"], boundary["psi"]):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wave_core import SystemParams
+from .wave_core import STABILITY_HYPOTHESES, SystemParams
 
 __all__ = [
     "HypothesisError",
@@ -85,11 +85,9 @@ class CharFamily:
         self.check_hypotheses()
 
     def check_hypotheses(self) -> None:
-        p = self.params
-        if self.tag in ("A2", "Abb") and p.gamma == 1.0:
-            raise HypothesisError(f"family {self.tag} requires gamma != 1")
-        if self.tag == "A" and p.m == p.a:
-            raise HypothesisError("family A requires m != a")
+        for _, lhs, rhs, holds, families in STABILITY_HYPOTHESES:
+            if self.tag in families and not holds(self.params):
+                raise HypothesisError(f"family {self.tag} requires {lhs} != {rhs}")
 
     # -- characteristic function ---------------------------------------
 

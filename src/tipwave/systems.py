@@ -121,14 +121,22 @@ class _StackedLoop:
     """Rows of fields stepped together; subclasses name and close them.
 
     ``names`` lists the stepped rows in step order; a stack may carry
-    further rows derived from them (the observer-error row). At the
-    start and after every step the loop samples the stepped rows'
-    boundaries: each row's tip value u(1), then each row's tip slope
-    u_x(1), then the plant's measured slope u_x(0). The last three
-    samples are kept, enough for a backward second difference.
+    further rows derived from them (the observer-error row).
+    ``energy_rows`` pairs each row of the stack, in order, with the space
+    its energy is measured in. At the start and after every step the loop
+    samples the stepped rows' boundaries: each row's tip value u(1), then
+    each row's tip slope u_x(1), then the plant's measured slope u_x(0).
+    The last three samples are kept, enough for a backward second
+    difference.
     """
 
     names: tuple[str, ...]
+    energy_rows: tuple[tuple[str, str], ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.energy_keys = tuple(f"{name}_{tag}" for name, tag in cls.energy_rows)
+        cls.energy_tags = tuple(tag for _, tag in cls.energy_rows)
 
     def __init__(self, grid: Grid, params: SystemParams, prev_rows, curr_rows):
         self.grid = grid
@@ -157,14 +165,18 @@ class _StackedLoop:
         """The history of each sampled quantity, oldest first, in sample order."""
         return list(zip(*self._history))
 
-    def energies(self) -> dict[str, float]:
-        """Energy of each field in its space, keyed "<field>_<tag>".
+    def energies(self, states: tuple[float, float] | None = None) -> dict[str, float]:
+        """Energy of each of ``energy_rows`` in its space, keyed "<row>_<tag>".
 
-        Subclasses compute it in ``_energies(states)`` from the
-        ``boundary_states()`` pair, so a caller that records both
-        computes the states once.
+        ``states`` is the ``boundary_states()`` pair, computed here when
+        not given; a caller that records both passes it in. Each subclass
+        turns it into one boundary-dynamics state per row in ``_etas``.
         """
-        return self._energies(self.boundary_states())
+        if states is None:
+            states = self.boundary_states()
+        return dict(zip(self.energy_keys,
+                        field_energies(self.energy_tags, self.levels, self._etas(states),
+                                       self.params, self.grid)))
 
     def _finish_step(self) -> None:
         """Guard the new level, promote it and sample its boundaries."""
@@ -191,6 +203,7 @@ class SingleFieldLoop(_StackedLoop):
     """
 
     names = ("u",)
+    energy_rows = (("u", "H1"),)
 
     def __init__(self, grid: Grid, params: SystemParams, position, velocity,
                  left_kind: int, right_kind: int, right_input0: float = 0.0):
@@ -221,8 +234,8 @@ class SingleFieldLoop(_StackedLoop):
             eta = self.boundary_states()[0] if space_tag in ("H1", "H2", "H") else 0.0
         return field_energies((space_tag,), self.levels, (eta,), self.params, self.grid)[0]
 
-    def _energies(self, states: tuple[float, float]) -> dict[str, float]:
-        return {"u_H1": self.energy("H1", states[0])}
+    def _etas(self, states: tuple[float, float]) -> tuple[float]:
+        return (states[0],)
 
 
 class ObserverLoop(_StackedLoop):
@@ -235,6 +248,7 @@ class ObserverLoop(_StackedLoop):
     """
 
     names = ("u", "uhat")
+    energy_rows = (("u", "H1"), ("uhat", "H2"), ("err", "H2"))
     left_kinds = (LEFT_DIRICHLET_ZERO, LEFT_ROBIN)
     right_kinds = (RIGHT_TIP_MASS, RIGHT_TIP_MASS)
 
@@ -270,14 +284,10 @@ class ObserverLoop(_StackedLoop):
         psi = p.m * _rate(uhat1, dt) + shared
         return eta, psi
 
-    def _energies(self, states: tuple[float, float]) -> dict[str, float]:
-        p, dt = self.params, self.grid.dt
+    def _etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
+        dt = self.grid.dt
         u1, uhat1 = self._series()[:2]
-        eta, psi = states
-        err = p.m * (_rate(uhat1, dt) - _rate(u1, dt))
-        e_u, e_uhat, e_err = field_energies(("H1", "H2", "H2"), self.levels,
-                                            (eta, psi, err), p, self.grid)
-        return {"u_H1": e_u, "uhat_H2": e_uhat, "err_H2": e_err}
+        return (*states, self.params.m * (_rate(uhat1, dt) - _rate(u1, dt)))
 
 
 class EsoLoop(_StackedLoop):
@@ -290,6 +300,7 @@ class EsoLoop(_StackedLoop):
     """
 
     names = ("u", "v", "q")
+    energy_rows = (("u", "H1"), ("v", "Hbb1"), ("q", "Hbb1"))
     left_kinds = (LEFT_DIRICHLET_ZERO, LEFT_ROBIN, LEFT_ROBIN)
     right_kinds = (RIGHT_TIP_MASS, RIGHT_TIP_MASS, RIGHT_DIRICHLET_VALUE)
 
@@ -328,8 +339,5 @@ class EsoLoop(_StackedLoop):
         psi = eta - p.m * _rate(q1, dt)
         return eta, psi
 
-    def _energies(self, states: tuple[float, float]) -> dict[str, float]:
-        eta, _ = states
-        e_u, e_v, e_q = field_energies(("H1", "Hbb1", "Hbb1"), self.levels,
-                                       (eta, 0.0, 0.0), self.params, self.grid)
-        return {"u_H1": e_u, "v_Hbb1": e_v, "q_Hbb1": e_q}
+    def _etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
+        return states[0], 0.0, 0.0

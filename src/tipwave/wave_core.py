@@ -46,6 +46,7 @@ _END_NODES = np.array([0, -1])
 
 __all__ = [
     "SystemParams",
+    "STABILITY_HYPOTHESES",
     "Grid",
     "FieldHistory",
     "WarmupError",
@@ -70,6 +71,16 @@ class WarmupError(RuntimeError):
     """Raised when a backward time difference lacks history."""
 
 
+# The stability hypotheses of the decay results, each "lhs != rhs":
+# (report key, lhs, rhs, whether it holds, the spectral families whose
+# asymptotics need it).
+STABILITY_HYPOTHESES = (
+    ("gamma_not_one", "gamma", "1", lambda p: p.gamma != 1.0, ("A2", "Abb")),
+    ("m_not_a", "m", "a", lambda p: p.m != p.a, ("A",)),
+    ("m_not_a_gamma", "m", "a*gamma", lambda p: p.m != p.a * p.gamma, ()),
+)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical and gain constants of the plant/observer pair.
@@ -88,9 +99,11 @@ class SystemParams:
     gamma: float = 1.5
 
     def __post_init__(self):
-        for name in ("m", "alpha", "a", "beta", "gamma"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        bad = [f"{name} must be positive, got {getattr(self, name)}"
+               for name in ("m", "alpha", "a", "beta", "gamma")
+               if not getattr(self, name) > 0.0]
+        if bad:
+            raise ValueError("; ".join(bad))
 
     def hypothesis_report(self) -> dict[str, bool]:
         """Tri-valued stability hypotheses, reported rather than enforced.
@@ -98,21 +111,11 @@ class SystemParams:
         The failure scenarios (constant-disturbance counterexample) must
         stay expressible, so violations never raise here.
         """
-        return {
-            "gamma_not_one": self.gamma != 1.0,
-            "m_not_a": self.m != self.a,
-            "m_not_a_gamma": self.m != self.a * self.gamma,
-        }
+        return {key: holds(self) for key, _, _, holds, _ in STABILITY_HYPOTHESES}
 
     def hypothesis_warnings(self) -> list[str]:
-        msgs = []
-        if self.gamma == 1.0:
-            msgs.append("gamma = 1 violates the stability hypotheses")
-        if self.m == self.a:
-            msgs.append("m = a violates the stability hypotheses")
-        if self.m == self.a * self.gamma:
-            msgs.append("m = a*gamma violates the stability hypotheses")
-        return msgs
+        return [f"{lhs} = {rhs} violates the stability hypotheses"
+                for _, lhs, rhs, holds, _ in STABILITY_HYPOTHESES if not holds(self)]
 
 
 @dataclass(frozen=True)

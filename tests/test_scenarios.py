@@ -66,9 +66,11 @@ class TestParse:
 
     def test_all_violations_collected(self):
         with pytest.raises(ConfigError) as err:
-            parse_config("mode = warp\nr = 1.5\nn_cells = 4\nwibble = 3\n")
+            parse_config("mode = warp\nr = 1.5\nn_cells = 4\nwibble = 3\n"
+                         "m = -1\nbeta = 0\n")
         text = str(err.value)
-        for frag in ("warp", "Courant", "n_cells", "wibble"):
+        for frag in ("warp", "Courant", "n_cells", "wibble",
+                     "m must be positive, got -1.0", "beta must be positive, got 0.0"):
             assert frag in text
 
     def test_comments_and_blank_lines(self):
@@ -207,7 +209,7 @@ class TestRunScenario:
         result = run_scenario(cfg, out_dir=str(tmp_path / mode))
         records = len(open(os.path.join(result.out_dir, "boundary_states.csv")).readlines()) - 1
         assert records == 11
-        assert len(calls) <= records + 1  # one per record, plus listing the energy keys
+        assert len(calls) == records
 
     @pytest.mark.parametrize("mode", ["open_plant", "observer_loop", "eso_loop"])
     def test_boundary_records_are_python_floats(self, tmp_path, mode):
@@ -416,11 +418,13 @@ class TestCli:
         assert len(lines) == 2 + int(round(0.25 / 0.005))
 
     def test_spectrum_hypothesis_violation_is_config_error(self, tmp_path, capsys):
+        """Caught while parsing, so no output directory is created."""
         cfg = self.write_cfg(tmp_path, "m = 2\na = 2\n")
         code = cli_main(["spectrum", "--family", "A", "--n-max", "10", cfg,
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert "m != a" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_spectrum_subcommand(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "m = 5\nalpha = 2\na = 2\nbeta = 1.5\ngamma = 1.5\n")

@@ -97,11 +97,11 @@ class TestSeeds:
         assert CharFamily("A", SystemParams(m=1.0)).branch_offset() == 0.5
 
     def test_hypothesis_violations(self):
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match="^family A2 requires gamma != 1$"):
             CharFamily("A2", SystemParams(gamma=1.0))
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match="^family Abb requires gamma != 1$"):
             CharFamily("Abb", SystemParams(gamma=1.0))
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match="^family A requires m != a$"):
             CharFamily("A", SystemParams(m=2.0, a=2.0))
         with pytest.raises(ValueError):
             CharFamily("B", SystemParams())

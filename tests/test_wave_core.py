@@ -101,13 +101,19 @@ class TestTypes:
             SystemParams(m=-1)
         with pytest.raises(ValueError):
             SystemParams(beta=0.0)
+        with pytest.raises(ValueError, match="^m must be positive, got -1; "
+                                             "beta must be positive, got 0.0$"):
+            SystemParams(m=-1, beta=0.0)
 
     def test_hypothesis_report_is_not_fatal(self):
         p = SystemParams(m=2.0, a=2.0, gamma=1.0)
         report = p.hypothesis_report()
         assert report == {"gamma_not_one": False, "m_not_a": False,
                           "m_not_a_gamma": False}
-        assert len(p.hypothesis_warnings()) == 3
+        assert p.hypothesis_warnings() == [
+            "gamma = 1 violates the stability hypotheses",
+            "m = a violates the stability hypotheses",
+            "m = a*gamma violates the stability hypotheses"]
         assert SystemParams().hypothesis_report() == {
             "gamma_not_one": True, "m_not_a": True, "m_not_a_gamma": True}
 
