@@ -5,6 +5,11 @@ Configs are flat ``key = value`` text ('#' starts a comment). A
 then override it. Initial profiles are polynomial coefficient lists in
 ascending powers, evaluated exactly on the grid nodes.
 
+A ``ScenarioConfig`` is frozen and checks itself on construction, in
+code as from text, so ``run_scenario`` only ever sees a valid one. A
+time-domain run's spectral summary covers the blocks its loop names in
+``families``.
+
 Outputs per run directory:
 
     snapshots_<field>.csv    t,x,value         (every ``stride`` steps)
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +44,27 @@ _EARLY_WINDOW = 2.0  # time units used as the "startup" reference for boundednes
 
 
 class ConfigError(ValueError):
-    """Carries every violation found while parsing a config."""
+    """Carries every violation found in a config's text or values."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
 
-@dataclass
+def _build(make, violations: list[str]):
+    """``make()``, or None with its ValueError message added to ``violations``."""
+    try:
+        return make()
+    except ValueError as exc:
+        violations.append(str(exc))
+        return None
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """One run's settings, checked on construction: a config that breaks
+    any rule raises one ConfigError listing every violation."""
+
     mode: str = ""
     m: float = 5.0
     alpha: float = 2.0
@@ -80,7 +97,38 @@ class ScenarioConfig:
     spectral_summary: bool = True
     threshold_plant_energy_ratio: float | None = None
     threshold_bounded_factor: float | None = None
-    warnings: list[str] = field(default_factory=list, compare=False)
+
+    def __post_init__(self):
+        violations = []
+        if self.mode == "":
+            violations.append("mode is required (or give a preset)")
+        elif self.mode not in MODES:
+            violations.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if not self.horizon > 0:
+            violations.append(f"horizon must be positive, got {self.horizon}")
+        if self.n_cells < 10:
+            violations.append(f"n_cells must be >= 10, got {self.n_cells}")
+        if self.threshold_bounded_factor is not None and self.horizon <= _EARLY_WINDOW:
+            violations.append(
+                f"threshold_bounded_factor needs horizon > {_EARLY_WINDOW} (its early "
+                f"window), got {self.horizon}")
+        if self.stride < 1:
+            violations.append(f"stride must be >= 1, got {self.stride}")
+        if self.family not in spectral.FAMILY_TAGS:
+            violations.append(f"unknown family {self.family!r}")
+        # the rest is checked by the objects the run builds from the config
+        params = _build(self.params, violations)
+        _build(self.grid, violations)
+        _build(self.disturbance, violations)
+        if params is not None and self.mode == "spectrum" and self.family in spectral.FAMILY_TAGS:
+            _build(lambda: spectral.CharFamily(self.family, params), violations)
+        if violations:
+            raise ConfigError(violations)
+
+    @property
+    def warnings(self) -> list[str]:
+        """Broken stability hypotheses: a time-domain run still goes ahead."""
+        return self.params().hypothesis_warnings()
 
     def params(self) -> SystemParams:
         return SystemParams(m=self.m, alpha=self.alpha, a=self.a,
@@ -128,6 +176,11 @@ def _parse_bool(text: str) -> bool:
     return text.lower() == "true"
 
 
+def _parse_pair(token: str) -> tuple[float, float]:
+    t, v = token.split(":")
+    return float(t), float(v)
+
+
 # (parse, format) per ScenarioConfig annotation; a format that returns
 # None leaves its key out of the text (an unset threshold, an empty table)
 _CODECS = {
@@ -139,12 +192,10 @@ _CODECS = {
     "tuple[float, ...]": (lambda text: tuple(float(tok) for tok in text.split()),
                           lambda coeffs: " ".join(repr(c) for c in coeffs)),
     "tuple[tuple[float, float], ...]": (
-        lambda text: tuple((float(tok.split(":")[0]), float(tok.split(":")[1]))
-                           for tok in text.split()),
+        lambda text: tuple(_parse_pair(tok) for tok in text.split()),
         lambda pairs: " ".join(f"{t!r}:{v!r}" for t, v in pairs) or None),
 }
-_KEY_CODECS = {f.name: _CODECS[f.type] for f in dataclasses.fields(ScenarioConfig)
-               if f.name != "warnings"}
+_KEY_CODECS = {f.name: _CODECS[f.type] for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _parse_lines(text: str) -> list[tuple[str, str]]:
@@ -161,7 +212,7 @@ def _parse_lines(text: str) -> list[tuple[str, str]]:
 
 
 def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfig:
-    """Parse and validate a config; collects all violations before raising."""
+    """Parse a config; decode and rule violations are raised together."""
     pairs = _parse_lines(text)
     for item in overrides or []:
         if "=" not in item:
@@ -183,53 +234,23 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfi
             explicit.append((key, value))
     expanded.extend(explicit)
 
-    cfg = ScenarioConfig()
+    values = {}
     for key, value in expanded:
         if key not in _KEY_CODECS:
             violations.append(f"unknown key {key!r}")
             continue
         parse, _ = _KEY_CODECS[key]
         try:
-            setattr(cfg, key, parse(value))
-        except (ValueError, IndexError) as exc:
+            values[key] = parse(value)
+        except ValueError as exc:
             violations.append(f"bad value for {key!r}: {exc}")
-
-    if cfg.mode == "":
-        violations.append("mode is required (or give a preset)")
-    elif cfg.mode not in MODES:
-        violations.append(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
-    if not cfg.horizon > 0:
-        violations.append(f"horizon must be positive, got {cfg.horizon}")
-    if cfg.n_cells < 10:
-        violations.append(f"n_cells must be >= 10, got {cfg.n_cells}")
-    if cfg.threshold_bounded_factor is not None and cfg.horizon <= _EARLY_WINDOW:
-        violations.append(
-            f"threshold_bounded_factor needs horizon > {_EARLY_WINDOW} (its early "
-            f"window), got {cfg.horizon}")
-    if cfg.stride < 1:
-        violations.append(f"stride must be >= 1, got {cfg.stride}")
-    if cfg.family not in spectral.FAMILY_TAGS:
-        violations.append(f"unknown family {cfg.family!r}")
-    # the rest is checked by the objects the run builds from the config
-    params = _build(cfg.params, violations)
-    _build(cfg.grid, violations)
-    _build(cfg.disturbance, violations)
-    if params is not None and cfg.mode == "spectrum" and cfg.family in spectral.FAMILY_TAGS:
-        _build(lambda: spectral.CharFamily(cfg.family, params), violations)
+    try:
+        cfg = ScenarioConfig(**values)
+    except ConfigError as exc:
+        violations += exc.violations
     if violations:
         raise ConfigError(violations)
-
-    cfg.warnings = params.hypothesis_warnings()
     return cfg
-
-
-def _build(make, violations: list[str]):
-    """``make()``, or None with its ValueError message added to ``violations``."""
-    try:
-        return make()
-    except ValueError as exc:
-        violations.append(str(exc))
-        return None
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
@@ -272,14 +293,6 @@ class _SnapshotWriter:
 
     def close(self):
         self.fh.close()
-
-
-def _fit_or_none(trace: EnergyTrace) -> float | None:
-    try:
-        rate, _ = fit_decay_rate(trace)
-    except NoFitError:
-        return None
-    return rate
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
@@ -373,18 +386,17 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
 
     fitted = {}
     for key, trace in traces.items():
-        rate = _fit_or_none(trace)
-        if rate is not None:
-            fitted[key] = rate
+        try:
+            fitted[key], _ = fit_decay_rate(trace)
+        except NoFitError:
+            pass
 
     abscissae: dict[str, float] = {}
-    if config.spectral_summary and config.mode in ("observer_loop", "eso_loop"):
-        loop_kind = "observer" if config.mode == "observer_loop" else "eso"
+    if config.spectral_summary and loop.families:
         try:
-            fams = spectral.loop_families(loop_kind, config.params())
-            spectra = [spectral.compute_spectrum(f, n_max=40) for f in fams]
-            for f, s in zip(fams, spectra):
-                abscissae[f.tag] = s.abscissa()
+            fams = [spectral.CharFamily(tag, loop.params) for tag in loop.families]
+            for f in fams:
+                abscissae[f.tag] = spectral.compute_spectrum(f, n_max=40).abscissa()
             abscissae["combined"] = max(abscissae.values())
         except spectral.HypothesisError:
             pass  # counterexample configs may violate the hypotheses
@@ -416,16 +428,15 @@ def _check_thresholds(config, traces, boundary) -> list[str]:
                 continue
             vals = np.asarray(trace.values)
             pooled_all.append(vals.max())
-            pooled_early.append(vals[early[: len(vals)]].max())
+            pooled_early.append(vals[early].max())
         psi = np.abs(np.asarray(boundary["psi"]))
         pooled_all.append(psi.max())
         pooled_early.append(psi[early].max())
-        if pooled_all:
-            sup_all, sup_early = float(max(pooled_all)), float(max(pooled_early))
-            if not sup_all <= config.threshold_bounded_factor * sup_early:
-                failures.append(
-                    f"boundedness: sup {sup_all!r} exceeds "
-                    f"{config.threshold_bounded_factor!r} x early max {sup_early!r}")
+        sup_all, sup_early = float(max(pooled_all)), float(max(pooled_early))
+        if not sup_all <= config.threshold_bounded_factor * sup_early:
+            failures.append(
+                f"boundedness: sup {sup_all!r} exceeds "
+                f"{config.threshold_bounded_factor!r} x early max {sup_early!r}")
     return failures
 
 

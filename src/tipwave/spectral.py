@@ -47,14 +47,11 @@ __all__ = [
     "CharFamily",
     "Eigenvalue",
     "Spectrum",
-    "char_residual",
-    "asymptotic_seed",
     "refine_root",
     "count_zeros_in_box",
     "compute_spectrum",
     "spectral_abscissa",
     "combined_abscissa",
-    "loop_families",
     "strip_interval",
     "verify_strip_counts",
     "riesz_defect",
@@ -64,6 +61,8 @@ FAMILY_TAGS = ("A2", "A", "Abb")
 RESIDUAL_TOL = 1e-10
 DEDUPE_RADIUS = 1e-6
 SPURIOUS_RADIUS = 1e-8
+NEWTON_MAX_ITER = 50
+N_LOW = 8  # branches |n| <= N_LOW are found by the argument-principle sweep
 
 
 class HypothesisError(ValueError):
@@ -217,14 +216,6 @@ class CharFamily:
         return f, fp
 
 
-def char_residual(family: CharFamily, lam: complex) -> complex:
-    return family.char_residual(lam)
-
-
-def asymptotic_seed(family: CharFamily, n: int) -> complex:
-    return family.seed(n)
-
-
 @dataclass(frozen=True)
 class Eigenvalue:
     """One refined eigenvalue with its seed and normalized residual."""
@@ -268,10 +259,10 @@ def strip_interval(k: int) -> tuple[float, float]:
 # Newton refinement
 # ----------------------------------------------------------------------
 
-def _newton(family: CharFamily, start: complex, max_iter: int = 50) -> tuple[complex, bool]:
+def _newton(family: CharFamily, start: complex) -> tuple[complex, bool]:
     z = complex(start)
     try:
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             value, _ = family.scaled(z)
             deriv = family.scaled_derivative(z)
             if deriv == 0:
@@ -286,8 +277,7 @@ def _newton(family: CharFamily, start: complex, max_iter: int = 50) -> tuple[com
         return complex(start), False
 
 
-def refine_root(family: CharFamily, seed: complex, n: int | None = None,
-                max_iter: int = 50) -> Eigenvalue:
+def refine_root(family: CharFamily, seed: complex, n: int | None = None) -> Eigenvalue:
     """Newton-refine one asymptotic seed.
 
     If Newton drifts to a different branch (further than pi/2 from the
@@ -298,7 +288,7 @@ def refine_root(family: CharFamily, seed: complex, n: int | None = None,
     seed = complex(seed)
     if n is None:
         n = family.branch_index(seed)
-    z, ok = _newton(family, seed, max_iter)
+    z, ok = _newton(family, seed)
     if not ok or abs(z - seed) > math.pi / 2:
         relocated = _relocate_near(family, seed)
         if relocated is not None:
@@ -420,11 +410,10 @@ def _sweep_box(family: CharFamily, xlo, xhi, ylo, yhi, depth: int = 0) -> list[c
 # Full-spectrum enumeration
 # ----------------------------------------------------------------------
 
-def compute_spectrum(family: CharFamily, n_max: int = 100,
-                     n_low: int = 8) -> Spectrum:
+def compute_spectrum(family: CharFamily, n_max: int = 100) -> Spectrum:
     """Enumerate all eigenvalues with branch index |n| <= n_max.
 
-    Branches beyond n_low are Newton-refined from their asymptotic
+    Branches beyond N_LOW are Newton-refined from their asymptotic
     seeds; the low-|n| region, where eigenvalues need not follow the
     ladder (extra real roots, displaced central pairs), is swept by the
     argument principle. Conjugate roots are mirrored from the upper
@@ -438,8 +427,7 @@ def compute_spectrum(family: CharFamily, n_max: int = 100,
     copies of the same root, so the dedupe is linear in the number of
     roots (``_dedupe``).
     """
-    if n_max < n_low:
-        n_low = n_max
+    n_low = min(N_LOW, n_max)
     roots: list[tuple[complex, float, bool, complex | None]] = []
 
     edge_im = (n_low + 0.74) * math.pi
@@ -522,19 +510,6 @@ def spectral_abscissa(spectrum: Spectrum) -> float:
 def combined_abscissa(spectra) -> float:
     """Abscissa of a block-triangular loop: the union of its block spectra."""
     return max(spectral_abscissa(s) for s in spectra)
-
-
-def loop_families(loop: str, params: SystemParams) -> tuple[CharFamily, CharFamily]:
-    """The two families whose union is a closed loop's spectrum.
-
-    'observer': state-feedback block + observer-error block.
-    'eso': state-feedback block + estimation-error block.
-    """
-    if loop == "observer":
-        return CharFamily("A", params), CharFamily("A2", params)
-    if loop == "eso":
-        return CharFamily("A", params), CharFamily("Abb", params)
-    raise ValueError(f"unknown loop {loop!r}; expected 'observer' or 'eso'")
 
 
 def verify_strip_counts(spectrum: Spectrum, k_max: int) -> list[tuple[int, int, int]]:

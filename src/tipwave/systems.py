@@ -123,15 +123,18 @@ class _StackedLoop:
     ``names`` lists the stepped rows in step order; a stack may carry
     further rows derived from them (the observer-error row).
     ``energy_rows`` pairs each row of the stack, in order, with the space
-    its energy is measured in. At the start and after every step the loop
-    samples the stepped rows' boundaries: each row's tip value u(1), then
-    each row's tip slope u_x(1), then the plant's measured slope u_x(0).
-    The last three samples are kept, enough for a backward second
-    difference.
+    its energy is measured in. ``families`` tags the spectral blocks
+    (``spectral.CharFamily``) whose union is the loop generator's
+    spectrum; it is empty for a loop that is not closed. At the start and
+    after every step the loop samples the stepped rows' boundaries: each
+    row's tip value u(1), then each row's tip slope u_x(1), then the
+    plant's measured slope u_x(0). The last three samples are kept,
+    enough for a backward second difference.
     """
 
     names: tuple[str, ...]
     energy_rows: tuple[tuple[str, str], ...]
+    families: tuple[str, ...]
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -204,6 +207,7 @@ class SingleFieldLoop(_StackedLoop):
 
     names = ("u",)
     energy_rows = (("u", "H1"),)
+    families = ()
 
     def __init__(self, grid: Grid, params: SystemParams, position, velocity,
                  left_kind: int, right_kind: int, right_input0: float = 0.0):
@@ -228,10 +232,10 @@ class SingleFieldLoop(_StackedLoop):
         return eta, eta
 
     def energy(self, space_tag: str, eta: float | None = None) -> float:
-        """Energy of u in any space; eta defaults to the tip momentum for
-        the tags that carry one."""
+        """Energy of u in any space; eta defaults to the tip momentum (the
+        spaces without a boundary state ignore it)."""
         if eta is None:
-            eta = self.boundary_states()[0] if space_tag in ("H1", "H2", "H") else 0.0
+            eta = self.boundary_states()[0]
         return field_energies((space_tag,), self.levels, (eta,), self.params, self.grid)[0]
 
     def _etas(self, states: tuple[float, float]) -> tuple[float]:
@@ -249,6 +253,7 @@ class ObserverLoop(_StackedLoop):
 
     names = ("u", "uhat")
     energy_rows = (("u", "H1"), ("uhat", "H2"), ("err", "H2"))
+    families = ("A", "A2")  # state feedback + observer error
     left_kinds = (LEFT_DIRICHLET_ZERO, LEFT_ROBIN)
     right_kinds = (RIGHT_TIP_MASS, RIGHT_TIP_MASS)
 
@@ -301,6 +306,7 @@ class EsoLoop(_StackedLoop):
 
     names = ("u", "v", "q")
     energy_rows = (("u", "H1"), ("v", "Hbb1"), ("q", "Hbb1"))
+    families = ("A", "Abb")  # state feedback + estimation error
     left_kinds = (LEFT_DIRICHLET_ZERO, LEFT_ROBIN, LEFT_ROBIN)
     right_kinds = (RIGHT_TIP_MASS, RIGHT_TIP_MASS, RIGHT_DIRICHLET_VALUE)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import warnings
@@ -11,6 +12,7 @@ from tipwave.cli import main as cli_main
 from tipwave.scenarios import (
     ConfigError,
     PRESETS,
+    ScenarioConfig,
     _SnapshotWriter,
     parse_config,
     run_scenario,
@@ -84,6 +86,29 @@ class TestParse:
     def test_table_disturbance(self):
         cfg = parse_config("mode = open_plant\nd_kind = table\nd_table = 0:1 2:3\n")
         assert cfg.d_table == ((0.0, 1.0), (2.0, 3.0))
+
+    @pytest.mark.parametrize("table", ["0:1:99 1:2", "5 1:2"])
+    def test_table_token_needs_two_fields(self, table):
+        with pytest.raises(ConfigError, match="'d_table'"):
+            parse_config(f"mode = open_plant\nd_kind = table\nd_table = {table}\n")
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"mode": "spectrum", "m": 2.0, "a": 2.0}, "family A requires m != a"),
+        ({"mode": "bogus"}, "unknown mode 'bogus'; expected one of "
+                            "('open_plant', 'observer_loop', 'eso_loop', 'spectrum')"),
+        ({"mode": "eso_loop", "stride": 0}, "stride must be >= 1, got 0"),
+        ({}, "mode is required (or give a preset)"),
+    ], ids=["spectrum_hypothesis", "unknown_mode", "zero_stride", "no_mode"])
+    def test_config_built_in_code_is_checked(self, kwargs, message):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(**kwargs)
+        assert err.value.violations == [message]
+
+    def test_config_is_frozen(self):
+        cfg = parse_config("preset = reproduce_sec4\n")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.stride = 0
+        assert cfg.stride == 20
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_serialize_round_trip(self, preset):

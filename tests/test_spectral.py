@@ -6,18 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tipwave import SystemParams
+from tipwave import EsoLoop, ObserverLoop, SingleFieldLoop, SystemParams
 from tipwave.spectral import (
     DEDUPE_RADIUS,
     CharFamily,
     HypothesisError,
     _dedupe,
-    asymptotic_seed,
-    char_residual,
     combined_abscissa,
     compute_spectrum,
     count_zeros_in_box,
-    loop_families,
     refine_root,
     riesz_defect,
     spectral_abscissa,
@@ -46,23 +43,23 @@ class TestResidual:
     def test_observer_error_family_at_origin(self):
         fam = CharFamily("A2", SystemParams())
         # LHS - RHS at 0: beta - (-beta) = 2 beta = 3.0
-        assert char_residual(fam, 0.0) == pytest.approx(3.0, rel=1e-14)
+        assert fam.char_residual(0.0) == pytest.approx(3.0, rel=1e-14)
 
     def test_state_feedback_family_at_origin(self):
         # (1+alpha) + (1-alpha) + (a-m)*0 = 2; the trailing term carries
         # the eigenvalue factor (dropping it would put a root in the
         # right half-plane, contradicting exponential stability)
         fam = CharFamily("A", SystemParams())
-        assert char_residual(fam, 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert fam.char_residual(0.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_pinned_error_family_at_i_pi(self):
         fam = CharFamily("Abb", SystemParams())
-        value = char_residual(fam, 1j * math.pi)
+        value = fam.char_residual(1j * math.pi)
         assert value == pytest.approx(-1j * math.pi, abs=1e-12)
 
     def test_origin_is_raw_zero_for_pinned_family(self):
         fam = CharFamily("Abb", SystemParams())
-        assert char_residual(fam, 0.0) == 0.0
+        assert fam.char_residual(0.0) == 0.0
 
     def test_scaled_form_is_overflow_safe(self, family):
         value, scale = family.scaled(complex(-250.0, 4.0))
@@ -75,19 +72,19 @@ class TestResidual:
 class TestSeeds:
     def test_observer_error_seed(self):
         fam = CharFamily("A2", SystemParams())
-        seed = asymptotic_seed(fam, 10)
+        seed = fam.seed(10)
         assert seed.real == pytest.approx(-0.804719, abs=1e-6)
         assert seed.imag == pytest.approx(10 * math.pi, rel=1e-14)
 
     def test_state_feedback_seed(self):
         fam = CharFamily("A", SystemParams())
-        seed = asymptotic_seed(fam, 0)
+        seed = fam.seed(0)
         assert seed == pytest.approx(complex(-0.423649, 0.0), abs=1e-6)
         assert seed.real == pytest.approx(0.5 * math.log(3.0 / 7.0), rel=1e-12)
 
     def test_pinned_error_seed_branch_rule(self):
         fam = CharFamily("Abb", SystemParams())  # gamma > 1: integer ladder
-        seed = asymptotic_seed(fam, 3)
+        seed = fam.seed(3)
         assert seed == pytest.approx(complex(-0.804719, 3 * math.pi), abs=1e-6)
         low = CharFamily("Abb", SystemParams(gamma=0.5))
         assert low.seed(3).imag == pytest.approx(2.5 * math.pi, rel=1e-12)
@@ -199,13 +196,9 @@ class TestSpectrum:
         assert eso == pytest.approx(SWEPT_ABSCISSA["A"], abs=1e-8)
 
     def test_loop_families_mapping(self):
-        p = SystemParams()
-        tags = [f.tag for f in loop_families("observer", p)]
-        assert tags == ["A", "A2"]
-        tags = [f.tag for f in loop_families("eso", p)]
-        assert tags == ["A", "Abb"]
-        with pytest.raises(ValueError):
-            loop_families("cascade", p)
+        assert ObserverLoop.families == ("A", "A2")
+        assert EsoLoop.families == ("A", "Abb")
+        assert SingleFieldLoop.families == ()
 
     def test_strip_counts_match(self, spectra):
         for spec in spectra.values():
