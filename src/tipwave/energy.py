@@ -13,20 +13,34 @@ The displacement f is taken as the average of the two stored levels and
 the velocity g as their backward difference, which collocates both at
 the half step t - dt/2 and keeps the estimator second-order accurate
 (a conservative run drifts by O(dx^2)).
+
+``energies`` measures one level of a loop's stacked rows, or a block of
+levels along any leading axes, with the same array expressions either
+way; every array operation writes into three work buffers of the
+block's shape. A run records an energy every step, and at a few hundred
+nodes one call is mostly fixed per-operation overhead, so an
+``EnergyRecorder`` keeps the recorded levels in a ring and measures them
+one block at a time. A block is capped at ``ENERGY_BLOCK_BYTES`` of
+levels: the ring and buffers are then allocated once per run and cost
+about 0.5 MB, while an uncapped block at 1601 nodes would leave the
+cache, and per-call temporaries above glibc's 128 KiB mmap threshold
+would be mapped and page-faulted afresh on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .wave_core import FieldHistory, Grid, SystemParams
 
-__all__ = ["EnergyTrace", "NoFitError", "energy", "energies", "fit_decay_rate",
-           "envelope_samples", "fit_envelope_rate"]
+__all__ = ["EnergyTrace", "EnergyRecorder", "NoFitError", "energy", "energies",
+           "fit_decay_rate", "envelope_samples", "fit_envelope_rate"]
 
 SPACE_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
+ENERGY_BLOCK_BYTES = 128 * 1024
 
 
 class NoFitError(RuntimeError):
@@ -59,31 +73,76 @@ class EnergyTrace:
                 fh.write(f"{float(t)!r},{float(v)!r},{self.space_tag}\n")
 
 
-def energies(space_tags, field_hist: FieldHistory, etas,
-             params: SystemParams, grid: Grid) -> list[float]:
-    """Discrete energies of the rows of a stacked field history, in one pass.
+class _Levels(NamedTuple):
+    """Two completed levels (or blocks of them) without copying them."""
 
+    prev: np.ndarray
+    curr: np.ndarray
+
+
+def energies(space_tags, levels, etas, params: SystemParams, grid: Grid,
+             work=None) -> list:
+    """Discrete energies of stacked rows of levels, in one pass.
+
+    ``levels.prev`` and ``levels.curr`` have shape (..., rows, N+1): one
+    level of a stack of rows, or a block of them along any leading axes.
     Row i is measured in ``space_tags[i]`` with boundary-dynamics state
-    ``etas[i]`` (0 where the tag has none). f' is differenced centrally
-    at interior nodes and one-sided at the ends; the integral is a
-    trapezoid over the nodes.
+    ``etas[..., i]`` (0 where the tag has none). f' is differenced
+    centrally at interior nodes and one-sided at the ends; the integral
+    is a trapezoid over the nodes. Returns nested lists of floats of
+    shape (..., rows). ``work`` is three C-contiguous float arrays of the
+    levels' shape, allocated here when not given; every array operation
+    writes into them.
     """
     for tag in space_tags:
         if tag not in SPACE_TAGS:
             raise ValueError(f"unknown space tag {tag!r}; expected one of {SPACE_TAGS}")
+    prev, curr = levels.prev, levels.curr
+    shape = prev.shape
+    if curr.shape != shape or len(shape) < 2 or shape[-2] != len(space_tags):
+        raise ValueError(f"levels must both have shape (..., {len(space_tags)}, nodes), "
+                         f"got {prev.shape} and {curr.shape}")
+    if work is None:
+        work = [np.empty(shape) for _ in range(3)]
+    if any(buf.shape != shape or not buf.flags.c_contiguous for buf in work):
+        raise ValueError(f"work buffers must be C-contiguous with shape {shape}")
+    f, g, fp = work
     dx, dt = grid.dx, grid.dt
-    f = 0.5 * (field_hist.curr + field_hist.prev)
-    g = (field_hist.curr - field_hist.prev) / dt
-    fp = np.empty_like(f)
-    # central differences over the rows as one line; the row ends are
+    np.add(curr, prev, out=f)
+    np.multiply(0.5, f, out=f)
+    # central differences over all rows as one line; the row ends are
     # overwritten by the one-sided differences below
     ff, fpf = f.reshape(-1), fp.reshape(-1)
-    fpf[1:-1] = (ff[2:] - ff[:-2]) / (2.0 * dx)
-    fp[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / (2.0 * dx)
-    fp[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * dx)
-    totals = np.trapezoid(fp * fp + g * g, dx=dx, axis=-1).tolist()
+    np.subtract(ff[2:], ff[:-2], out=fpf[1:-1])
+    np.divide(fpf[1:-1], 2.0 * dx, out=fpf[1:-1])
+    # g's end columns are scratch until g is formed
+    lo, hi = fp[..., 0], fp[..., -1]
+    np.multiply(-3.0, f[..., 0], out=lo)
+    np.add(lo, np.multiply(4.0, f[..., 1], out=g[..., 0]), out=lo)
+    np.subtract(lo, f[..., 2], out=lo)
+    np.divide(lo, 2.0 * dx, out=lo)
+    np.multiply(3.0, f[..., -1], out=hi)
+    np.subtract(hi, np.multiply(4.0, f[..., -2], out=g[..., -1]), out=hi)
+    np.add(hi, f[..., -3], out=hi)
+    np.divide(hi, 2.0 * dx, out=hi)
+    np.subtract(curr, prev, out=g)
+    np.divide(g, dt, out=g)
+    # integrand fp*fp + g*g in fp; np.trapezoid's (dx * (y[1:] + y[:-1])) / 2.0 in g
+    np.multiply(fp, fp, out=fp)
+    np.multiply(g, g, out=g)
+    np.add(fp, g, out=fp)
+    pairs = g[..., :-1]
+    np.add(fp[..., 1:], fp[..., :-1], out=pairs)
+    np.multiply(dx, pairs, out=pairs)
+    np.divide(pairs, 2.0, out=pairs)
+    totals = np.add.reduce(pairs, axis=-1)
+    eta_values = np.asarray(etas, dtype=float)
+    if eta_values.shape != totals.shape:
+        raise ValueError(f"etas must have shape {totals.shape}, got {eta_values.shape}")
     out = []
-    for tag, eta, total, f0 in zip(space_tags, etas, totals, f[:, 0].tolist()):
+    for tag, eta, total, f0 in zip(tuple(space_tags) * (totals.size // len(space_tags)),
+                                   eta_values.ravel().tolist(), totals.ravel().tolist(),
+                                   f[..., 0].ravel().tolist()):
         if tag == "H1":
             total += eta * eta / params.m
         elif tag == "H2":
@@ -92,15 +151,64 @@ def energies(space_tags, field_hist: FieldHistory, etas,
             total += eta * eta / (params.m + params.alpha * params.a)
         elif tag == "Hbb1":
             total += params.beta * f0 * f0
-        out.append(float(total))
-    return out
+        out.append(total)
+    return np.reshape(out, totals.shape).tolist()
 
 
 def energy(space_tag: str, field_hist: FieldHistory, eta: float,
            params: SystemParams, grid: Grid) -> float:
     """Discrete energy of one field's two completed levels (see ``energies``)."""
-    row = FieldHistory(field_hist.prev[None], field_hist.curr[None])
+    row = _Levels(field_hist.prev[None], field_hist.curr[None])
     return energies((space_tag,), row, (eta,), params, grid)[0]
+
+
+class EnergyRecorder:
+    """Appends one record per step to a loop's energy traces, measuring
+    the recorded levels one block at a time.
+
+    ``traces`` holds one trace per row of the loop's stack, in row order,
+    each measured in its ``space_tag``. ``prev`` is the stack's level
+    before the first recorded one. ``push`` must follow every step: a
+    record measures its level against the one pushed before it. A block
+    holds as many levels as fit in ``ENERGY_BLOCK_BYTES`` (at least one);
+    each full block, and the partial one at ``flush``, takes one
+    ``energies`` call, and its records reach the traces in record order.
+    """
+
+    def __init__(self, traces, prev, params: SystemParams, grid: Grid):
+        self.traces = tuple(traces)
+        self.tags = tuple(trace.space_tag for trace in self.traces)
+        self.params, self.grid = params, grid
+        self.size = max(1, ENERGY_BLOCK_BYTES // prev.nbytes)
+        # slot 0 holds the level before the block's first record
+        self.ring = np.empty((self.size + 1, *prev.shape))
+        self.ring[0] = prev
+        self.work = [np.empty((self.size, *prev.shape)) for _ in range(3)]
+        self.times: list[float] = []
+        self.etas: list = []
+
+    def push(self, t: float, level, etas) -> None:
+        """Record ``level`` (copied) at time ``t`` with one boundary-dynamics
+        state per row."""
+        self.times.append(t)
+        self.etas.append(etas)
+        self.ring[len(self.times)] = level
+        if len(self.times) == self.size:
+            self.flush()
+
+    def flush(self) -> None:
+        """Measure the pending records and append them to the traces."""
+        n = len(self.times)
+        if not n:
+            return
+        values = energies(self.tags, _Levels(self.ring[:n], self.ring[1:n + 1]), self.etas,
+                          self.params, self.grid, work=[buf[:n] for buf in self.work])
+        for t, row in zip(self.times, values):
+            for trace, value in zip(self.traces, row):
+                trace.append(t, value)
+        self.ring[0] = self.ring[n]
+        self.times.clear()
+        self.etas.clear()
 
 
 def fit_decay_rate(trace: EnergyTrace, window: float = 0.5,

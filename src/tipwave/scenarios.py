@@ -24,13 +24,15 @@ Identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .energy import EnergyTrace, NoFitError, fit_decay_rate
+from .energy import EnergyRecorder, EnergyTrace, NoFitError, fit_decay_rate
 from .signals import DisturbanceSpec, eval_d, eval_f
 from .systems import EsoLoop, ObserverLoop, SingleFieldLoop
 from .wave_core import LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS, Grid, SystemParams
@@ -99,13 +101,20 @@ class ScenarioConfig:
     threshold_bounded_factor: float | None = None
 
     def __post_init__(self):
-        violations = []
+        # the rules below compare values, so a value of the wrong type stops here
+        violations = [f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}"
+                      for f in dataclasses.fields(self)
+                      if not _CODECS[f.type][2](getattr(self, f.name))]
+        if violations:
+            raise ConfigError(violations)
         if self.mode == "":
             violations.append("mode is required (or give a preset)")
         elif self.mode not in MODES:
             violations.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not self.horizon > 0:
             violations.append(f"horizon must be positive, got {self.horizon}")
+        elif not math.isfinite(self.horizon):
+            violations.append(f"horizon must be finite, got {self.horizon}")
         if self.n_cells < 10:
             violations.append(f"n_cells must be >= 10, got {self.n_cells}")
         if self.threshold_bounded_factor is not None and self.horizon <= _EARLY_WINDOW:
@@ -116,6 +125,8 @@ class ScenarioConfig:
             violations.append(f"stride must be >= 1, got {self.stride}")
         if self.family not in spectral.FAMILY_TAGS:
             violations.append(f"unknown family {self.family!r}")
+        if self.n_max < 0:
+            violations.append(f"n_max must be >= 0, got {self.n_max}")
         # the rest is checked by the objects the run builds from the config
         params = _build(self.params, violations)
         _build(self.grid, violations)
@@ -181,19 +192,34 @@ def _parse_pair(token: str) -> tuple[float, float]:
     return float(t), float(v)
 
 
-# (parse, format) per ScenarioConfig annotation; a format that returns
-# None leaves its key out of the text (an unset threshold, an empty table)
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# (parse, format, type check) per ScenarioConfig annotation; a format
+# that returns None leaves its key out of the text (an unset threshold,
+# an empty table)
 _CODECS = {
-    "float": (float, repr),
-    "float | None": (float, lambda value: None if value is None else repr(value)),
-    "int": (int, str),
-    "str": (str, str),
-    "bool": (_parse_bool, lambda flag: "true" if flag else "false"),
+    "float": (float, repr, _is_real),
+    "float | None": (float, lambda value: None if value is None else repr(value),
+                     lambda value: value is None or _is_real(value)),
+    "int": (int, str, _is_int),
+    "str": (str, str, lambda value: isinstance(value, str)),
+    "bool": (_parse_bool, lambda flag: "true" if flag else "false",
+             lambda value: isinstance(value, bool)),
     "tuple[float, ...]": (lambda text: tuple(float(tok) for tok in text.split()),
-                          lambda coeffs: " ".join(repr(c) for c in coeffs)),
+                          lambda coeffs: " ".join(repr(c) for c in coeffs),
+                          lambda value: isinstance(value, tuple) and all(map(_is_real, value))),
     "tuple[tuple[float, float], ...]": (
         lambda text: tuple(_parse_pair(tok) for tok in text.split()),
-        lambda pairs: " ".join(f"{t!r}:{v!r}" for t, v in pairs) or None),
+        lambda pairs: " ".join(f"{t!r}:{v!r}" for t, v in pairs) or None,
+        lambda value: isinstance(value, tuple) and all(
+            isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_real, pair))
+            for pair in value)),
 }
 _KEY_CODECS = {f.name: _CODECS[f.type] for f in dataclasses.fields(ScenarioConfig)}
 
@@ -239,7 +265,7 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfi
         if key not in _KEY_CODECS:
             violations.append(f"unknown key {key!r}")
             continue
-        parse, _ = _KEY_CODECS[key]
+        parse = _KEY_CODECS[key][0]
         try:
             values[key] = parse(value)
         except ValueError as exc:
@@ -255,7 +281,7 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfi
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical flat text; parse(serialize(cfg)) == cfg."""
-    texts = ((key, to_text(getattr(cfg, key))) for key, (_, to_text) in _KEY_CODECS.items())
+    texts = ((key, to_text(getattr(cfg, key))) for key, (_, to_text, _) in _KEY_CODECS.items())
     return "".join(f"{key} = {text}\n" for key, text in texts if text is not None)
 
 
@@ -357,6 +383,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
                for name in loop.fields()}
     traces = {key: EnergyTrace(space_tag=tag)
               for key, tag in zip(loop.energy_keys, loop.energy_tags)}
+    recorder = EnergyRecorder(traces.values(), loop.levels.prev, loop.params, grid)
     boundary = {"t": [], "eta": [], "psi": []}
 
     # record k is the state at t = k*dt: the initial data, then each step's result
@@ -365,8 +392,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
             loop.step((k - 1) * dt, spec)
         t = k * dt
         states = loop.boundary_states()
-        for key, value in loop.energies(states).items():
-            traces[key].append(t, value)
+        recorder.push(t, loop.levels.curr, loop.etas(states))
         eta, psi = states
         boundary["t"].append(t)
         boundary["eta"].append(eta)
@@ -374,6 +400,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
         if k % config.stride == 0 or k == n_steps:
             for name, values in loop.fields().items():
                 writers[name].write(t, values)
+    recorder.flush()
 
     for w in writers.values():
         w.close()

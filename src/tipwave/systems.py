@@ -1,9 +1,9 @@
 """Coupled closed-loop systems and their boundary control laws.
 
 Three drivers share one interface (``step(t, spec)``, ``fields()``,
-``energies()``, ``boundary_states()``) and one stepper: each stores its
-fields as rows of one stacked array per time level and advances them
-with a single ``leapfrog_step``.
+``energies()``, ``etas(states)``, ``boundary_states()``) and one
+stepper: each stores its fields as rows of one stacked array per time
+level and advances them with a single ``leapfrog_step``.
 
 * ``SingleFieldLoop``  one wave field with any boundary pair (open
   plant, or either error system of the estimator analysis);
@@ -172,13 +172,14 @@ class _StackedLoop:
         """Energy of each of ``energy_rows`` in its space, keyed "<row>_<tag>".
 
         ``states`` is the ``boundary_states()`` pair, computed here when
-        not given; a caller that records both passes it in. Each subclass
-        turns it into one boundary-dynamics state per row in ``_etas``.
+        not given; a caller that records both passes it in. ``etas`` turns
+        it into one boundary-dynamics state per row, which is also what an
+        ``energy.EnergyRecorder`` takes with each recorded level.
         """
         if states is None:
             states = self.boundary_states()
         return dict(zip(self.energy_keys,
-                        field_energies(self.energy_tags, self.levels, self._etas(states),
+                        field_energies(self.energy_tags, self.levels, self.etas(states),
                                        self.params, self.grid)))
 
     def _finish_step(self) -> None:
@@ -238,7 +239,7 @@ class SingleFieldLoop(_StackedLoop):
             eta = self.boundary_states()[0]
         return field_energies((space_tag,), self.levels, (eta,), self.params, self.grid)[0]
 
-    def _etas(self, states: tuple[float, float]) -> tuple[float]:
+    def etas(self, states: tuple[float, float]) -> tuple[float]:
         return (states[0],)
 
 
@@ -289,7 +290,7 @@ class ObserverLoop(_StackedLoop):
         psi = p.m * _rate(uhat1, dt) + shared
         return eta, psi
 
-    def _etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
+    def etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
         dt = self.grid.dt
         u1, uhat1 = self._series()[:2]
         return (*states, self.params.m * (_rate(uhat1, dt) - _rate(u1, dt)))
@@ -345,5 +346,5 @@ class EsoLoop(_StackedLoop):
         psi = eta - p.m * _rate(q1, dt)
         return eta, psi
 
-    def _etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
+    def etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
         return states[0], 0.0, 0.0

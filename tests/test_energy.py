@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tipwave import EnergyTrace, FieldHistory, Grid, SystemParams, energy, fit_decay_rate
-from tipwave.energy import NoFitError, energies, envelope_samples, fit_envelope_rate
+from tipwave.energy import (
+    ENERGY_BLOCK_BYTES,
+    SPACE_TAGS,
+    EnergyRecorder,
+    NoFitError,
+    energies,
+    envelope_samples,
+    fit_envelope_rate,
+)
 
 ALL_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
 
@@ -51,6 +60,36 @@ class TestEnergy:
         assert stacked == single
         assert all(type(e) is float for e in stacked)
 
+    @given(k=st.integers(1, 64), rows=st.integers(1, 3), n=st.sampled_from([10, 37, 100]),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_single_levels(self, k, rows, n, data):
+        """A (K, rows, N+1) block, into work buffers, gives the K single-level
+        energies bit for bit."""
+        tags = data.draw(st.lists(st.sampled_from(SPACE_TAGS), min_size=rows, max_size=rows))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        grid, params = Grid(n_cells=n, r=0.5), SystemParams()
+        prev, curr = rng.normal(size=(2, k, rows, n + 1))
+        etas = rng.normal(size=(k, rows))
+        work = [np.full((k, rows, n + 1), np.nan) for _ in range(3)]
+        block = energies(tags, SimpleNamespace(prev=prev, curr=curr), etas.tolist(),
+                         params, grid, work=work)
+        single = [energies(tags, FieldHistory(p, c), tuple(e), params, grid)
+                  for p, c, e in zip(prev, curr, etas.tolist())]
+        assert block == single
+        assert all(type(e) is float for row in block for e in row)
+
+    def test_rejects_mismatched_work_and_etas(self, grid, params):
+        levels = FieldHistory(np.zeros((3, grid.n_nodes)), np.zeros((3, grid.n_nodes)))
+        tags = ("H1", "H2", "Hbb1")
+        with pytest.raises(ValueError, match="work buffers"):
+            energies(tags, levels, (0.0,) * 3, params, grid,
+                     work=[np.empty((3, grid.n_nodes - 1))] * 3)
+        with pytest.raises(ValueError, match="etas"):
+            energies(tags, levels, (0.0,) * 2, params, grid)
+        with pytest.raises(ValueError, match="levels"):
+            energies(tags[:2], levels, (0.0,) * 2, params, grid)
+
     def test_unknown_tag(self, grid, params):
         with pytest.raises(ValueError):
             energy("H3", static_field(np.zeros(grid.n_nodes)), 0.0, params, grid)
@@ -77,6 +116,37 @@ class TestEnergy:
             errs.append(abs(energy("Hbb", f, 0.0, params, g) - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
+
+
+class TestEnergyRecorder:
+    def test_block_size(self, params):
+        """A block holds as many levels as fit in ENERGY_BLOCK_BYTES, at least one."""
+        sizes = []
+        for rows, n_cells in ((3, 100), (3, 1600), (1, 20000)):
+            grid = Grid(n_cells=n_cells, r=0.5)
+            prev = np.zeros((rows, grid.n_nodes))
+            sizes.append(EnergyRecorder([EnergyTrace("Hbb")] * rows, prev, params, grid).size)
+        assert ENERGY_BLOCK_BYTES == 128 * 1024
+        assert sizes == [54, 3, 1]
+
+    def test_records_match_per_level_calls(self, grid, params):
+        """Pushed levels reach the traces in record order, each measured
+        against the level before it, across full blocks and a partial one."""
+        rng = np.random.default_rng(11)
+        tags = ("H1", "H2", "Hbb1")
+        levels = rng.normal(size=(2 * 54 + 10, 3, grid.n_nodes))
+        etas = rng.normal(size=(len(levels), 3)).tolist()
+        traces = [EnergyTrace(tag) for tag in tags]
+        recorder = EnergyRecorder(traces, levels[0], params, grid)
+        for k in range(1, len(levels)):
+            recorder.push(k * grid.dt, levels[k], etas[k])
+        assert len(traces[0]) == 2 * 54
+        recorder.flush()
+        recorder.flush()
+        expected = [energies(tags, FieldHistory(levels[k - 1], levels[k]), etas[k], params, grid)
+                    for k in range(1, len(levels))]
+        assert [tr.values for tr in traces] == [list(col) for col in zip(*expected)]
+        assert all(tr.times == [k * grid.dt for k in range(1, len(levels))] for tr in traces)
 
 
 class TestEnergyTrace:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import warnings
 
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tipwave.cli import main as cli_main
+from tipwave.energy import ENERGY_BLOCK_BYTES
 from tipwave.scenarios import (
     ConfigError,
     PRESETS,
     ScenarioConfig,
+    _build_loop,
     _SnapshotWriter,
     parse_config,
     run_scenario,
@@ -98,11 +101,20 @@ class TestParse:
                             "('open_plant', 'observer_loop', 'eso_loop', 'spectrum')"),
         ({"mode": "eso_loop", "stride": 0}, "stride must be >= 1, got 0"),
         ({}, "mode is required (or give a preset)"),
-    ], ids=["spectrum_hypothesis", "unknown_mode", "zero_stride", "no_mode"])
+        ({"mode": "eso_loop", "horizon": math.inf}, "horizon must be finite, got inf"),
+        ({"mode": "spectrum", "n_max": -3}, "n_max must be >= 0, got -3"),
+        ({"mode": "eso_loop", "n_cells": "100"}, "n_cells must be int, got '100'"),
+    ], ids=["spectrum_hypothesis", "unknown_mode", "zero_stride", "no_mode",
+            "infinite_horizon", "negative_n_max", "n_cells_as_text"])
     def test_config_built_in_code_is_checked(self, kwargs, message):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(**kwargs)
         assert err.value.violations == [message]
+
+    def test_infinite_horizon_from_text(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("preset = reproduce_sec4\nhorizon = inf\n")
+        assert err.value.violations == ["horizon must be finite, got inf"]
 
     def test_config_is_frozen(self):
         cfg = parse_config("preset = reproduce_sec4\n")
@@ -245,6 +257,29 @@ class TestRunScenario:
         for key in ("t", "eta", "psi"):
             assert len(result.boundary[key]) == 11
             assert all(type(v) is float for v in result.boundary[key]), key
+
+    @pytest.mark.parametrize("mode", ["open_plant", "observer_loop", "eso_loop"])
+    def test_block_energies_match_per_step(self, tmp_path, mode):
+        """Traces filled a block at a time hold exactly the energies of the
+        loop stepped by hand, over several full blocks and a partial one."""
+        text = f"mode = {mode}\nu0 = 0 0 -3 1\nv0 = 0 0 0 -2\nuhat0 = 0 0 0 -2\n" \
+               f"d_kind = cosine\nf_kind = sin_of_tip\nstride = 1000\nspectral_summary = false\n"
+        loop, spec = _build_loop(parse_config(text))
+        block = max(1, ENERGY_BLOCK_BYTES // loop.levels.curr.nbytes)
+        n_steps = 3 * block + block // 2
+        cfg = parse_config(text + f"horizon = {n_steps * loop.grid.dt!r}\n")
+        result = run_scenario(cfg, out_dir=str(tmp_path / mode))
+        times, expected = [], {key: [] for key in loop.energy_keys}
+        for k in range(n_steps + 1):
+            if k:
+                loop.step((k - 1) * loop.grid.dt, spec)
+            times.append(k * loop.grid.dt)
+            for key, value in loop.energies(loop.boundary_states()).items():
+                expected[key].append(value)
+        assert set(result.energy_traces) == set(expected)
+        for key, trace in result.energy_traces.items():
+            assert trace.times == times
+            assert trace.values == expected[key], key
 
     def test_summary_prints_plain_floats(self, short_run):
         assert "np.float64" not in open(short_run.summary_path).read()
