@@ -4,8 +4,8 @@
     tipwave spectrum --family {A2,A,Abb} [--n-max K] CONFIG [--out DIR]
     tipwave report OUTDIR
 
-Exit codes: 0 success, 1 config error, 2 numerical blow-up,
-3 configured acceptance threshold failed.
+Exit codes: 0 success, 1 config error (for report, a malformed trace),
+2 numerical blow-up, 3 configured acceptance threshold failed.
 """
 
 from __future__ import annotations
@@ -73,12 +73,11 @@ def _cmd_report(args) -> int:
     lines = []
     for path in paths:
         name = os.path.basename(path)[len("energy_"):-len(".csv")]
-        trace = EnergyTrace(space_tag=name.rsplit("_", 1)[1])
-        with open(path) as fh:
-            next(fh)
-            for row in fh:
-                t, e, _tag = row.rstrip("\n").split(",")
-                trace.append(float(t), float(e))
+        try:
+            trace = EnergyTrace.read_csv(path, space_tag=name.rsplit("_", 1)[1])
+        except (OSError, ValueError) as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 1
         try:
             rate, _ = fit_decay_rate(trace)
             lines.append(f"{name}: fitted energy rate = {rate!r} (state rate {rate / 2!r})")

@@ -30,11 +30,10 @@ would be mapped and page-faulted afresh on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .wave_core import FieldHistory, Grid, SystemParams
+from .wave_core import Grid, SystemParams
 
 __all__ = ["EnergyTrace", "EnergyRecorder", "NoFitError", "energy", "energies",
            "fit_decay_rate", "envelope_samples", "fit_envelope_rate"]
@@ -72,20 +71,34 @@ class EnergyTrace:
             for t, v in zip(self.times, self.values):
                 fh.write(f"{float(t)!r},{float(v)!r},{self.space_tag}\n")
 
+    @classmethod
+    def read_csv(cls, path, space_tag: str) -> EnergyTrace:
+        """Read back a trace that ``write_csv`` wrote; a malformed line
+        raises ValueError naming the file and the line number."""
+        trace = cls(space_tag)
+        with open(path, newline="") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.rstrip("\n")
+                fields = text.split(",")
+                try:
+                    if lineno == 1:
+                        if text != "t,E,tag":
+                            raise ValueError(f"expected the header t,E,tag, got {text!r}")
+                    elif fields[2:] != [space_tag]:
+                        raise ValueError(f"expected t,E,{space_tag}, got {text!r}")
+                    else:
+                        trace.append(float(fields[0]), float(fields[1]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
+        return trace
 
-class _Levels(NamedTuple):
-    """Two completed levels (or blocks of them) without copying them."""
 
-    prev: np.ndarray
-    curr: np.ndarray
-
-
-def energies(space_tags, levels, etas, params: SystemParams, grid: Grid,
+def energies(space_tags, prev, curr, etas, params: SystemParams, grid: Grid,
              work=None) -> list:
     """Discrete energies of stacked rows of levels, in one pass.
 
-    ``levels.prev`` and ``levels.curr`` have shape (..., rows, N+1): one
-    level of a stack of rows, or a block of them along any leading axes.
+    ``prev`` and ``curr`` have shape (..., rows, N+1): one level of a
+    stack of rows, or a block of them along any leading axes.
     Row i is measured in ``space_tags[i]`` with boundary-dynamics state
     ``etas[..., i]`` (0 where the tag has none). f' is differenced
     centrally at interior nodes and one-sided at the ends; the integral
@@ -97,7 +110,6 @@ def energies(space_tags, levels, etas, params: SystemParams, grid: Grid,
     for tag in space_tags:
         if tag not in SPACE_TAGS:
             raise ValueError(f"unknown space tag {tag!r}; expected one of {SPACE_TAGS}")
-    prev, curr = levels.prev, levels.curr
     shape = prev.shape
     if curr.shape != shape or len(shape) < 2 or shape[-2] != len(space_tags):
         raise ValueError(f"levels must both have shape (..., {len(space_tags)}, nodes), "
@@ -155,11 +167,10 @@ def energies(space_tags, levels, etas, params: SystemParams, grid: Grid,
     return np.reshape(out, totals.shape).tolist()
 
 
-def energy(space_tag: str, field_hist: FieldHistory, eta: float,
+def energy(space_tag: str, prev, curr, eta: float,
            params: SystemParams, grid: Grid) -> float:
     """Discrete energy of one field's two completed levels (see ``energies``)."""
-    row = _Levels(field_hist.prev[None], field_hist.curr[None])
-    return energies((space_tag,), row, (eta,), params, grid)[0]
+    return energies((space_tag,), prev[None], curr[None], (eta,), params, grid)[0]
 
 
 class EnergyRecorder:
@@ -201,7 +212,7 @@ class EnergyRecorder:
         n = len(self.times)
         if not n:
             return
-        values = energies(self.tags, _Levels(self.ring[:n], self.ring[1:n + 1]), self.etas,
+        values = energies(self.tags, self.ring[:n], self.ring[1:n + 1], self.etas,
                           self.params, self.grid, work=[buf[:n] for buf in self.work])
         for t, row in zip(self.times, values):
             for trace, value in zip(self.traces, row):

@@ -23,6 +23,7 @@ Identical configs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import numbers
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import spectral
 from .energy import EnergyRecorder, EnergyTrace, NoFitError, fit_decay_rate
-from .signals import DisturbanceSpec, eval_d, eval_f
+from .signals import DisturbanceSpec
 from .systems import EsoLoop, ObserverLoop, SingleFieldLoop
 from .wave_core import LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS, Grid, SystemParams
 
@@ -101,10 +102,16 @@ class ScenarioConfig:
     threshold_bounded_factor: float | None = None
 
     def __post_init__(self):
-        # the rules below compare values, so a value of the wrong type stops here
-        violations = [f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}"
-                      for f in dataclasses.fields(self)
-                      if not _CODECS[f.type][2](getattr(self, f.name))]
+        # the rules below compare values, so a value of the wrong type, or
+        # a number that is not finite, stops here
+        violations = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _CODECS[f.type][2](value):
+                violations.append(f"{f.name} must be {f.type}, got {value!r}")
+            elif "float" in f.type and value is not None and not all(
+                    -math.inf < x < math.inf for x in np.ravel(value)):
+                violations.append(f"{f.name} must be finite, got {value!r}")
         if violations:
             raise ConfigError(violations)
         if self.mode == "":
@@ -113,8 +120,6 @@ class ScenarioConfig:
             violations.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not self.horizon > 0:
             violations.append(f"horizon must be positive, got {self.horizon}")
-        elif not math.isfinite(self.horizon):
-            violations.append(f"horizon must be finite, got {self.horizon}")
         if self.n_cells < 10:
             violations.append(f"n_cells must be >= 10, got {self.n_cells}")
         if self.threshold_bounded_factor is not None and self.horizon <= _EARLY_WINDOW:
@@ -354,56 +359,49 @@ def _build_loop(config: ScenarioConfig):
     spec = config.disturbance()
     u0 = _poly_on_grid(config.u0, grid)
     ut0 = _poly_on_grid(config.ut0, grid)
-    f0 = eval_f(spec, float(u0[-1])) + eval_d(spec, 0.0)
     if config.mode == "open_plant":
-        loop = SingleFieldLoop(grid, params, u0, ut0,
-                               LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS,
-                               right_input0=f0)
-    elif config.mode == "observer_loop":
-        loop = ObserverLoop(grid, params, u0, ut0,
+        return SingleFieldLoop(grid, params, u0, ut0,
+                               LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS, spec)
+    if config.mode == "observer_loop":
+        return ObserverLoop(grid, params, u0, ut0,
                             _poly_on_grid(config.uhat0, grid),
-                            _poly_on_grid(config.uhatt0, grid),
-                            initial_disturbance=f0)
-    else:
-        loop = EsoLoop(grid, params, u0, ut0,
-                       _poly_on_grid(config.v0, grid), _poly_on_grid(config.vt0, grid),
-                       _poly_on_grid(config.q0, grid), _poly_on_grid(config.qt0, grid),
-                       initial_disturbance=f0)
-    return loop, spec
+                            _poly_on_grid(config.uhatt0, grid), spec)
+    return EsoLoop(grid, params, u0, ut0,
+                   _poly_on_grid(config.v0, grid), _poly_on_grid(config.vt0, grid),
+                   _poly_on_grid(config.q0, grid), _poly_on_grid(config.qt0, grid), spec)
 
 
 def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     grid = config.grid()
-    loop, spec = _build_loop(config)
-    dt = grid.dt
-    n_steps = int(round(config.horizon / dt))
+    loop = _build_loop(config)
+    n_steps = int(round(config.horizon / grid.dt))
 
     x_text = [f",{xj!r}," for xj in grid.nodes().tolist()]
-    writers = {name: _SnapshotWriter(os.path.join(out, f"snapshots_{name}.csv"), x_text)
-               for name in loop.fields()}
     traces = {key: EnergyTrace(space_tag=tag)
               for key, tag in zip(loop.energy_keys, loop.energy_tags)}
     recorder = EnergyRecorder(traces.values(), loop.levels.prev, loop.params, grid)
     boundary = {"t": [], "eta": [], "psi": []}
 
-    # record k is the state at t = k*dt: the initial data, then each step's result
-    for k in range(n_steps + 1):
-        if k:
-            loop.step((k - 1) * dt, spec)
-        t = k * dt
-        states = loop.boundary_states()
-        recorder.push(t, loop.levels.curr, loop.etas(states))
-        eta, psi = states
-        boundary["t"].append(t)
-        boundary["eta"].append(eta)
-        boundary["psi"].append(psi)
-        if k % config.stride == 0 or k == n_steps:
-            for name, values in loop.fields().items():
-                writers[name].write(t, values)
+    with contextlib.ExitStack() as stack:  # closes the snapshot files however the run ends
+        writers = {name: stack.enter_context(contextlib.closing(
+                       _SnapshotWriter(os.path.join(out, f"snapshots_{name}.csv"), x_text)))
+                   for name in loop.fields()}
+        # record k is the state at t = k*dt: the initial data, then each step's result
+        for k in range(n_steps + 1):
+            if k:
+                loop.step()
+            t = loop.t
+            states = loop.boundary_states()
+            recorder.push(t, loop.levels.curr, loop.etas(states))
+            eta, psi = states
+            boundary["t"].append(t)
+            boundary["eta"].append(eta)
+            boundary["psi"].append(psi)
+            if k % config.stride == 0 or k == n_steps:
+                for name, values in loop.fields().items():
+                    writers[name].write(t, values)
     recorder.flush()
 
-    for w in writers.values():
-        w.close()
     for key, trace in traces.items():
         trace.write_csv(os.path.join(out, f"energy_{key}.csv"))
     with open(os.path.join(out, "boundary_states.csv"), "w", newline="") as fh:

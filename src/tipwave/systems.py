@@ -1,9 +1,10 @@
 """Coupled closed-loop systems and their boundary control laws.
 
-Three drivers share one interface (``step(t, spec)``, ``fields()``,
+Three drivers share one interface (``step()``, ``t``, ``fields()``,
 ``energies()``, ``etas(states)``, ``boundary_states()``) and one
 stepper: each stores its fields as rows of one stacked array per time
-level and advances them with a single ``leapfrog_step``.
+level, closed by its ``left_kinds`` and ``right_kinds``, and holds the
+``DisturbanceSpec`` it runs under, so ``step()`` takes no inputs.
 
 * ``SingleFieldLoop``  one wave field with any boundary pair (open
   plant, or either error system of the estimator analysis);
@@ -110,11 +111,9 @@ def _rate(samples, dt: float) -> float:
         return 0.0
 
 
-def _as_array(values, grid: Grid) -> NDArray[np.float64]:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (grid.n_nodes,):
-        raise ValueError(f"initial data must have {grid.n_nodes} nodes, got {arr.shape}")
-    return arr.copy()
+def _tip_input(spec: DisturbanceSpec, tip: float, t: float) -> float:
+    """f(u(1, t)) + d(t): what the plant's tip receives besides the control."""
+    return eval_f(spec, tip) + eval_d(spec, t)
 
 
 class _StackedLoop:
@@ -141,17 +140,20 @@ class _StackedLoop:
         cls.energy_keys = tuple(f"{name}_{tag}" for name, tag in cls.energy_rows)
         cls.energy_tags = tuple(tag for _, tag in cls.energy_rows)
 
-    def __init__(self, grid: Grid, params: SystemParams, prev_rows, curr_rows):
+    def __init__(self, grid: Grid, params: SystemParams, spec: DisturbanceSpec,
+                 prev: NDArray[np.float64], curr: NDArray[np.float64]):
         self.grid = grid
         self.params = params
-        self.levels = FieldHistory(np.stack(prev_rows), np.stack(curr_rows), t=0.0)
+        self.spec = spec
+        self.levels = FieldHistory(prev, curr)
         self._history: deque[tuple[float, ...]] = deque(maxlen=3)
         self._sample()
         self.step_index = 0
 
     @property
     def t(self) -> float:
-        return self.levels.t
+        """Time of the current level, at which ``step`` evaluates f and d."""
+        return self.step_index * self.grid.dt
 
     def fields(self) -> dict[str, NDArray[np.float64]]:
         """Current level of each stepped field (views: copy to keep)."""
@@ -168,30 +170,27 @@ class _StackedLoop:
         """The history of each sampled quantity, oldest first, in sample order."""
         return list(zip(*self._history))
 
-    def energies(self, states: tuple[float, float] | None = None) -> dict[str, float]:
+    def energies(self) -> dict[str, float]:
         """Energy of each of ``energy_rows`` in its space, keyed "<row>_<tag>".
 
-        ``states`` is the ``boundary_states()`` pair, computed here when
-        not given; a caller that records both passes it in. ``etas`` turns
-        it into one boundary-dynamics state per row, which is also what an
-        ``energy.EnergyRecorder`` takes with each recorded level.
+        ``etas(boundary_states())`` gives each row's boundary-dynamics
+        state, as an ``energy.EnergyRecorder`` takes it with each level.
         """
-        if states is None:
-            states = self.boundary_states()
         return dict(zip(self.energy_keys,
-                        field_energies(self.energy_tags, self.levels, self.etas(states),
+                        field_energies(self.energy_tags, self.levels.prev, self.levels.curr,
+                                       self.etas(self.boundary_states()),
                                        self.params, self.grid)))
 
     def _finish_step(self) -> None:
         """Guard the new level, promote it and sample its boundaries."""
-        self.step_index += 1
         new = self.levels.new[:len(self.names)]
         if not float(np.max(np.abs(new))) <= BLOWUP_LIMIT:
             for name, row in zip(self.names, new):
                 peak = float(np.max(np.abs(row)))
                 if not peak <= BLOWUP_LIMIT:
-                    raise BlowUpError(name, self.step_index, self.levels.t, peak)
-        self.levels.rotate(self.grid.dt)
+                    raise BlowUpError(name, self.step_index + 1, self.t, peak)
+        self.step_index += 1
+        self.levels.rotate()
         self._sample()
 
 
@@ -201,9 +200,8 @@ class SingleFieldLoop(_StackedLoop):
     left_kind:  LEFT_DIRICHLET_ZERO or LEFT_ROBIN (homogeneous)
     right_kind: RIGHT_TIP_MASS or RIGHT_DIRICHLET_VALUE
 
-    The right end receives f(u(1, t)) + d(t): the tip force, or the
-    pinned value. ``right_input0`` is its t=0 value for the second-order
-    start.
+    The right end receives f(u(1, t)) + d(t) from ``spec``: the tip
+    force, or the pinned value.
     """
 
     names = ("u",)
@@ -211,18 +209,17 @@ class SingleFieldLoop(_StackedLoop):
     families = ()
 
     def __init__(self, grid: Grid, params: SystemParams, position, velocity,
-                 left_kind: int, right_kind: int, right_input0: float = 0.0):
-        self.left_kinds = (left_kind,)
-        self.right_kinds = (right_kind,)
-        p = _as_array(position, grid)
-        w = _as_array(velocity, grid)
-        prev = second_order_backstep(p, w, grid, params, left_kind, 0.0,
-                                     right_kind, right_input0)
-        super().__init__(grid, params, [prev], [p])
+                 left_kind: int, right_kind: int, spec: DisturbanceSpec = NO_DISTURBANCE):
+        self.left_kinds, self.right_kinds = (left_kind,), (right_kind,)
+        curr = np.array([position], dtype=float)
+        prev = second_order_backstep(curr, np.array([velocity], dtype=float), grid, params,
+                                     self.left_kinds, (0.0,), self.right_kinds,
+                                     (_tip_input(spec, float(curr[0, -1]), 0.0),))
+        super().__init__(grid, params, spec, prev, curr)
 
-    def step(self, t: float, spec: DisturbanceSpec = NO_DISTURBANCE) -> None:
+    def step(self) -> None:
         """Advance one dt with the inputs evaluated at time t."""
-        s = eval_f(spec, self._history[-1][0]) + eval_d(spec, t)
+        s = _tip_input(self.spec, self._history[-1][0], self.t)
         leapfrog_step(self.levels, self.grid, self.params,
                       self.left_kinds, (0.0,), self.right_kinds, (s,))
         self._finish_step()
@@ -232,12 +229,11 @@ class SingleFieldLoop(_StackedLoop):
         eta = self.params.m * _rate(self._series()[0], self.grid.dt)
         return eta, eta
 
-    def energy(self, space_tag: str, eta: float | None = None) -> float:
-        """Energy of u in any space; eta defaults to the tip momentum (the
-        spaces without a boundary state ignore it)."""
-        if eta is None:
-            eta = self.boundary_states()[0]
-        return field_energies((space_tag,), self.levels, (eta,), self.params, self.grid)[0]
+    def energy(self, space_tag: str) -> float:
+        """Energy of u in any space, with the tip momentum as its boundary
+        state (the spaces without one ignore it)."""
+        return field_energies((space_tag,), self.levels.prev, self.levels.curr,
+                              (self.boundary_states()[0],), self.params, self.grid)[0]
 
     def etas(self, states: tuple[float, float]) -> tuple[float]:
         return (states[0],)
@@ -259,21 +255,21 @@ class ObserverLoop(_StackedLoop):
     right_kinds = (RIGHT_TIP_MASS, RIGHT_TIP_MASS)
 
     def __init__(self, grid: Grid, params: SystemParams,
-                 u0, ut0, uhat0, uhatt0, initial_disturbance: float = 0.0):
-        pu, wu = _as_array(u0, grid), _as_array(ut0, grid)
-        ph, wh = _as_array(uhat0, grid), _as_array(uhatt0, grid)
+                 u0, ut0, uhat0, uhatt0, spec: DisturbanceSpec = NO_DISTURBANCE):
+        curr = np.array([u0, uhat0], dtype=float)
         # warm-up control is 0, so the back-step sees S_u = F(0), S_obs = 0
-        uprev = second_order_backstep(pu, wu, grid, params, LEFT_DIRICHLET_ZERO, 0.0,
-                                      RIGHT_TIP_MASS, initial_disturbance)
-        hprev = second_order_backstep(ph, wh, grid, params, LEFT_ROBIN,
-                                      slope_left(pu, grid.dx), RIGHT_TIP_MASS, 0.0)
-        super().__init__(grid, params, [uprev, hprev, hprev - uprev], [pu, ph, ph - pu])
+        prev = second_order_backstep(curr, np.array([ut0, uhatt0], dtype=float), grid, params,
+                                     self.left_kinds, (0.0, slope_left(curr[0], grid.dx)),
+                                     self.right_kinds,
+                                     (_tip_input(spec, float(curr[0, -1]), 0.0), 0.0))
+        super().__init__(grid, params, spec, np.vstack([prev, prev[1] - prev[0]]),
+                         np.vstack([curr, curr[1] - curr[0]]))
 
-    def step(self, t: float, spec: DisturbanceSpec = NO_DISTURBANCE) -> None:
+    def step(self) -> None:
         """Advance plant and observer by one dt with F evaluated at time t."""
         u1, uhat1, _, uhatx1, ux0 = self._series()
         control = control_observer(uhat1, uhatx1, self.grid.dt, self.params)
-        disturbance = eval_f(spec, u1[-1]) + eval_d(spec, t)
+        disturbance = _tip_input(self.spec, u1[-1], self.t)
         new = self.levels.new
         leapfrog_step(self.levels, self.grid, self.params,
                       self.left_kinds, (0.0, ux0[-1]),
@@ -312,28 +308,25 @@ class EsoLoop(_StackedLoop):
     right_kinds = (RIGHT_TIP_MASS, RIGHT_TIP_MASS, RIGHT_DIRICHLET_VALUE)
 
     def __init__(self, grid: Grid, params: SystemParams,
-                 u0, ut0, v0, vt0, q0, qt0, initial_disturbance: float = 0.0):
-        pu, wu = _as_array(u0, grid), _as_array(ut0, grid)
-        pv, wv = _as_array(v0, grid), _as_array(vt0, grid)
-        pq, wq = _as_array(q0, grid), _as_array(qt0, grid)
-        uprev = second_order_backstep(pu, wu, grid, params, LEFT_DIRICHLET_ZERO, 0.0,
-                                      RIGHT_TIP_MASS, initial_disturbance)
-        vprev = second_order_backstep(pv, wv, grid, params, LEFT_ROBIN,
-                                      slope_left(pu, grid.dx), RIGHT_TIP_MASS, 0.0)
-        qprev = second_order_backstep(pq, wq, grid, params, LEFT_ROBIN, 0.0,
-                                      RIGHT_DIRICHLET_VALUE, vprev[-1] - uprev[-1])
-        super().__init__(grid, params, [uprev, vprev, qprev], [pu, pv, pq])
+                 u0, ut0, v0, vt0, q0, qt0, spec: DisturbanceSpec = NO_DISTURBANCE):
+        curr = np.array([u0, v0, q0], dtype=float)
+        # q's pinned tip is a placeholder here, set from the closed u, v rows
+        prev = second_order_backstep(curr, np.array([ut0, vt0, qt0], dtype=float), grid, params,
+                                     self.left_kinds, (0.0, slope_left(curr[0], grid.dx), 0.0),
+                                     self.right_kinds,
+                                     (_tip_input(spec, float(curr[0, -1]), 0.0), 0.0, 0.0))
+        prev[2, -1] = prev[1, -1] - prev[0, -1]
+        super().__init__(grid, params, spec, prev, curr)
 
-    def step(self, t: float, spec: DisturbanceSpec = NO_DISTURBANCE) -> None:
+    def step(self) -> None:
         """One dt advance with uncertainty f(u(1, t)) and disturbance d(t)."""
         u1, v1, q1, _, vx1, qx1, ux0 = self._series()
         control = control_eso(v1, vx1, q1, qx1, self.grid.dt, self.params)
-        f_value = eval_f(spec, u1[-1])
+        tip = control + eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.t)
         new = self.levels.new
         # q's pinned tip is a placeholder here, set from the closed u, v rows
         leapfrog_step(self.levels, self.grid, self.params,
-                      self.left_kinds, (0.0, ux0[-1], 0.0),
-                      self.right_kinds, (control + f_value + eval_d(spec, t), control, 0.0))
+                      self.left_kinds, (0.0, ux0[-1], 0.0), self.right_kinds, (tip, control, 0.0))
         new[2, -1] = new[1, -1] - new[0, -1]
         self._finish_step()
 

@@ -150,16 +150,16 @@ class Grid:
 class FieldHistory:
     """Three consecutive time levels of one field, or of a stack of fields.
 
-    ``prev`` and ``curr`` hold the two completed levels at t - dt and t;
-    ``new`` is the level under construction at t + dt. A level is either
-    one row of nodes or an (n_fields, n_nodes) stack of rows. ``rotate``
-    cycles the three buffers without copying, so no level ever aliases
-    another.
+    ``prev`` and ``curr`` hold the two completed levels; ``new`` is the
+    level under construction. A level is either one row of nodes or an
+    (n_fields, n_nodes) stack of rows. ``rotate`` cycles the three buffers
+    without copying, so no level ever aliases another. The levels carry no
+    clock: a loop's time is its step count times dt.
     """
 
-    __slots__ = ("prev", "curr", "new", "t")
+    __slots__ = ("prev", "curr", "new")
 
-    def __init__(self, prev: NDArray, curr: NDArray, t: float = 0.0):
+    def __init__(self, prev: NDArray, curr: NDArray):
         prev = np.asarray(prev, dtype=float)
         curr = np.asarray(curr, dtype=float)
         if prev.shape != curr.shape or prev.ndim not in (1, 2):
@@ -168,22 +168,14 @@ class FieldHistory:
         self.prev = prev.copy()
         self.curr = curr.copy()
         self.new = np.empty_like(curr)
-        self.t = t
 
     @property
     def n_nodes(self) -> int:
         return self.curr.shape[-1]
 
-    def rotate(self, dt: float) -> None:
+    def rotate(self) -> None:
         """Promote the finished new level; recycle the oldest buffer."""
         self.prev, self.curr, self.new = self.curr, self.new, self.prev
-        self.t += dt
-
-
-def _check(field: FieldHistory, grid: Grid) -> None:
-    if field.n_nodes != grid.n_nodes:
-        raise StructuralError(
-            f"field has {field.n_nodes} nodes, grid expects {grid.n_nodes}")
 
 
 def leapfrog_step(levels: FieldHistory, grid: Grid, params: SystemParams,
@@ -196,7 +188,8 @@ def leapfrog_step(levels: FieldHistory, grid: Grid, params: SystemParams,
     x = 1 by ``right_kinds[i]``, whose tip input or pinned value is
     ``right_inputs[i]``. Later rows are left untouched.
     """
-    _check(levels, grid)
+    if levels.n_nodes != grid.n_nodes:
+        raise StructuralError(f"field has {levels.n_nodes} nodes, grid expects {grid.n_nodes}")
     r, dx, dt = grid.r, grid.dx, grid.dt
     gamma, beta, m = params.gamma, params.beta, params.m
     r2 = r * r
@@ -247,33 +240,38 @@ def backward_time_derivative(samples, order: int, dt: float) -> float:
     return (samples[-1] - 2.0 * samples[-2] + samples[-3]) / (dt * dt)
 
 
-def second_order_backstep(position: NDArray, velocity: NDArray, grid: Grid,
-                          params: SystemParams, left_kind: int, ext0: float,
-                          right_kind: int, right_input0: float) -> NDArray:
-    """Build the t = -dt level from initial position and velocity.
+def second_order_backstep(positions: NDArray, velocities: NDArray, grid: Grid,
+                          params: SystemParams, left_kinds: Sequence[int], exts: Sequence[float],
+                          right_kinds: Sequence[int], right_inputs: Sequence[float]) -> NDArray:
+    """Build the t = -dt level of stacked rows from their initial positions
+    and velocities.
 
     Uses u(-dt) = u(0) - dt u_t(0) + (dt^2/2) u_tt(0) with the
     acceleration taken from the same ghost-eliminated relations the
-    stepper uses, so the first step is second-order accurate.
+    stepper uses, so the first step is second-order accurate. Rows are
+    closed as in ``leapfrog_step``, with the inputs at t = 0.
     """
-    p = np.asarray(position, dtype=float)
-    w = np.asarray(velocity, dtype=float)
-    if p.shape != w.shape or p.shape[0] != grid.n_nodes:
-        raise StructuralError("initial position/velocity shape mismatch")
+    p = np.asarray(positions, dtype=float)
+    w = np.asarray(velocities, dtype=float)
+    if not p.shape == w.shape == (len(left_kinds), grid.n_nodes):
+        raise StructuralError(f"initial positions {p.shape} and velocities {w.shape} must "
+                              f"be {len(left_kinds)} rows of {grid.n_nodes} nodes")
     dx, dt, r = grid.dx, grid.dt, grid.r
     r2 = r * r
     delta = np.zeros_like(p)
-    delta[1:-1] = r2 * (p[2:] - 2.0 * p[1:-1] + p[:-2])
+    delta[:, 1:-1] = r2 * (p[:, 2:] - 2.0 * p[:, 1:-1] + p[:, :-2])
     prev = p - dt * w + 0.5 * delta
-    if left_kind == LEFT_DIRICHLET_ZERO:
-        prev[0] = 0.0
-    elif left_kind == LEFT_ROBIN:
-        accel = (2.0 * p[1] - 2.0 * p[0]
-                 - 2.0 * dx * (params.gamma * w[0] + params.beta * p[0] + ext0)) / (dx * dx)
-        prev[0] = p[0] - dt * w[0] + 0.5 * dt * dt * accel
-    if right_kind == RIGHT_TIP_MASS:
-        tip = dt * dt * (right_input0 - (p[-1] - p[-2]) / dx) / (params.m + 0.5 * dx)
-        prev[-1] = p[-1] - dt * w[-1] + 0.5 * tip
-    elif right_kind == RIGHT_DIRICHLET_VALUE:
-        prev[-1] = right_input0
+    for row, pi, wi, left, ext, right, s in zip(prev, p, w, left_kinds, exts,
+                                                right_kinds, right_inputs):
+        if left == LEFT_DIRICHLET_ZERO:
+            row[0] = 0.0
+        elif left == LEFT_ROBIN:
+            accel = (2.0 * pi[1] - 2.0 * pi[0]
+                     - 2.0 * dx * (params.gamma * wi[0] + params.beta * pi[0] + ext)) / (dx * dx)
+            row[0] = pi[0] - dt * wi[0] + 0.5 * dt * dt * accel
+        if right == RIGHT_TIP_MASS:
+            tip = dt * dt * (s - (pi[-1] - pi[-2]) / dx) / (params.m + 0.5 * dx)
+            row[-1] = pi[-1] - dt * wi[-1] + 0.5 * tip
+        elif right == RIGHT_DIRICHLET_VALUE:
+            row[-1] = s
     return prev

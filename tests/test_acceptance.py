@@ -20,7 +20,6 @@ from tipwave import (
 )
 from tipwave.energy import EnergyTrace, fit_decay_rate, fit_envelope_rate
 from tipwave.scenarios import parse_config, run_scenario
-from tipwave.signals import eval_d
 from tipwave.spectral import (
     CharFamily,
     compute_spectrum,
@@ -69,9 +68,7 @@ def drive_eso(grid, params, spec, horizon, sample_every=1):
     """ESO loop from the cubic profiles under f = sin(u(1, t)) and spec's d."""
     x = grid.nodes()
     loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3, 0 * x,
-                   0 * x, 0 * x,
-                   initial_disturbance=float(np.sin(x[-1] ** 3 - 3 * x[-1] ** 2)
-                                             + eval_d(spec, 0.0)))
+                   0 * x, 0 * x, spec)
     rec = {"t": [0.0], "Eu": [], "Ev": [], "Eq": [], "eta": [], "psi": []}
     e = loop.energies()
     rec["Eu"].append(e["u_H1"]); rec["Ev"].append(e["v_Hbb1"]); rec["Eq"].append(e["q_Hbb1"])
@@ -79,7 +76,7 @@ def drive_eso(grid, params, spec, horizon, sample_every=1):
     rec["eta"].append(eta); rec["psi"].append(psi)
     n_steps = int(round(horizon / grid.dt))
     for k in range(n_steps):
-        loop.step(k * grid.dt, spec)
+        loop.step()
         if (k + 1) % sample_every == 0:
             e = loop.energies()
             eta, psi = loop.boundary_states()
@@ -105,8 +102,8 @@ def test_criterion_1_conservation():
         loop = SingleFieldLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
         e0 = loop.energy("H1")
-        for k in range(int(round(10.0 / grid.dt))):
-            loop.step(k * grid.dt)
+        for _ in range(int(round(10.0 / grid.dt))):
+            loop.step()
         drift[n_cells] = abs(loop.energy("H1") - e0) / e0
     elapsed = time.perf_counter() - t0
     ratio = drift[100] / drift[200]
@@ -152,8 +149,8 @@ def test_criterion_3_spectrum_vs_time_domain(spectra100):
     loop = ObserverLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3, 0 * x)
     trace = EnergyTrace("H1")
     trace.append(0.0, loop.energies()["u_H1"])
-    for k in range(int(round(80.0 / grid.dt))):
-        loop.step(k * grid.dt)
+    for _ in range(int(round(80.0 / grid.dt))):
+        loop.step()
         trace.append(loop.t, loop.energies()["u_H1"])
     elapsed = time.perf_counter() - t0
     rate, _ = fit_decay_rate(trace, window=0.5, t_skip=2.0)
@@ -177,8 +174,8 @@ def test_criterion_4_boundary_slope_decay_lemma(spectra100):
                            LEFT_ROBIN, RIGHT_DIRICHLET_VALUE)
     times, slopes = [], []
     energy_trace = EnergyTrace("Hbb")
-    for k in range(int(round(8.0 / grid.dt))):
-        loop.step(k * grid.dt)
+    for _ in range(int(round(8.0 / grid.dt))):
+        loop.step()
         times.append(loop.t)
         slopes.append(slope_right(loop.fields()["u"], grid.dx))
         if loop.t <= 6.5:  # past that the trace sits on the dispersion floor
@@ -291,17 +288,16 @@ def test_criterion_8_equivalence_of_formulations():
         d = DisturbanceSpec(d_kind="cosine", frequency=2.0)
         minus_d = DisturbanceSpec(d_kind="cosine", amplitude=-1.0, frequency=2.0)
         loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3,
-                       0 * x, 0 * x, 0 * x, initial_disturbance=1.0)
+                       0 * x, 0 * x, 0 * x, d)
         verr = SingleFieldLoop(grid, params, -3 * x ** 3 + 3 * x ** 2, 0 * x,
-                               LEFT_ROBIN, RIGHT_TIP_MASS, right_input0=-1.0)
+                               LEFT_ROBIN, RIGHT_TIP_MASS, minus_d)
         qerr = SingleFieldLoop(grid, params, 3 * x ** 3 - 3 * x ** 2, 0 * x,
                                LEFT_ROBIN, RIGHT_DIRICHLET_VALUE)
         dv = dq = 0.0
-        for k in range(int(round(8.0 / grid.dt))):
-            t = k * grid.dt
-            loop.step(t, d)
-            verr.step(t, minus_d)
-            qerr.step(t)
+        for _ in range(int(round(8.0 / grid.dt))):
+            loop.step()
+            verr.step()
+            qerr.step()
             fields = loop.fields()
             vhat_loop = fields["v"] - fields["u"]
             qhat_loop = fields["q"] - vhat_loop

@@ -1,12 +1,11 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tipwave import EnergyTrace, FieldHistory, Grid, SystemParams, energy, fit_decay_rate
+from tipwave import EnergyTrace, Grid, SystemParams, energy, fit_decay_rate
 from tipwave.energy import (
     ENERGY_BLOCK_BYTES,
     SPACE_TAGS,
@@ -20,42 +19,38 @@ from tipwave.energy import (
 ALL_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
 
 
-def static_field(values):
-    return FieldHistory(values, values)
-
-
 class TestEnergy:
     @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_zero_field_zero_energy(self, grid, params, tag):
-        f = static_field(np.zeros(grid.n_nodes))
-        assert energy(tag, f, 0.0, params, grid) == 0.0
+        f = np.zeros(grid.n_nodes)
+        assert energy(tag, f, f, 0.0, params, grid) == 0.0
 
     def test_linear_profile_exact(self, grid, params):
-        f = static_field(grid.nodes())
-        assert energy("Hbb", f, 0.0, params, grid) == pytest.approx(1.0, rel=1e-12)
+        f = grid.nodes()
+        assert energy("Hbb", f, f, 0.0, params, grid) == pytest.approx(1.0, rel=1e-12)
 
     def test_plant_norm_with_boundary_state(self, grid, params):
-        f = static_field(grid.nodes())
+        f = grid.nodes()
         # integral 1 + eta^2/m with eta = m = 5
-        assert energy("H1", f, 5.0, params, grid) == pytest.approx(6.0, rel=1e-12)
+        assert energy("H1", f, f, 5.0, params, grid) == pytest.approx(6.0, rel=1e-12)
 
     def test_tag_boundary_terms(self, grid, params):
         x = grid.nodes()
-        f = static_field(x + 2.0)  # f(0) = 2
-        base = energy("Hbb", f, 0.0, params, grid)
-        assert energy("Hbb1", f, 0.0, params, grid) == pytest.approx(
+        f = x + 2.0  # f(0) = 2
+        base = energy("Hbb", f, f, 0.0, params, grid)
+        assert energy("Hbb1", f, f, 0.0, params, grid) == pytest.approx(
             base + params.beta * 4.0, rel=1e-12)
-        assert energy("H2", f, 3.0, params, grid) == pytest.approx(
+        assert energy("H2", f, f, 3.0, params, grid) == pytest.approx(
             base + params.beta * 4.0 + 9.0 / params.m, rel=1e-12)
-        assert energy("H", f, 3.0, params, grid) == pytest.approx(
+        assert energy("H", f, f, 3.0, params, grid) == pytest.approx(
             base + 9.0 / (params.m + params.alpha * params.a), rel=1e-12)
 
     def test_stacked_rows_match_single_rows(self, grid, params):
         rng = np.random.default_rng(7)
         prev, curr = rng.normal(size=(2, 3, grid.n_nodes))
         tags, etas = ("H1", "H2", "Hbb1"), (0.3, -1.2, 0.0)
-        stacked = energies(tags, FieldHistory(prev, curr), etas, params, grid)
-        single = [energy(tag, FieldHistory(p, c), eta, params, grid)
+        stacked = energies(tags, prev, curr, etas, params, grid)
+        single = [energy(tag, p, c, eta, params, grid)
                   for tag, p, c, eta in zip(tags, prev, curr, etas)]
         assert stacked == single
         assert all(type(e) is float for e in stacked)
@@ -72,27 +67,27 @@ class TestEnergy:
         prev, curr = rng.normal(size=(2, k, rows, n + 1))
         etas = rng.normal(size=(k, rows))
         work = [np.full((k, rows, n + 1), np.nan) for _ in range(3)]
-        block = energies(tags, SimpleNamespace(prev=prev, curr=curr), etas.tolist(),
-                         params, grid, work=work)
-        single = [energies(tags, FieldHistory(p, c), tuple(e), params, grid)
+        block = energies(tags, prev, curr, etas.tolist(), params, grid, work=work)
+        single = [energies(tags, p, c, tuple(e), params, grid)
                   for p, c, e in zip(prev, curr, etas.tolist())]
         assert block == single
         assert all(type(e) is float for row in block for e in row)
 
     def test_rejects_mismatched_work_and_etas(self, grid, params):
-        levels = FieldHistory(np.zeros((3, grid.n_nodes)), np.zeros((3, grid.n_nodes)))
+        level = np.zeros((3, grid.n_nodes))
         tags = ("H1", "H2", "Hbb1")
         with pytest.raises(ValueError, match="work buffers"):
-            energies(tags, levels, (0.0,) * 3, params, grid,
+            energies(tags, level, level, (0.0,) * 3, params, grid,
                      work=[np.empty((3, grid.n_nodes - 1))] * 3)
         with pytest.raises(ValueError, match="etas"):
-            energies(tags, levels, (0.0,) * 2, params, grid)
+            energies(tags, level, level, (0.0,) * 2, params, grid)
         with pytest.raises(ValueError, match="levels"):
-            energies(tags[:2], levels, (0.0,) * 2, params, grid)
+            energies(tags[:2], level, level, (0.0,) * 2, params, grid)
 
     def test_unknown_tag(self, grid, params):
+        f = np.zeros(grid.n_nodes)
         with pytest.raises(ValueError):
-            energy("H3", static_field(np.zeros(grid.n_nodes)), 0.0, params, grid)
+            energy("H3", f, f, 0.0, params, grid)
 
     @given(st.floats(min_value=-8.0, max_value=8.0).filter(lambda c: abs(c) > 1e-3))
     @settings(max_examples=25, deadline=None)
@@ -100,10 +95,8 @@ class TestEnergy:
         grid = Grid(n_cells=50, r=0.5)
         params = SystemParams()
         x = grid.nodes()
-        f1 = FieldHistory(np.sin(2 * x), x ** 2 - 0.3 * x)
-        fc = FieldHistory(c * np.sin(2 * x), c * (x ** 2 - 0.3 * x))
-        e1 = energy("H2", f1, 0.4, params, grid)
-        ec = energy("H2", fc, c * 0.4, params, grid)
+        e1 = energy("H2", np.sin(2 * x), x ** 2 - 0.3 * x, 0.4, params, grid)
+        ec = energy("H2", c * np.sin(2 * x), c * (x ** 2 - 0.3 * x), c * 0.4, params, grid)
         assert ec == pytest.approx(c * c * e1, rel=1e-9)
 
     def test_grid_refinement_second_order(self, params):
@@ -112,8 +105,8 @@ class TestEnergy:
         errs = []
         for n in (50, 100, 200):
             g = Grid(n_cells=n, r=0.5)
-            f = static_field(g.nodes() ** 3)
-            errs.append(abs(energy("Hbb", f, 0.0, params, g) - exact))
+            f = g.nodes() ** 3
+            errs.append(abs(energy("Hbb", f, f, 0.0, params, g) - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
@@ -143,7 +136,7 @@ class TestEnergyRecorder:
         assert len(traces[0]) == 2 * 54
         recorder.flush()
         recorder.flush()
-        expected = [energies(tags, FieldHistory(levels[k - 1], levels[k]), etas[k], params, grid)
+        expected = [energies(tags, levels[k - 1], levels[k], etas[k], params, grid)
                     for k in range(1, len(levels))]
         assert [tr.values for tr in traces] == [list(col) for col in zip(*expected)]
         assert all(tr.times == [k * grid.dt for k in range(1, len(levels))] for tr in traces)
@@ -168,6 +161,17 @@ class TestEnergyTrace:
         assert rows[0] == "t,E,tag"
         t0, e0, tag = rows[1].split(",")
         assert float(t0) == 0.0 and float(e0) == 1.0 and tag == "Hbb"
+
+    def test_csv_read_back(self, tmp_path):
+        tr = EnergyTrace("Hbb1")
+        for k in range(5):
+            tr.append(0.1 * k, math.exp(-k))
+        path = tmp_path / "trace.csv"
+        tr.write_csv(path)
+        back = EnergyTrace.read_csv(path, "Hbb1")
+        assert (back.space_tag, back.times, back.values) == ("Hbb1", tr.times, tr.values)
+        with pytest.raises(ValueError, match=r"line 2: expected t,E,H1, got '0.0,1.0,Hbb1'"):
+            EnergyTrace.read_csv(path, "H1")
 
     def test_csv_prints_plain_floats_for_numpy_input(self, tmp_path):
         tr = EnergyTrace("H1")

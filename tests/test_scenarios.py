@@ -21,7 +21,7 @@ from tipwave.scenarios import (
     run_scenario,
     serialize_config,
 )
-from tipwave.systems import EsoLoop, ObserverLoop
+from tipwave.systems import BlowUpError, EsoLoop, ObserverLoop
 from tipwave.wave_core import Grid
 
 
@@ -115,6 +115,19 @@ class TestParse:
         with pytest.raises(ConfigError) as err:
             parse_config("preset = reproduce_sec4\nhorizon = inf\n")
         assert err.value.violations == ["horizon must be finite, got inf"]
+
+    @pytest.mark.parametrize("line,message", [
+        ("threshold_plant_energy_ratio = nan",
+         "threshold_plant_energy_ratio must be finite, got nan"),
+        ("d_amplitude = nan", "d_amplitude must be finite, got nan"),
+        ("m = inf", "m must be finite, got inf"),
+        ("u0 = 0 nan", "u0 must be finite, got (0.0, nan)"),
+        ("d_table = 0:nan 1:1", "d_table must be finite, got ((0.0, nan), (1.0, 1.0))"),
+    ], ids=["nan_threshold", "nan_d_amplitude", "infinite_m", "nan_profile", "nan_table"])
+    def test_non_finite_value(self, line, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"preset = reproduce_sec4\n{line}\n")
+        assert err.value.violations == [message]
 
     def test_config_is_frozen(self):
         cfg = parse_config("preset = reproduce_sec4\n")
@@ -264,7 +277,7 @@ class TestRunScenario:
         loop stepped by hand, over several full blocks and a partial one."""
         text = f"mode = {mode}\nu0 = 0 0 -3 1\nv0 = 0 0 0 -2\nuhat0 = 0 0 0 -2\n" \
                f"d_kind = cosine\nf_kind = sin_of_tip\nstride = 1000\nspectral_summary = false\n"
-        loop, spec = _build_loop(parse_config(text))
+        loop = _build_loop(parse_config(text))
         block = max(1, ENERGY_BLOCK_BYTES // loop.levels.curr.nbytes)
         n_steps = 3 * block + block // 2
         cfg = parse_config(text + f"horizon = {n_steps * loop.grid.dt!r}\n")
@@ -272,14 +285,31 @@ class TestRunScenario:
         times, expected = [], {key: [] for key in loop.energy_keys}
         for k in range(n_steps + 1):
             if k:
-                loop.step((k - 1) * loop.grid.dt, spec)
+                loop.step()
             times.append(k * loop.grid.dt)
-            for key, value in loop.energies(loop.boundary_states()).items():
+            for key, value in loop.energies().items():
                 expected[key].append(value)
         assert set(result.energy_traces) == set(expected)
         for key, trace in result.energy_traces.items():
             assert trace.times == times
             assert trace.values == expected[key], key
+
+    def test_snapshots_closed_on_blow_up(self, tmp_path):
+        """While a blow-up is being handled, each snapshot file already
+        holds every row written, ending on a whole row."""
+        cfg = parse_config("mode = open_plant\nhorizon = 2\nu0 = 0 9e11\n"
+                           "d_kind = constant\nd_constant = 1e14\nstride = 20\n")
+        out = tmp_path / "out"
+        with pytest.raises(BlowUpError):
+            try:
+                run_scenario(cfg, out_dir=str(out))
+            except BlowUpError:
+                text = (out / "snapshots_u.csv").read_text()
+                raise
+        assert text.startswith("t,x,value\n") and text.endswith("\n")
+        rows = text.splitlines()[1:]
+        assert rows and all(len(row.split(",")) == 3 for row in rows)
+        assert len(rows) % cfg.grid().n_nodes == 0
 
     def test_summary_prints_plain_floats(self, short_run):
         assert "np.float64" not in open(short_run.summary_path).read()
@@ -507,3 +537,15 @@ class TestCli:
 
     def test_report_empty_dir(self, tmp_path):
         assert cli_main(["report", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("row,reason", [
+        ("abc,2", "expected t,E,H1, got 'abc,2'"),
+        ("0.0,-1.0,H1", "energy must be nonnegative, got -1.0"),
+    ], ids=["two_fields", "negative_energy"])
+    def test_report_malformed_trace(self, tmp_path, capsys, row, reason):
+        """One line naming the file and line, exit 1, and no report."""
+        path = tmp_path / "energy_u_H1.csv"
+        path.write_text(f"t,E,tag\n{row}\n")
+        assert cli_main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"report error: {path}, line 2: {reason}\n"
+        assert not (tmp_path / "report.txt").exists()

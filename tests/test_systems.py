@@ -95,9 +95,9 @@ class TestBoundaryStates:
         """Each step's boundary sample is read off the fields it follows."""
         x = grid.nodes()
         loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3,
-                       0 * x, 0 * x, 0 * x, initial_disturbance=1.0)
-        for k in range(20):
-            loop.step(k * grid.dt, SEC4_INPUTS)
+                       0 * x, 0 * x, 0 * x, SEC4_INPUTS)
+        for _ in range(20):
+            loop.step()
             rows = list(loop.fields().values())
             assert loop._history[-1] == (
                 *[row[-1] for row in rows],
@@ -110,20 +110,19 @@ class TestObserverLoop:
     def test_zero_data_stays_zero(self, grid, params):
         x = grid.nodes()
         loop = ObserverLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x)
-        for k in range(50):
-            loop.step(k * grid.dt)
+        for _ in range(50):
+            loop.step()
         assert not loop.fields()["u"].any() and not loop.fields()["uhat"].any()
 
     def test_constant_disturbance_stationary_pair(self, grid, params):
         """u = x, uhat = -1/beta is held by the loop under F = 1."""
         x = grid.nodes()
-        loop = ObserverLoop(grid, params, x, 0 * x,
-                            -np.ones_like(x) / params.beta, 0 * x,
-                            initial_disturbance=1.0)
-        e0 = loop.energies()["u_H1"]
         unit = DisturbanceSpec(d_kind="constant", constant=1.0)
-        for k in range(int(round(20.0 / grid.dt))):
-            loop.step(k * grid.dt, unit)
+        loop = ObserverLoop(grid, params, x, 0 * x,
+                            -np.ones_like(x) / params.beta, 0 * x, unit)
+        e0 = loop.energies()["u_H1"]
+        for _ in range(int(round(20.0 / grid.dt))):
+            loop.step()
         np.testing.assert_allclose(loop.fields()["u"], x, atol=1e-10)
         np.testing.assert_allclose(loop.fields()["uhat"], -1.0 / params.beta, atol=1e-10)
         e1 = loop.energies()["u_H1"]
@@ -134,8 +133,8 @@ class TestObserverLoop:
         loop = ObserverLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
                             -2 * x ** 3, 0 * x)
         e0 = loop.energies()["err_H2"]
-        for k in range(int(round(30.0 / grid.dt))):
-            loop.step(k * grid.dt)
+        for _ in range(int(round(30.0 / grid.dt))):
+            loop.step()
         assert loop.energies()["err_H2"] < 0.5 * e0
 
 
@@ -148,8 +147,8 @@ class TestErrorSystemDissipation:
                                np.zeros_like(x), LEFT_ROBIN, RIGHT_TIP_MASS)
         prev_e = loop.energy("H2")
         worst = 0.0
-        for k in range(int(round(5.0 / grid.dt))):
-            loop.step(k * grid.dt)
+        for _ in range(int(round(5.0 / grid.dt))):
+            loop.step()
             e = loop.energy("H2")
             worst = max(worst, e - prev_e)
             prev_e = e
@@ -169,17 +168,17 @@ class TestEsoLoop:
     def test_zero_data_stays_zero(self, grid, params):
         x = grid.nodes()
         loop = EsoLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x)
-        for k in range(50):
-            loop.step(k * grid.dt)
+        for _ in range(50):
+            loop.step()
         for values in loop.fields().values():
             assert not values.any()
 
     def test_coupling_identity_exact(self, grid, params):
         x = grid.nodes()
         loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3,
-                       0 * x, 0 * x, 0 * x, initial_disturbance=1.0)
-        for k in range(200):
-            loop.step(k * grid.dt, SEC4_INPUTS)
+                       0 * x, 0 * x, 0 * x, SEC4_INPUTS)
+        for _ in range(200):
+            loop.step()
             fields = loop.fields()
             assert fields["q"][-1] == fields["v"][-1] - fields["u"][-1]
 
@@ -190,8 +189,8 @@ class TestEsoLoop:
         for _ in range(2):
             loop = SingleFieldLoop(grid, params, 3 * x ** 3 - 3 * x ** 2,
                                    0 * x, LEFT_ROBIN, RIGHT_DIRICHLET_VALUE)
-            for k in range(300):
-                loop.step(k * grid.dt)
+            for _ in range(300):
+                loop.step()
             runs.append(loop.fields()["u"].copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 
@@ -203,10 +202,9 @@ class TestEsoLoop:
         for name, spec in (("cos", DisturbanceSpec(d_kind="cosine", frequency=2.0)),
                            ("exp", DisturbanceSpec(d_kind="exp_decay", rate=1.0))):
             loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
-                           -2 * x ** 3, 0 * x, 0 * x, 0 * x,
-                           initial_disturbance=1.0)
-            for k in range(int(round(4.0 / grid.dt))):
-                loop.step(k * grid.dt, spec)
+                           -2 * x ** 3, 0 * x, 0 * x, 0 * x, spec)
+            for _ in range(int(round(4.0 / grid.dt))):
+                loop.step()
             fields = loop.fields()
             recon[name] = fields["q"] - fields["v"] + fields["u"]
         gap = np.max(np.abs(recon["cos"] - recon["exp"]))
@@ -219,20 +217,35 @@ class TestEsoLoop:
         loop = SingleFieldLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
         e0 = loop.energy("H1")
-        for k in range(int(round(10.0 / grid.dt))):
-            loop.step(k * grid.dt)
+        for _ in range(int(round(10.0 / grid.dt))):
+            loop.step()
         assert abs(loop.energy("H1") - e0) / e0 < 1e-3
+
+
+@pytest.mark.parametrize("make", [
+    lambda grid, params, z: SingleFieldLoop(grid, params, z, z, LEFT_ROBIN, RIGHT_TIP_MASS),
+    lambda grid, params, z: ObserverLoop(grid, params, z, z, z, z),
+    lambda grid, params, z: EsoLoop(grid, params, z, z, z, z, z, z),
+], ids=["single", "observer", "eso"])
+def test_time_is_step_count_times_dt(grid, params, make):
+    """The loop's time is the recorded time k*dt, with no drift from
+    adding dt step by step."""
+    loop = make(grid, params, np.zeros(grid.n_nodes))
+    for _ in range(8000):
+        loop.step()
+    assert loop.step_index == 8000
+    assert loop.t == loop.step_index * loop.grid.dt == 8000 * grid.dt
 
 
 class TestBlowUpGuard:
     def test_blow_up_reports_step_index(self, grid, params):
         x = grid.nodes()
-        loop = SingleFieldLoop(grid, params, 8e11 * x, 0 * x,
-                               LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
         huge = DisturbanceSpec(d_kind="constant", constant=1e15)
+        loop = SingleFieldLoop(grid, params, 8e11 * x, 0 * x,
+                               LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS, huge)
         with pytest.raises(BlowUpError) as err:
-            for k in range(2000):
-                loop.step(k * grid.dt, huge)
+            for _ in range(2000):
+                loop.step()
         assert err.value.step_index >= 1
         assert err.value.value > 1e12
 
@@ -241,5 +254,5 @@ class TestBlowUpGuard:
         loop = EsoLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x)
         loop.levels.curr[1:] = 2e12  # v and q rows
         with pytest.raises(BlowUpError) as err:
-            loop.step(0.0)
+            loop.step()
         assert err.value.field_name == "v" and err.value.step_index == 1

@@ -137,9 +137,9 @@ class TestTypes:
         buffers = {id(f.prev), id(f.curr), id(f.new)}
         assert len(buffers) == 3
         f.new[:] = 2.0
-        f.rotate(0.1)
+        f.rotate()
         assert {id(f.prev), id(f.curr), id(f.new)} == buffers
-        assert f.curr[0] == 2.0 and f.prev[0] == 1.0 and f.t == 0.1
+        assert f.curr[0] == 2.0 and f.prev[0] == 1.0
 
 
 class TestInterior:
@@ -176,7 +176,7 @@ class TestInterior:
             step_interior(f, grid)
             f.new[0] = 0.0
             f.new[-1] = 0.0
-            f.rotate(grid.dt)
+            f.rotate()
         np.testing.assert_allclose(f.curr[21:-1], phi[1:-21], rtol=0, atol=5e-15)
 
     def test_shape_mismatch_raises(self, grid):
@@ -278,7 +278,7 @@ class TestDirichletTraceRight:
             step_interior(f, grid)
             apply_robin_left(f, 0.0, params, grid)
             apply_dirichlet_trace_right(f, 0.7)
-            f.rotate(grid.dt)
+            f.rotate()
         assert f.curr[-1] == 0.7
 
 
@@ -402,23 +402,64 @@ class TestStackedStep:
         assert (levels.new[2] == 7.0).all() and not (levels.new[:2] == 7.0).any()
 
 
+def backstep_row(p, w, grid, params, left, ext0, right, s0):
+    """One row's t = -dt level, one operation at a time: the reference the
+    stacked ``second_order_backstep`` must match bit for bit."""
+    dx, dt, r2 = grid.dx, grid.dt, grid.r * grid.r
+    delta = np.zeros_like(p)
+    delta[1:-1] = r2 * (p[2:] - 2.0 * p[1:-1] + p[:-2])
+    prev = p - dt * w + 0.5 * delta
+    if left == LEFT_DIRICHLET_ZERO:
+        prev[0] = 0.0
+    else:
+        accel = (2.0 * p[1] - 2.0 * p[0]
+                 - 2.0 * dx * (params.gamma * w[0] + params.beta * p[0] + ext0)) / (dx * dx)
+        prev[0] = p[0] - dt * w[0] + 0.5 * dt * dt * accel
+    if right == RIGHT_TIP_MASS:
+        tip = dt * dt * (s0 - (p[-1] - p[-2]) / dx) / (params.m + 0.5 * dx)
+        prev[-1] = p[-1] - dt * w[-1] + 0.5 * tip
+    else:
+        prev[-1] = s0
+    return prev
+
+
 class TestBackstep:
     def test_rest_start_is_position(self):
         grid = Grid(n_cells=40, r=0.5)
         params = SystemParams()
         x = grid.nodes()
-        prev = second_order_backstep(x, np.zeros_like(x), grid, params,
-                                     LEFT_DIRICHLET_ZERO, 0.0, RIGHT_TIP_MASS, 1.0)
+        prev = second_order_backstep(x[None], np.zeros((1, grid.n_nodes)), grid, params,
+                                     [LEFT_DIRICHLET_ZERO], [0.0], [RIGHT_TIP_MASS], [1.0])
         # u = x is stationary under boundary input 1: zero acceleration
-        np.testing.assert_allclose(prev, x, atol=1e-15)
+        np.testing.assert_allclose(prev[0], x, atol=1e-15)
 
     def test_velocity_enters_linearly(self):
         grid = Grid(n_cells=40, r=0.5)
         params = SystemParams()
-        x = grid.nodes()
+        x = grid.nodes()[None]
         w = np.sin(np.pi * x)
-        a = second_order_backstep(x, w, grid, params, LEFT_ROBIN, 0.0,
-                                  RIGHT_TIP_MASS, 0.0)
-        b = second_order_backstep(x, np.zeros_like(x), grid, params, LEFT_ROBIN, 0.0,
-                                  RIGHT_TIP_MASS, 0.0)
+        a = second_order_backstep(x, w, grid, params, [LEFT_ROBIN], [0.0],
+                                  [RIGHT_TIP_MASS], [0.0])
+        b = second_order_backstep(x, np.zeros_like(x), grid, params, [LEFT_ROBIN], [0.0],
+                                  [RIGHT_TIP_MASS], [0.0])
         np.testing.assert_allclose(a - b, -grid.dt * w, atol=1e-12)
+
+    @pytest.mark.parametrize("left,right", [
+        (LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS), (LEFT_DIRICHLET_ZERO, RIGHT_DIRICHLET_VALUE),
+        (LEFT_ROBIN, RIGHT_TIP_MASS), (LEFT_ROBIN, RIGHT_DIRICHLET_VALUE)])
+    def test_stacked_matches_row_by_row(self, left, right):
+        """Each row of a stacked back-step, here the middle one between rows
+        of the other kinds, equals that row's back-step on its own."""
+        grid = Grid(n_cells=37, r=0.8)
+        params = SystemParams(m=3.0, alpha=1.7, a=2.4, beta=0.9, gamma=2.1)
+        rng = np.random.default_rng(99)
+        p, w = rng.uniform(-2, 2, (2, 3, grid.n_nodes))
+        exts, inputs = rng.uniform(-3, 3, (2, 3))
+        other_left = LEFT_ROBIN if left == LEFT_DIRICHLET_ZERO else LEFT_DIRICHLET_ZERO
+        other_right = RIGHT_DIRICHLET_VALUE if right == RIGHT_TIP_MASS else RIGHT_TIP_MASS
+        lefts, rights = [other_left, left, other_left], [other_right, right, other_right]
+        stacked = second_order_backstep(p, w, grid, params, lefts, exts, rights, inputs)
+        for i in range(3):
+            expected = backstep_row(p[i], w[i], grid, params, lefts[i], exts[i],
+                                    rights[i], inputs[i])
+            np.testing.assert_array_equal(stacked[i], expected)
