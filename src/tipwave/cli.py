@@ -73,8 +73,13 @@ def _cmd_report(args) -> int:
     lines = []
     for path in paths:
         name = os.path.basename(path)[len("energy_"):-len(".csv")]
+        row, _, tag = name.rpartition("_")
+        if not row or not tag:
+            print(f"report error: {path}: expected a file name energy_<row>_<tag>.csv",
+                  file=sys.stderr)
+            return 1
         try:
-            trace = EnergyTrace.read_csv(path, space_tag=name.rsplit("_", 1)[1])
+            trace = EnergyTrace.read_csv(path, space_tag=tag)
         except (OSError, ValueError) as exc:
             print(f"report error: {exc}", file=sys.stderr)
             return 1

@@ -29,6 +29,7 @@ would be mapped and page-faulted afresh on every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +56,15 @@ class EnergyTrace:
     values: list[float] = field(default_factory=list)
 
     def append(self, t: float, value: float) -> None:
-        if self.times and t <= self.times[-1]:
-            raise ValueError(f"times must be strictly increasing, got {t}")
-        if value < 0.0:
-            raise ValueError(f"energy must be nonnegative, got {value}")
+        """Add one sample. A time that is not finite or does not exceed the
+        last one, or an energy outside [0, inf), raises ValueError; the
+        negated comparisons reject NaN too."""
+        last = self.times[-1] if self.times else -math.inf
+        if not last < t < math.inf:
+            raise ValueError(f"times must be finite and strictly increasing, got {t}")
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"energy must be {'nonnegative' if value < 0.0 else 'finite'}, "
+                             f"got {value}")
         self.times.append(t)
         self.values.append(value)
 

@@ -4,7 +4,9 @@ Three drivers share one interface (``step()``, ``t``, ``fields()``,
 ``energies()``, ``etas(states)``, ``boundary_states()``) and one
 stepper: each stores its fields as rows of one stacked array per time
 level, closed by its ``left_kinds`` and ``right_kinds``, and holds the
-``DisturbanceSpec`` it runs under, so ``step()`` takes no inputs.
+``DisturbanceSpec`` it runs under, so ``step()`` takes no inputs. Each
+steps through the ``wave_core.StepPlan`` it builds once from its grid,
+params and boundary kinds.
 
 * ``SingleFieldLoop``  one wave field with any boundary pair (open
   plant, or either error system of the estimator analysis);
@@ -20,7 +22,10 @@ step n uses samples up to t_n only (one-step explicit lag), and returns
 0 until it has enough samples to difference. Time derivatives are
 backward differences of the samples; q_tt(1) comes from differencing
 the pinned q(1) samples, never from a one-sided spatial second
-derivative.
+derivative. The sampling and the control laws write these differences
+out with the expressions of ``slope_left``, ``slope_right`` and
+``backward_time_derivative``, so they give the same bits without those
+functions' per-call checks.
 """
 
 from __future__ import annotations
@@ -39,13 +44,12 @@ from .wave_core import (
     RIGHT_TIP_MASS,
     FieldHistory,
     Grid,
+    StepPlan,
     SystemParams,
     WarmupError,
     backward_time_derivative,
-    leapfrog_step,
     second_order_backstep,
     slope_left,
-    slope_right,
 )
 
 __all__ = [
@@ -59,8 +63,6 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e12
 NO_DISTURBANCE = DisturbanceSpec()
-# node columns a boundary sample reads: three next to each end of a row
-_EDGE_NODES = np.array([0, 1, 2, -3, -2, -1])
 
 
 class BlowUpError(RuntimeError):
@@ -81,8 +83,8 @@ def control_observer(uhat1, uhatx1, dt: float, params: SystemParams) -> float:
     slope samples (oldest first)."""
     if len(uhat1) < 2:
         return 0.0
-    return (-params.alpha * backward_time_derivative(uhat1, 1, dt)
-            - params.a * backward_time_derivative(uhatx1, 1, dt))
+    return (-params.alpha * ((uhat1[-1] - uhat1[-2]) / dt)
+            - params.a * ((uhatx1[-1] - uhatx1[-2]) / dt))
 
 
 def control_eso(v1, vx1, q1, qx1, dt: float, params: SystemParams) -> float:
@@ -95,11 +97,9 @@ def control_eso(v1, vx1, q1, qx1, dt: float, params: SystemParams) -> float:
     """
     if len(v1) < 3 or len(q1) < 3:
         return 0.0
-    return (qx1[-1] + params.m * backward_time_derivative(q1, 2, dt)
-            - params.alpha * (backward_time_derivative(v1, 1, dt)
-                              - backward_time_derivative(q1, 1, dt))
-            - params.a * (backward_time_derivative(vx1, 1, dt)
-                          - backward_time_derivative(qx1, 1, dt)))
+    return (qx1[-1] + params.m * ((q1[-1] - 2.0 * q1[-2] + q1[-3]) / (dt * dt))
+            - params.alpha * ((v1[-1] - v1[-2]) / dt - (q1[-1] - q1[-2]) / dt)
+            - params.a * ((vx1[-1] - vx1[-2]) / dt - (qx1[-1] - qx1[-2]) / dt))
 
 
 def _rate(samples, dt: float) -> float:
@@ -146,6 +146,7 @@ class _StackedLoop:
         self.params = params
         self.spec = spec
         self.levels = FieldHistory(prev, curr)
+        self.plan = StepPlan(self.levels, grid, params, self.left_kinds, self.right_kinds)
         self._history: deque[tuple[float, ...]] = deque(maxlen=3)
         self._sample()
         self.step_index = 0
@@ -153,18 +154,21 @@ class _StackedLoop:
     @property
     def t(self) -> float:
         """Time of the current level, at which ``step`` evaluates f and d."""
-        return self.step_index * self.grid.dt
+        return self.step_index * self.plan.dt
 
     def fields(self) -> dict[str, NDArray[np.float64]]:
         """Current level of each stepped field (views: copy to keep)."""
         return dict(zip(self.names, self.levels.curr))
 
     def _sample(self) -> None:
-        dx = self.grid.dx
-        rows = self.levels.curr[:len(self.names)].take(_EDGE_NODES, axis=1).tolist()
+        # slope_right of each row and slope_left of the plant, written out
+        two_dx = self.plan.two_dx
+        rows = self.levels.curr.take(self.plan.edge_index).tolist()
+        first = rows[0]
         self._history.append((*[row[-1] for row in rows],
-                              *[slope_right(row, dx) for row in rows],
-                              slope_left(rows[0], dx)))
+                              *[(3.0 * row[-1] - 4.0 * row[-2] + row[-3]) / two_dx
+                                for row in rows],
+                              (-3.0 * first[0] + 4.0 * first[1] - first[2]) / two_dx))
 
     def _series(self) -> list[tuple[float, ...]]:
         """The history of each sampled quantity, oldest first, in sample order."""
@@ -184,7 +188,7 @@ class _StackedLoop:
     def _finish_step(self) -> None:
         """Guard the new level, promote it and sample its boundaries."""
         new = self.levels.new[:len(self.names)]
-        if not float(np.max(np.abs(new))) <= BLOWUP_LIMIT:
+        if not np.abs(new, out=self.plan.magnitudes).max() <= BLOWUP_LIMIT:
             for name, row in zip(self.names, new):
                 peak = float(np.max(np.abs(row)))
                 if not peak <= BLOWUP_LIMIT:
@@ -220,13 +224,12 @@ class SingleFieldLoop(_StackedLoop):
     def step(self) -> None:
         """Advance one dt with the inputs evaluated at time t."""
         s = _tip_input(self.spec, self._history[-1][0], self.t)
-        leapfrog_step(self.levels, self.grid, self.params,
-                      self.left_kinds, (0.0,), self.right_kinds, (s,))
+        self.plan.step((0.0,), (s,))
         self._finish_step()
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, eta) with eta = m * u_t(1), the plant's tip momentum."""
-        eta = self.params.m * _rate(self._series()[0], self.grid.dt)
+        eta = self.params.m * _rate(self._series()[0], self.plan.dt)
         return eta, eta
 
     def energy(self, space_tag: str) -> float:
@@ -268,18 +271,16 @@ class ObserverLoop(_StackedLoop):
     def step(self) -> None:
         """Advance plant and observer by one dt with F evaluated at time t."""
         u1, uhat1, _, uhatx1, ux0 = self._series()
-        control = control_observer(uhat1, uhatx1, self.grid.dt, self.params)
+        control = control_observer(uhat1, uhatx1, self.plan.dt, self.params)
         disturbance = _tip_input(self.spec, u1[-1], self.t)
+        self.plan.step((0.0, ux0[-1]), (control + disturbance, control))
         new = self.levels.new
-        leapfrog_step(self.levels, self.grid, self.params,
-                      self.left_kinds, (0.0, ux0[-1]),
-                      self.right_kinds, (control + disturbance, control))
-        new[2] = new[1] - new[0]
+        np.subtract(new[1], new[0], out=new[2])
         self._finish_step()
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi) = boundary-dynamics states of plant and observer."""
-        p, dt = self.params, self.grid.dt
+        p, dt = self.params, self.plan.dt
         u1, uhat1, _, uhatx1, _ = self._series()
         shared = p.a * uhatx1[-1]
         eta = p.m * _rate(u1, dt) + shared
@@ -287,7 +288,7 @@ class ObserverLoop(_StackedLoop):
         return eta, psi
 
     def etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
-        dt = self.grid.dt
+        dt = self.plan.dt
         u1, uhat1 = self._series()[:2]
         return (*states, self.params.m * (_rate(uhat1, dt) - _rate(u1, dt)))
 
@@ -321,18 +322,17 @@ class EsoLoop(_StackedLoop):
     def step(self) -> None:
         """One dt advance with uncertainty f(u(1, t)) and disturbance d(t)."""
         u1, v1, q1, _, vx1, qx1, ux0 = self._series()
-        control = control_eso(v1, vx1, q1, qx1, self.grid.dt, self.params)
+        control = control_eso(v1, vx1, q1, qx1, self.plan.dt, self.params)
         tip = control + eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.t)
-        new = self.levels.new
         # q's pinned tip is a placeholder here, set from the closed u, v rows
-        leapfrog_step(self.levels, self.grid, self.params,
-                      self.left_kinds, (0.0, ux0[-1], 0.0), self.right_kinds, (tip, control, 0.0))
+        self.plan.step((0.0, ux0[-1], 0.0), (tip, control, 0.0))
+        new = self.levels.new
         new[2, -1] = new[1, -1] - new[0, -1]
         self._finish_step()
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi): tip-dynamics states of the closed loop."""
-        p, dt = self.params, self.grid.dt
+        p, dt = self.params, self.plan.dt
         u1, _, q1, _, vx1, qx1, _ = self._series()
         slope_gap = p.a * (vx1[-1] - qx1[-1])
         eta = p.m * _rate(u1, dt) + slope_gap

@@ -25,6 +25,13 @@ values supply their time derivatives.
 Each row is closed at both ends by its own pair of boundary kinds:
 LEFT_DIRICHLET_ZERO or LEFT_ROBIN at x = 0, RIGHT_TIP_MASS or
 RIGHT_DIRICHLET_VALUE at x = 1.
+
+On a few hundred nodes a step's cost is mostly fixed Python and NumPy
+call overhead, so a loop builds one ``StepPlan`` for its levels when it
+is constructed and steps through it: the plan holds the closures'
+constants, the interior update's scratch lines and views of the level
+buffers, and re-derives none of them per step. ``leapfrog_step`` is the
+same step through a one-off plan.
 """
 
 from __future__ import annotations
@@ -40,10 +47,6 @@ LEFT_ROBIN = 1
 RIGHT_TIP_MASS = 0
 RIGHT_DIRICHLET_VALUE = 1
 
-# node columns read by the closures (0, 1, N-1, N; 0, N)
-_CLOSURE_NODES = np.array([0, 1, -2, -1])
-_END_NODES = np.array([0, -1])
-
 __all__ = [
     "SystemParams",
     "STABILITY_HYPOTHESES",
@@ -55,6 +58,7 @@ __all__ = [
     "LEFT_ROBIN",
     "RIGHT_TIP_MASS",
     "RIGHT_DIRICHLET_VALUE",
+    "StepPlan",
     "leapfrog_step",
     "backward_time_derivative",
     "slope_left",
@@ -178,6 +182,99 @@ class FieldHistory:
         self.prev, self.curr, self.new = self.curr, self.new, self.prev
 
 
+class StepPlan:
+    """One loop's leapfrog step, prepared once for its levels.
+
+    Built from the levels, the grid, the params and the boundary kinds of
+    the first ``len(left_kinds)`` rows, it holds everything a step re-uses:
+    the closures' scalar constants, two scratch lines for the interior
+    stencil, and the flat ``[1:-1]``, ``[2:]`` and ``[:-2]`` views of the
+    stepped rows of each of the three level buffers. The views are keyed
+    by buffer, so they follow ``FieldHistory.rotate``. For the loop that
+    steps through it, it also holds the flat positions of the nodes the
+    one-sided slopes read and a buffer of the rows' shape for the blow-up
+    guard. Every expression keeps the operand order of the closures it
+    implements; the constants are left-to-right prefixes of them, so a
+    planned step gives the same bits as the closures written out in full.
+    """
+
+    def __init__(self, levels: FieldHistory, grid: Grid, params: SystemParams,
+                 left_kinds: Sequence[int], right_kinds: Sequence[int]):
+        k = len(left_kinds)
+        if levels.n_nodes != grid.n_nodes:
+            raise StructuralError(f"field has {levels.n_nodes} nodes, grid expects {grid.n_nodes}")
+        if levels.curr.ndim != 2 or not 0 < k == len(right_kinds) <= len(levels.curr):
+            raise StructuralError(f"cannot step {k} rows of levels of shape {levels.curr.shape}")
+        r, dx, dt = grid.r, grid.dx, grid.dt
+        gamma, beta, m = params.gamma, params.beta, params.m
+        self.levels = levels
+        self.left_kinds, self.right_kinds = tuple(left_kinds), tuple(right_kinds)
+        self.dx, self.dt = dx, dt
+        self.r2 = r * r
+        self.gamma_r = gamma / r
+        self.two_dx_beta = 2.0 * dx * beta
+        self.two_dx = 2.0 * dx
+        self.robin_denom = 1.0 / self.r2 + gamma / r
+        self.dt2 = dt * dt
+        self.tip_mass = m + 0.5 * dx
+        n = grid.n_nodes
+        # flat positions, in each row, of the nodes the closures read from the
+        # current and the previous level, and of those the slopes read
+        starts = np.arange(k)[:, None] * n
+        self.closure_index = starts + [0, 1, n - 2, n - 1]
+        self.end_index = starts + [0, n - 1]
+        self.edge_index = starts + [0, 1, 2, n - 3, n - 2, n - 1]
+        self.scratch = (np.empty(k * n - 2), np.empty(k * n - 2))
+        self.magnitudes = np.empty((k, n))
+        self._cut_views()
+
+    def _cut_views(self) -> None:
+        # The rows are contiguous, so the stencil runs over them as one line;
+        # the values it leaves at the row ends are overwritten by the closures.
+        k = len(self.left_kinds)
+        self.views = {}
+        for buf in (self.levels.prev, self.levels.curr, self.levels.new):
+            line = buf[:k].reshape(-1)
+            self.views[id(buf)] = (line[1:-1], line[2:], line[:-2])
+
+    def __setstate__(self, state) -> None:
+        """A copied or unpickled plan cuts its views from its own levels:
+        copied views would not alias the copied buffers."""
+        self.__dict__.update(state)
+        self._cut_views()
+
+    def step(self, exts: Sequence[float], right_inputs: Sequence[float]) -> None:
+        """Fill the new level of the planned rows: row i is closed at x = 0
+        with Robin input ``exts[i]`` and at x = 1 with tip input or pinned
+        value ``right_inputs[i]``. Later rows are left untouched."""
+        levels, views = self.levels, self.views
+        prev, curr, new = levels.prev, levels.curr, levels.new
+        c_mid, c_right, c_left = views[id(curr)]
+        twice, lap = self.scratch
+        # 2 u^n - u^{n-1} + r^2 (u_{j+1} - 2 u_j + u_{j-1}), with 2 u_j formed once
+        np.multiply(2.0, c_mid, out=twice)
+        np.subtract(c_right, twice, out=lap)
+        np.add(lap, c_left, out=lap)
+        np.multiply(self.r2, lap, out=lap)
+        np.subtract(twice, views[id(prev)][0], out=twice)
+        np.add(twice, lap, out=views[id(new)][0])
+        r2, gamma_r, two_dx_beta, two_dx = self.r2, self.gamma_r, self.two_dx_beta, self.two_dx
+        robin_denom, dt2, dx, tip_mass = self.robin_denom, self.dt2, self.dx, self.tip_mass
+        rows = zip(curr.take(self.closure_index).tolist(), prev.take(self.end_index).tolist(),
+                   self.left_kinds, exts, self.right_kinds, right_inputs)
+        for i, ((c0, c1, cm, cn), (p0, pn), left, ext, right, s) in enumerate(rows):
+            if left == LEFT_ROBIN:
+                new[i, 0] = (2.0 * (c1 - c0) + (2.0 * c0 - p0) / r2
+                             + gamma_r * p0 - two_dx_beta * c0
+                             - two_dx * ext) / robin_denom
+            else:
+                new[i, 0] = 0.0
+            if right == RIGHT_TIP_MASS:
+                new[i, -1] = 2.0 * cn - pn + dt2 * (s - (cn - cm) / dx) / tip_mass
+            else:
+                new[i, -1] = s
+
+
 def leapfrog_step(levels: FieldHistory, grid: Grid, params: SystemParams,
                   left_kinds: Sequence[int], exts: Sequence[float],
                   right_kinds: Sequence[int], right_inputs: Sequence[float]) -> FieldHistory:
@@ -186,32 +283,10 @@ def leapfrog_step(levels: FieldHistory, grid: Grid, params: SystemParams,
     One interior update covers all of them. Then, in row order, row i is
     closed at x = 0 by ``left_kinds[i]`` (Robin input ``exts[i]``) and at
     x = 1 by ``right_kinds[i]``, whose tip input or pinned value is
-    ``right_inputs[i]``. Later rows are left untouched.
+    ``right_inputs[i]``. Later rows are left untouched. This is a one-off
+    ``StepPlan``; a loop builds its plan once and steps through it.
     """
-    if levels.n_nodes != grid.n_nodes:
-        raise StructuralError(f"field has {levels.n_nodes} nodes, grid expects {grid.n_nodes}")
-    r, dx, dt = grid.r, grid.dx, grid.dt
-    gamma, beta, m = params.gamma, params.beta, params.m
-    r2 = r * r
-    k = len(left_kinds)
-    p, c, out = levels.prev[:k], levels.curr[:k], levels.new[:k]
-    # The rows are contiguous, so the stencil runs over them as one line;
-    # the values it leaves at the row ends are overwritten by the closures.
-    pf, cf, outf = p.reshape(-1), c.reshape(-1), out.reshape(-1)
-    outf[1:-1] = 2.0 * cf[1:-1] - pf[1:-1] + r2 * (cf[2:] - 2.0 * cf[1:-1] + cf[:-2])
-    rows = zip(c.take(_CLOSURE_NODES, axis=1).tolist(), p.take(_END_NODES, axis=1).tolist(),
-               left_kinds, exts, right_kinds, right_inputs)
-    for i, ((c0, c1, cm, cn), (p0, pn), left, ext, right, s) in enumerate(rows):
-        if left == LEFT_ROBIN:
-            out[i, 0] = (2.0 * (c1 - c0) + (2.0 * c0 - p0) / r2
-                         + (gamma / r) * p0 - 2.0 * dx * beta * c0
-                         - 2.0 * dx * ext) / (1.0 / r2 + gamma / r)
-        else:
-            out[i, 0] = 0.0
-        if right == RIGHT_TIP_MASS:
-            out[i, -1] = 2.0 * cn - pn + dt * dt * (s - (cn - cm) / dx) / (m + 0.5 * dx)
-        else:
-            out[i, -1] = s
+    StepPlan(levels, grid, params, left_kinds, right_kinds).step(exts, right_inputs)
     return levels
 
 

@@ -151,6 +151,25 @@ class TestEnergyTrace:
         with pytest.raises(ValueError):
             tr.append(1.0, -0.5)
 
+    @pytest.mark.parametrize("t,value,message", [
+        (float("nan"), 1.0, "times must be finite and strictly increasing, got nan"),
+        (math.inf, 1.0, "times must be finite and strictly increasing, got inf"),
+        (1.0, float("nan"), "energy must be finite, got nan"),
+        (1.0, math.inf, "energy must be finite, got inf"),
+        (1.0, -0.5, "energy must be nonnegative, got -0.5"),
+    ], ids=["nan_time", "inf_time", "nan_energy", "inf_energy", "negative_energy"])
+    def test_rejects_non_finite(self, t, value, message):
+        """NaN fails every comparison, so each check is a negated one."""
+        tr = EnergyTrace("H1")
+        tr.append(0.0, 1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tr.append(t, value)
+        assert (tr.times, tr.values) == ([0.0], [1.0])
+
+    def test_rejects_nan_first_time(self):
+        with pytest.raises(ValueError, match="got nan"):
+            EnergyTrace("H1").append(float("nan"), 1.0)
+
     def test_csv_roundtrip(self, tmp_path):
         tr = EnergyTrace("Hbb")
         for k in range(5):

@@ -549,3 +549,23 @@ class TestCli:
         assert cli_main(["report", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"report error: {path}, line 2: {reason}\n"
         assert not (tmp_path / "report.txt").exists()
+
+    def test_report_nan_row(self, tmp_path, capsys):
+        """A NaN row amid a fittable trace is an error, not a fitted rate."""
+        rows = [f"{0.01 * k!r},{math.exp(-0.02 * k)!r},H1" for k in range(3000)]
+        rows[1500] = "nan,nan,H1"
+        path = tmp_path / "energy_u_H1.csv"
+        path.write_text("t,E,tag\n" + "\n".join(rows) + "\n")
+        assert cli_main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"report error: {path}, line 1502: times must be finite and strictly "
+            f"increasing, got nan\n")
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_report_tagless_file_name(self, tmp_path, capsys):
+        path = tmp_path / "energy_plain.csv"
+        path.write_text("t,E,tag\n0.0,1.0,H1\n")
+        assert cli_main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"report error: {path}: expected a file name energy_<row>_<tag>.csv\n")
+        assert not (tmp_path / "report.txt").exists()

@@ -1,13 +1,20 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tipwave import DisturbanceSpec, EsoLoop, Grid, ObserverLoop, SingleFieldLoop
+from tipwave import DisturbanceSpec, EsoLoop, Grid, ObserverLoop, SingleFieldLoop, SystemParams
 from tipwave.systems import BlowUpError, control_eso, control_observer
 from tipwave.wave_core import (
     LEFT_DIRICHLET_ZERO,
     LEFT_ROBIN,
     RIGHT_DIRICHLET_VALUE,
     RIGHT_TIP_MASS,
+    backward_time_derivative,
+    leapfrog_step,
     slope_left,
     slope_right,
 )
@@ -68,6 +75,54 @@ class TestControlEso:
     def test_warmup(self, params):
         ramp, zeros = [0.0, 1.0], [0.0, 0.0]
         assert control_eso(ramp, zeros, ramp, zeros, 0.01, params) == 0.0
+
+
+# The control laws as compositions of ``backward_time_derivative``: the
+# reference their written-out differences must match bit for bit.
+def reference_control_observer(uhat1, uhatx1, dt, params):
+    if len(uhat1) < 2:
+        return 0.0
+    return (-params.alpha * backward_time_derivative(uhat1, 1, dt)
+            - params.a * backward_time_derivative(uhatx1, 1, dt))
+
+
+def reference_control_eso(v1, vx1, q1, qx1, dt, params):
+    if len(v1) < 3 or len(q1) < 3:
+        return 0.0
+    return (qx1[-1] + params.m * backward_time_derivative(q1, 2, dt)
+            - params.alpha * (backward_time_derivative(v1, 1, dt)
+                              - backward_time_derivative(q1, 1, dt))
+            - params.a * (backward_time_derivative(vx1, 1, dt)
+                          - backward_time_derivative(qx1, 1, dt)))
+
+
+GAINS = st.floats(0.05, 20.0)
+
+
+@st.composite
+def sample_triples(draw, count):
+    """``count`` sample histories of one common length (1 to 3), oldest first."""
+    length = draw(st.integers(1, 3))
+    value = st.floats(-1e3, 1e3)
+    return [tuple(draw(st.lists(value, min_size=length, max_size=length)))
+            for _ in range(count)]
+
+
+class TestControlMatchesReference:
+    @given(samples=sample_triples(2), dt=st.floats(1e-4, 1.0), alpha=GAINS, a=GAINS)
+    @settings(max_examples=200, deadline=None)
+    def test_observer(self, samples, dt, alpha, a):
+        params = SystemParams(alpha=alpha, a=a)
+        got = control_observer(*samples, dt, params)
+        assert got.hex() == reference_control_observer(*samples, dt, params).hex()
+
+    @given(samples=sample_triples(4), dt=st.floats(1e-4, 1.0), m=GAINS, alpha=GAINS,
+           a=GAINS)
+    @settings(max_examples=200, deadline=None)
+    def test_eso(self, samples, dt, m, alpha, a):
+        params = SystemParams(m=m, alpha=alpha, a=a)
+        got = control_eso(*samples, dt, params)
+        assert got.hex() == reference_control_eso(*samples, dt, params).hex()
 
 
 class TestBoundaryStates:
@@ -235,6 +290,50 @@ def test_time_is_step_count_times_dt(grid, params, make):
         loop.step()
     assert loop.step_index == 8000
     assert loop.t == loop.step_index * loop.grid.dt == 8000 * grid.dt
+
+
+@pytest.mark.parametrize("make", [
+    lambda grid, params, x: SingleFieldLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
+                                            LEFT_ROBIN, RIGHT_TIP_MASS, SEC4_INPUTS),
+    lambda grid, params, x: ObserverLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
+                                         -2 * x ** 3, 0 * x, SEC4_INPUTS),
+    lambda grid, params, x: EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3,
+                                    0 * x, 0 * x, 0 * x, SEC4_INPUTS),
+], ids=["single", "observer", "eso"])
+def test_plan_matches_module_step(grid, params, make):
+    """A loop stepped through its plan equals a twin whose every step calls
+    ``leapfrog_step`` with the same inputs, bit for bit: the plan's cached
+    views follow the rotating level buffers."""
+    x = grid.nodes()
+    planned, twin = make(grid, params, x), make(grid, params, x)
+
+    def module_step(exts, right_inputs):
+        leapfrog_step(twin.levels, grid, params, twin.left_kinds, exts,
+                      twin.right_kinds, right_inputs)
+
+    twin.plan.step = module_step
+    for _ in range(60):
+        planned.step()
+        twin.step()
+    assert planned.levels.prev.tobytes() == twin.levels.prev.tobytes()
+    assert planned.levels.curr.tobytes() == twin.levels.curr.tobytes()
+    assert list(planned._history) == list(twin._history)
+    assert planned.levels.curr[:, -1].any()
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda loop: pickle.loads(pickle.dumps(loop))],
+                         ids=["deepcopy", "pickle"])
+def test_copied_loop_steps_like_original(grid, params, clone):
+    x = grid.nodes()
+    loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3, 0 * x, 0 * x, 0 * x,
+                   SEC4_INPUTS)
+    loop.step()
+    twin = clone(loop)
+    for _ in range(10):
+        loop.step()
+        twin.step()
+    assert twin.levels.curr.tobytes() == loop.levels.curr.tobytes()
+    assert list(twin._history) == list(loop._history)
 
 
 class TestBlowUpGuard:

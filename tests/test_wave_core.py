@@ -11,6 +11,7 @@ from tipwave.wave_core import (
     LEFT_ROBIN,
     RIGHT_DIRICHLET_VALUE,
     RIGHT_TIP_MASS,
+    StepPlan,
     StructuralError,
     WarmupError,
     backward_time_derivative,
@@ -393,6 +394,13 @@ class TestStackedStep:
             else:
                 apply_dirichlet_trace_right(row, rins[i])
             np.testing.assert_array_equal(stacked.new[i], row.new)
+
+    def test_plan_rejects_bad_shapes(self, grid, params):
+        rows = FieldHistory(np.zeros((2, grid.n_nodes)), np.zeros((2, grid.n_nodes)))
+        with pytest.raises(StructuralError, match="cannot step 3 rows"):
+            StepPlan(rows, grid, params, [LEFT_ROBIN] * 3, [RIGHT_TIP_MASS] * 3)
+        with pytest.raises(StructuralError, match="nodes, grid expects"):
+            StepPlan(rows, Grid(n_cells=50), params, [LEFT_ROBIN], [RIGHT_TIP_MASS])
 
     def test_leaves_unstepped_rows_alone(self, grid, params):
         levels = FieldHistory(np.ones((3, grid.n_nodes)), np.ones((3, grid.n_nodes)))
