@@ -11,7 +11,7 @@ and advances them with a single NumPy leapfrog stepper.
 """
 
 from .wave_core import FieldHistory, Grid, SystemParams
-from .energy import EnergyTrace, energy, fit_decay_rate
+from .energy import EnergyTrace, fit_decay_rate
 from .signals import DisturbanceSpec, eval_d, eval_f
 from .spectral import (
     CharFamily,
@@ -40,7 +40,6 @@ __all__ = [
     "Grid",
     "SystemParams",
     "EnergyTrace",
-    "energy",
     "fit_decay_rate",
     "DisturbanceSpec",
     "eval_d",

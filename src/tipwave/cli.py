@@ -4,7 +4,8 @@
     tipwave spectrum --family {A2,A,Abb} [--n-max K] CONFIG [--out DIR]
     tipwave report OUTDIR
 
-Exit codes: 0 success, 1 config error (for report, a malformed trace),
+Exit codes: 0 success, 1 config error (for spectrum, also a contour
+sweep that fails; for report, a malformed trace),
 2 numerical blow-up, 3 configured acceptance threshold failed.
 """
 
@@ -17,6 +18,7 @@ import sys
 
 from .energy import EnergyTrace, NoFitError, fit_decay_rate
 from .scenarios import ConfigError, parse_config, run_scenario
+from .spectral import ContourError
 from .systems import BlowUpError
 
 
@@ -58,7 +60,11 @@ def _cmd_spectrum(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    result = run_scenario(config, out_dir=args.out)
+    try:
+        result = run_scenario(config, out_dir=args.out)
+    except ContourError as exc:
+        print(f"spectral error: {exc}", file=sys.stderr)
+        return 1
     for tag, value in result.abscissae.items():
         print(f"spectral abscissa {tag} = {value!r}")
     print(f"artifacts written to {result.out_dir}")

@@ -16,15 +16,20 @@ the half step t - dt/2 and keeps the estimator second-order accurate
 
 ``energies`` measures one level of a loop's stacked rows, or a block of
 levels along any leading axes, with the same array expressions either
-way; every array operation writes into three work buffers of the
-block's shape. A run records an energy every step, and at a few hundred
-nodes one call is mostly fixed per-operation overhead, so an
-``EnergyRecorder`` keeps the recorded levels in a ring and measures them
-one block at a time. A block is capped at ``ENERGY_BLOCK_BYTES`` of
-levels: the ring and buffers are then allocated once per run and cost
-about 0.5 MB, while an uncapped block at 1601 nodes would leave the
-cache, and per-call temporaries above glibc's 128 KiB mmap threshold
-would be mapped and page-faulted afresh on every call.
+way. A block takes 12 full-size array passes, every one of them written
+into one of two work buffers of the block's shape: the first holds the
+sum of the two levels and then the velocity, the second the slope. A
+run records an energy every step, and at a few hundred nodes one call
+is mostly fixed per-operation overhead, so an ``EnergyRecorder`` keeps
+the recorded levels in a ring and measures them one block at a time. A
+block is capped at ``ENERGY_BLOCK_BYTES`` (192 KiB) of levels: 81
+levels of 3 x 101 nodes, or 5 of 3 x 1601. The ring and buffers are then
+allocated once per run and cost about 0.6 MB at 3 x 1601 nodes (16
+levels), while an uncapped block at 1601 nodes would leave the cache,
+and per-call temporaries above glibc's 128 KiB mmap threshold would be
+mapped and page-faulted afresh on every call. The recorder's buffers
+start on a 64-byte boundary: on an AVX-512 host, a NumPy pass whose
+output did not took up to 2.5x as long.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ __all__ = ["EnergyTrace", "EnergyRecorder", "NoFitError", "energy", "energies",
            "fit_decay_rate", "envelope_samples", "fit_envelope_rate"]
 
 SPACE_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
-ENERGY_BLOCK_BYTES = 128 * 1024
+ENERGY_BLOCK_BYTES = 192 * 1024
 
 
 class NoFitError(RuntimeError):
@@ -104,63 +109,73 @@ def energies(space_tags, prev, curr, etas, params: SystemParams, grid: Grid,
     """Discrete energies of stacked rows of levels, in one pass.
 
     ``prev`` and ``curr`` have shape (..., rows, N+1): one level of a
-    stack of rows, or a block of them along any leading axes.
-    Row i is measured in ``space_tags[i]`` with boundary-dynamics state
-    ``etas[..., i]`` (0 where the tag has none). f' is differenced
-    centrally at interior nodes and one-sided at the ends; the integral
-    is a trapezoid over the nodes. Returns nested lists of floats of
-    shape (..., rows). ``work`` is three C-contiguous float arrays of the
-    levels' shape, allocated here when not given; every array operation
-    writes into them.
+    stack of rows, or a block of them along any leading axes, with N+1
+    the grid's node count. Row i is measured in ``space_tags[i]`` with
+    boundary-dynamics state ``etas[..., i]`` (0 where the tag has none).
+    f' is differenced centrally at interior nodes and one-sided at the
+    ends; the integral is a trapezoid over the nodes. Returns nested
+    lists of floats of shape (..., rows). ``work`` is two C-contiguous
+    float arrays of the levels' shape, allocated here when not given;
+    every full-size array operation writes into them.
     """
     for tag in space_tags:
         if tag not in SPACE_TAGS:
             raise ValueError(f"unknown space tag {tag!r}; expected one of {SPACE_TAGS}")
     shape = prev.shape
-    if curr.shape != shape or len(shape) < 2 or shape[-2] != len(space_tags):
-        raise ValueError(f"levels must both have shape (..., {len(space_tags)}, nodes), "
-                         f"got {prev.shape} and {curr.shape}")
+    if (curr.shape != shape or len(shape) < 2
+            or shape[-2:] != (len(space_tags), grid.n_nodes)):
+        raise ValueError(f"levels must both have shape (..., {len(space_tags)}, "
+                         f"{grid.n_nodes}), got {prev.shape} and {curr.shape}")
     if work is None:
-        work = [np.empty(shape) for _ in range(3)]
-    if any(buf.shape != shape or not buf.flags.c_contiguous for buf in work):
-        raise ValueError(f"work buffers must be C-contiguous with shape {shape}")
-    f, g, fp = work
+        work = [np.empty(shape) for _ in range(2)]
+    if len(work) != 2 or any(buf.shape != shape or not buf.flags.c_contiguous
+                             for buf in work):
+        raise ValueError(f"work buffers must be two C-contiguous arrays of shape {shape}")
+    s, fp = work
     dx, dt = grid.dx, grid.dt
-    np.add(curr, prev, out=f)
-    np.multiply(0.5, f, out=f)
+    # s = 2f; a difference of s over 4*dx is the same difference of f over
+    # 2*dx, bit for bit, since halving is exact (a subnormal s rounds, but
+    # there f' squares to 0 either way)
+    np.add(curr, prev, out=s)
+    f0s = np.multiply(0.5, s[..., 0]).ravel().tolist()
     # central differences over all rows as one line; the row ends are
     # overwritten by the one-sided differences below
-    ff, fpf = f.reshape(-1), fp.reshape(-1)
-    np.subtract(ff[2:], ff[:-2], out=fpf[1:-1])
-    np.divide(fpf[1:-1], 2.0 * dx, out=fpf[1:-1])
-    # g's end columns are scratch until g is formed
+    sf, fpf = s.reshape(-1), fp.reshape(-1)
+    np.subtract(sf[2:], sf[:-2], out=fpf[1:-1])
+    np.divide(fpf[1:-1], 4.0 * dx, out=fpf[1:-1])
+    # each end column of s is scratch once the one-sided difference has
+    # read it; the grid's four or more nodes keep the two ends apart
     lo, hi = fp[..., 0], fp[..., -1]
-    np.multiply(-3.0, f[..., 0], out=lo)
-    np.add(lo, np.multiply(4.0, f[..., 1], out=g[..., 0]), out=lo)
-    np.subtract(lo, f[..., 2], out=lo)
-    np.divide(lo, 2.0 * dx, out=lo)
-    np.multiply(3.0, f[..., -1], out=hi)
-    np.subtract(hi, np.multiply(4.0, f[..., -2], out=g[..., -1]), out=hi)
-    np.add(hi, f[..., -3], out=hi)
-    np.divide(hi, 2.0 * dx, out=hi)
+    np.multiply(-3.0, s[..., 0], out=lo)
+    np.add(lo, np.multiply(4.0, s[..., 1], out=s[..., 0]), out=lo)
+    np.subtract(lo, s[..., 2], out=lo)
+    np.divide(lo, 4.0 * dx, out=lo)
+    np.multiply(3.0, s[..., -1], out=hi)
+    np.subtract(hi, np.multiply(4.0, s[..., -2], out=s[..., -1]), out=hi)
+    np.add(hi, s[..., -3], out=hi)
+    np.divide(hi, 4.0 * dx, out=hi)
+    # s is spent: g goes into its buffer
+    g = s
     np.subtract(curr, prev, out=g)
     np.divide(g, dt, out=g)
-    # integrand fp*fp + g*g in fp; np.trapezoid's (dx * (y[1:] + y[:-1])) / 2.0 in g
+    # integrand fp*fp + g*g in fp; np.trapezoid's (dx * (y[1:] + y[:-1])) / 2.0
+    # in g, halving by * 0.5, which rounds as / 2.0 does. The pairs run over
+    # all rows as one line too: each row's last column pairs two rows and is
+    # left out of the sum
     np.multiply(fp, fp, out=fp)
     np.multiply(g, g, out=g)
     np.add(fp, g, out=fp)
-    pairs = g[..., :-1]
-    np.add(fp[..., 1:], fp[..., :-1], out=pairs)
+    pairs = g.reshape(-1)[:-1]
+    np.add(fpf[1:], fpf[:-1], out=pairs)
     np.multiply(dx, pairs, out=pairs)
-    np.divide(pairs, 2.0, out=pairs)
-    totals = np.add.reduce(pairs, axis=-1)
+    np.multiply(pairs, 0.5, out=pairs)
+    totals = np.add.reduce(g[..., :-1], axis=-1)
     eta_values = np.asarray(etas, dtype=float)
     if eta_values.shape != totals.shape:
         raise ValueError(f"etas must have shape {totals.shape}, got {eta_values.shape}")
     out = []
     for tag, eta, total, f0 in zip(tuple(space_tags) * (totals.size // len(space_tags)),
-                                   eta_values.ravel().tolist(), totals.ravel().tolist(),
-                                   f[..., 0].ravel().tolist()):
+                                   eta_values.ravel().tolist(), totals.ravel().tolist(), f0s):
         if tag == "H1":
             total += eta * eta / params.m
         elif tag == "H2":
@@ -177,6 +192,14 @@ def energy(space_tag: str, prev, curr, eta: float,
            params: SystemParams, grid: Grid) -> float:
     """Discrete energy of one field's two completed levels (see ``energies``)."""
     return energies((space_tag,), prev[None], curr[None], (eta,), params, grid)[0]
+
+
+def _aligned_empty(shape):
+    """An uninitialised float array that starts on a 64-byte boundary."""
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size].reshape(shape)
 
 
 class EnergyRecorder:
@@ -200,7 +223,7 @@ class EnergyRecorder:
         # slot 0 holds the level before the block's first record
         self.ring = np.empty((self.size + 1, *prev.shape))
         self.ring[0] = prev
-        self.work = [np.empty((self.size, *prev.shape)) for _ in range(3)]
+        self.work = [_aligned_empty((self.size, *prev.shape)) for _ in range(2)]
         self.times: list[float] = []
         self.etas: list = []
 

@@ -120,8 +120,6 @@ class ScenarioConfig:
             violations.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not self.horizon > 0:
             violations.append(f"horizon must be positive, got {self.horizon}")
-        if self.n_cells < 10:
-            violations.append(f"n_cells must be >= 10, got {self.n_cells}")
         if self.threshold_bounded_factor is not None and self.horizon <= _EARLY_WINDOW:
             violations.append(
                 f"threshold_bounded_factor needs horizon > {_EARLY_WINDOW} (its early "
@@ -327,17 +325,20 @@ class _SnapshotWriter:
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
-    """Run one scenario and write its artifact set."""
+    """Run one scenario and write its artifact set. A spectrum whose
+    contour sweep fails raises ``spectral.ContourError`` before the output
+    directory is created."""
     out = out_dir if out_dir is not None else config.out_dir
-    os.makedirs(out, exist_ok=True)
     if config.mode == "spectrum":
         return _run_spectrum(config, out)
+    os.makedirs(out, exist_ok=True)
     return _run_time_domain(config, out)
 
 
 def _run_spectrum(config: ScenarioConfig, out: str) -> ScenarioResult:
     family = spectral.CharFamily(config.family, config.params())
     spectrum = spectral.compute_spectrum(family, n_max=config.n_max)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"spectrum_{config.family}.csv")
     spectrum.write_csv(path)
     abscissa = spectrum.abscissa()
@@ -417,6 +418,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
             pass
 
     abscissae: dict[str, float] = {}
+    warnings = config.warnings
     if config.spectral_summary and loop.families:
         try:
             fams = [spectral.CharFamily(tag, loop.params) for tag in loop.families]
@@ -425,9 +427,12 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
             abscissae["combined"] = max(abscissae.values())
         except spectral.HypothesisError:
             pass  # counterexample configs may violate the hypotheses
+        except spectral.ContourError as exc:
+            abscissae.clear()
+            warnings.append(f"spectral summary skipped: {exc}")
 
     failures = _check_thresholds(config, traces, boundary)
-    lines = _summary_lines(config, traces, boundary, fitted, abscissae, failures)
+    lines = _summary_lines(config, traces, boundary, fitted, abscissae, warnings, failures)
     summary_path = _write_summary(out, config, lines)
     return ScenarioResult(config=config, out_dir=out, energy_traces=traces,
                           boundary=boundary, fitted_rates=fitted,
@@ -465,7 +470,7 @@ def _check_thresholds(config, traces, boundary) -> list[str]:
     return failures
 
 
-def _summary_lines(config, traces, boundary, fitted, abscissae, failures):
+def _summary_lines(config, traces, boundary, fitted, abscissae, warnings, failures):
     lines = [f"mode = {config.mode}"]
     for key in sorted(traces):
         trace = traces[key]
@@ -481,7 +486,7 @@ def _summary_lines(config, traces, boundary, fitted, abscissae, failures):
         lines.append(f"max |psi| = {float(psi.max())!r}, final |psi| = {float(psi[-1])!r}")
     for tag in sorted(abscissae):
         lines.append(f"spectral abscissa {tag} = {abscissae[tag]!r}")
-    for msg in config.warnings:
+    for msg in warnings:
         lines.append(f"warning: {msg}")
     if failures:
         for msg in failures:

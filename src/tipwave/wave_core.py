@@ -130,10 +130,13 @@ class Grid:
     r: float = 0.5
 
     def __post_init__(self):
+        problems = []
         if self.n_cells < 3:
-            raise StructuralError(f"grid too coarse: n_cells={self.n_cells} < 3")
+            problems.append(f"grid too coarse: n_cells={self.n_cells} < 3")
         if not 0.0 < self.r <= 1.0:
-            raise StructuralError(f"Courant ratio must satisfy 0 < r <= 1, got {self.r}")
+            problems.append(f"Courant ratio must satisfy 0 < r <= 1, got {self.r}")
+        if problems:
+            raise StructuralError("; ".join(problems))
 
     @property
     def dx(self) -> float:

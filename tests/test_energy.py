@@ -1,22 +1,91 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tipwave import EnergyTrace, Grid, SystemParams, energy, fit_decay_rate
+from tipwave import EnergyTrace, Grid, SystemParams, fit_decay_rate
 from tipwave.energy import (
     ENERGY_BLOCK_BYTES,
     SPACE_TAGS,
     EnergyRecorder,
     NoFitError,
     energies,
+    energy,
     envelope_samples,
     fit_envelope_rate,
 )
 
 ALL_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
+
+
+def thirteen_pass_energies(space_tags, prev, curr, etas, params, grid):
+    """The energies as three work buffers and 13 full-size passes formed
+    them before the two-buffer pass, kept as the bit-for-bit oracle."""
+    shape = prev.shape
+    work = [np.empty(shape) for _ in range(3)]
+    f, g, fp = work
+    dx, dt = grid.dx, grid.dt
+    np.add(curr, prev, out=f)
+    np.multiply(0.5, f, out=f)
+    # central differences over all rows as one line; the row ends are
+    # overwritten by the one-sided differences below
+    ff, fpf = f.reshape(-1), fp.reshape(-1)
+    np.subtract(ff[2:], ff[:-2], out=fpf[1:-1])
+    np.divide(fpf[1:-1], 2.0 * dx, out=fpf[1:-1])
+    # g's end columns are scratch until g is formed
+    lo, hi = fp[..., 0], fp[..., -1]
+    np.multiply(-3.0, f[..., 0], out=lo)
+    np.add(lo, np.multiply(4.0, f[..., 1], out=g[..., 0]), out=lo)
+    np.subtract(lo, f[..., 2], out=lo)
+    np.divide(lo, 2.0 * dx, out=lo)
+    np.multiply(3.0, f[..., -1], out=hi)
+    np.subtract(hi, np.multiply(4.0, f[..., -2], out=g[..., -1]), out=hi)
+    np.add(hi, f[..., -3], out=hi)
+    np.divide(hi, 2.0 * dx, out=hi)
+    np.subtract(curr, prev, out=g)
+    np.divide(g, dt, out=g)
+    # integrand fp*fp + g*g in fp; np.trapezoid's (dx * (y[1:] + y[:-1])) / 2.0 in g
+    np.multiply(fp, fp, out=fp)
+    np.multiply(g, g, out=g)
+    np.add(fp, g, out=fp)
+    pairs = g[..., :-1]
+    np.add(fp[..., 1:], fp[..., :-1], out=pairs)
+    np.multiply(dx, pairs, out=pairs)
+    np.divide(pairs, 2.0, out=pairs)
+    totals = np.add.reduce(pairs, axis=-1)
+    eta_values = np.asarray(etas, dtype=float)
+    out = []
+    for tag, eta, total, f0 in zip(tuple(space_tags) * (totals.size // len(space_tags)),
+                                   eta_values.ravel().tolist(), totals.ravel().tolist(),
+                                   f[..., 0].ravel().tolist()):
+        if tag == "H1":
+            total += eta * eta / params.m
+        elif tag == "H2":
+            total += params.beta * f0 * f0 + eta * eta / params.m
+        elif tag == "H":
+            total += eta * eta / (params.m + params.alpha * params.a)
+        elif tag == "Hbb1":
+            total += params.beta * f0 * f0
+        out.append(total)
+    return np.reshape(out, totals.shape).tolist()
+
+
+def log_uniform(rng, shape, lo_exp, hi_exp, zero_share):
+    """Signed values with log10-magnitudes uniform on [lo_exp, hi_exp] and
+    about ``zero_share`` of them exactly zero."""
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(lo_exp, hi_exp, shape)
+    values[rng.random(shape) < zero_share] = 0.0
+    return values
+
+
+def test_module_import_gives_module():
+    """The package re-exports no function under a submodule's name."""
+    import tipwave.energy as m
+    assert m is sys.modules["tipwave.energy"]
+    assert m.EnergyRecorder is EnergyRecorder
 
 
 class TestEnergy:
@@ -66,23 +135,49 @@ class TestEnergy:
         grid, params = Grid(n_cells=n, r=0.5), SystemParams()
         prev, curr = rng.normal(size=(2, k, rows, n + 1))
         etas = rng.normal(size=(k, rows))
-        work = [np.full((k, rows, n + 1), np.nan) for _ in range(3)]
+        work = [np.full((k, rows, n + 1), np.nan) for _ in range(2)]
         block = energies(tags, prev, curr, etas.tolist(), params, grid, work=work)
         single = [energies(tags, p, c, tuple(e), params, grid)
                   for p, c, e in zip(prev, curr, etas.tolist())]
         assert block == single
         assert all(type(e) is float for row in block for e in row)
 
+    @given(k=st.integers(1, 8), rows=st.integers(1, 3), n=st.sampled_from([10, 37, 100]),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_thirteen_pass_formula(self, k, rows, n, data):
+        """Every energy has the bits of the three-buffer, 13-pass formula,
+        down to levels whose squares are subnormal or vanish."""
+        tags = data.draw(st.lists(st.sampled_from(SPACE_TAGS), min_size=rows, max_size=rows))
+        lo_exp = data.draw(st.floats(-200.0, 6.0))
+        hi_exp = data.draw(st.floats(lo_exp, 6.0))
+        zero_share = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        grid, params = Grid(n_cells=n, r=0.5), SystemParams()
+        prev, curr = log_uniform(rng, (2, k, rows, n + 1), lo_exp, hi_exp, zero_share)
+        etas = log_uniform(rng, (k, rows), lo_exp, hi_exp, zero_share).tolist()
+        expected = thirteen_pass_energies(tags, prev, curr, etas, params, grid)
+        work = [np.full((k, rows, n + 1), np.nan) for _ in range(2)]
+        for got in (energies(tags, prev, curr, etas, params, grid, work=work),
+                    energies(tags, prev, curr, etas, params, grid)):
+            assert [[e.hex() for e in row] for row in got] == \
+                [[e.hex() for e in row] for row in expected]
+
     def test_rejects_mismatched_work_and_etas(self, grid, params):
         level = np.zeros((3, grid.n_nodes))
         tags = ("H1", "H2", "Hbb1")
         with pytest.raises(ValueError, match="work buffers"):
             energies(tags, level, level, (0.0,) * 3, params, grid,
-                     work=[np.empty((3, grid.n_nodes - 1))] * 3)
+                     work=[np.empty((3, grid.n_nodes - 1))] * 2)
+        with pytest.raises(ValueError, match="work buffers"):
+            energies(tags, level, level, (0.0,) * 3, params, grid,
+                     work=[np.empty(level.shape) for _ in range(3)])
         with pytest.raises(ValueError, match="etas"):
             energies(tags, level, level, (0.0,) * 2, params, grid)
         with pytest.raises(ValueError, match="levels"):
             energies(tags[:2], level, level, (0.0,) * 2, params, grid)
+        with pytest.raises(ValueError, match="levels"):
+            energies(tags, level[:, 1:], level[:, 1:], (0.0,) * 3, params, grid)
 
     def test_unknown_tag(self, grid, params):
         f = np.zeros(grid.n_nodes)
@@ -119,21 +214,21 @@ class TestEnergyRecorder:
             grid = Grid(n_cells=n_cells, r=0.5)
             prev = np.zeros((rows, grid.n_nodes))
             sizes.append(EnergyRecorder([EnergyTrace("Hbb")] * rows, prev, params, grid).size)
-        assert ENERGY_BLOCK_BYTES == 128 * 1024
-        assert sizes == [54, 3, 1]
+        assert ENERGY_BLOCK_BYTES == 192 * 1024
+        assert sizes == [81, 5, 1]
 
     def test_records_match_per_level_calls(self, grid, params):
         """Pushed levels reach the traces in record order, each measured
         against the level before it, across full blocks and a partial one."""
         rng = np.random.default_rng(11)
         tags = ("H1", "H2", "Hbb1")
-        levels = rng.normal(size=(2 * 54 + 10, 3, grid.n_nodes))
+        levels = rng.normal(size=(2 * 81 + 10, 3, grid.n_nodes))
         etas = rng.normal(size=(len(levels), 3)).tolist()
         traces = [EnergyTrace(tag) for tag in tags]
         recorder = EnergyRecorder(traces, levels[0], params, grid)
         for k in range(1, len(levels)):
             recorder.push(k * grid.dt, levels[k], etas[k])
-        assert len(traces[0]) == 2 * 54
+        assert len(traces[0]) == 2 * 81
         recorder.flush()
         recorder.flush()
         expected = [energies(tags, levels[k - 1], levels[k], etas[k], params, grid)

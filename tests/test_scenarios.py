@@ -71,10 +71,10 @@ class TestParse:
 
     def test_all_violations_collected(self):
         with pytest.raises(ConfigError) as err:
-            parse_config("mode = warp\nr = 1.5\nn_cells = 4\nwibble = 3\n"
+            parse_config("mode = warp\nr = 1.5\nn_cells = 2\nwibble = 3\n"
                          "m = -1\nbeta = 0\n")
         text = str(err.value)
-        for frag in ("warp", "Courant", "n_cells", "wibble",
+        for frag in ("warp", "Courant", "grid too coarse", "wibble",
                      "m must be positive, got -1.0", "beta must be positive, got 0.0"):
             assert frag in text
 
@@ -110,6 +110,12 @@ class TestParse:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(**kwargs)
         assert err.value.violations == [message]
+
+    def test_grid_rule_is_the_only_minimum(self):
+        """Grid's n_cells >= 3 is the one minimum, reported through the config."""
+        with pytest.raises(ConfigError) as err:
+            parse_config("preset = reproduce_sec4\nn_cells = 2\n")
+        assert err.value.violations == ["grid too coarse: n_cells=2 < 3"]
 
     def test_infinite_horizon_from_text(self):
         with pytest.raises(ConfigError) as err:
@@ -293,6 +299,23 @@ class TestRunScenario:
         for key, trace in result.energy_traces.items():
             assert trace.times == times
             assert trace.values == expected[key], key
+
+    def test_coarsest_grid_runs(self, tmp_path):
+        cfg = parse_config("preset = reproduce_sec4\nn_cells = 3\nhorizon = 0.5\n")
+        result = run_scenario(cfg, out_dir=str(tmp_path / "out"))
+        assert len(result.energy_traces["u_H1"]) == 1 + int(round(0.5 / (0.5 / 3)))
+        assert "spectral abscissa combined" in (tmp_path / "out" / "summary.txt").read_text()
+
+    def test_contour_failure_skips_spectral_summary(self, tmp_path):
+        """Abb's contour sweep fails at gamma = 1.0001: the run still writes
+        its summary, with a warning in place of the abscissae."""
+        cfg = parse_config("preset = reproduce_sec4\ngamma = 1.0001\nhorizon = 0.2\n")
+        result = run_scenario(cfg, out_dir=str(tmp_path / "out"))
+        assert result.abscissae == {}
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert "warning: spectral summary skipped: could not separate contour from zeros" \
+            in summary
+        assert not any(line.startswith("spectral abscissa") for line in summary)
 
     def test_snapshots_closed_on_blow_up(self, tmp_path):
         """While a blow-up is being handled, each snapshot file already
@@ -514,6 +537,15 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert "m != a" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_spectrum_contour_failure(self, tmp_path, capsys):
+        """A failed contour sweep is one line and exit 1, with no output directory."""
+        cfg = self.write_cfg(tmp_path, "gamma = 1.0001\n")
+        code = cli_main(["spectrum", "--family", "Abb", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "spectral error: could not separate contour from zeros\n"
         assert not (tmp_path / "out").exists()
 
     def test_spectrum_subcommand(self, tmp_path, capsys):
