@@ -5,8 +5,10 @@
     tipwave report OUTDIR
 
 Exit codes: 0 success, 1 config error (for spectrum, also a contour
-sweep that fails; for report, a malformed trace),
-2 numerical blow-up, 3 configured acceptance threshold failed.
+sweep that fails or a branch left without a root; for report, a
+malformed trace), 2 numerical blow-up, 3 configured acceptance
+threshold failed. A simulate run whose spectral summary is skipped
+still exits 0, with a ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -33,13 +35,17 @@ def _cmd_simulate(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    for msg in config.warnings:
+    printed = config.warnings
+    for msg in printed:
         print(f"warning: {msg}", file=sys.stderr)
     try:
         result = run_scenario(config, out_dir=args.out)
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 2
+    for msg in result.warnings:
+        if msg not in printed:
+            print(f"warning: {msg}", file=sys.stderr)
     print(f"artifacts written to {result.out_dir}")
     if result.threshold_failures:
         for msg in result.threshold_failures:

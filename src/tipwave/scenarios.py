@@ -28,7 +28,7 @@ import dataclasses
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -303,6 +303,7 @@ class ScenarioResult:
     abscissae: dict[str, float]
     threshold_failures: list[str]
     summary_path: str
+    warnings: list[str] = field(default_factory=list)  # summary.txt's warning lines
 
 
 class _SnapshotWriter:
@@ -326,8 +327,10 @@ class _SnapshotWriter:
 
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
     """Run one scenario and write its artifact set. A spectrum whose
-    contour sweep fails raises ``spectral.ContourError`` before the output
-    directory is created."""
+    contour sweep fails or leaves a branch without a root raises
+    ``spectral.ContourError`` before the output directory is created; a
+    time-domain run records it in ``warnings`` and skips the spectral
+    summary."""
     out = out_dir if out_dir is not None else config.out_dir
     if config.mode == "spectrum":
         return _run_spectrum(config, out)
@@ -437,7 +440,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     return ScenarioResult(config=config, out_dir=out, energy_traces=traces,
                           boundary=boundary, fitted_rates=fitted,
                           abscissae=abscissae, threshold_failures=failures,
-                          summary_path=summary_path)
+                          summary_path=summary_path, warnings=warnings)
 
 
 def _check_thresholds(config, traces, boundary) -> list[str]:

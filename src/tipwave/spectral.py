@@ -28,6 +28,17 @@ function and their residuals are reported relative to the local term
 magnitude: at |L| ~ 300 the raw residual of an exact root already sits
 near 1e-10 from double-precision cancellation alone, so an absolute raw
 threshold would be meaningless there.
+
+Each CharFamily builds its evaluators once, in pure Python scalars, with
+the gain constants (1 +- g, a +- m, ...) folded in: ``scaled`` gives the
+rescaled value and its magnitude scale (the contour sweep calls it once
+per point), and ``newton_quotient`` gives a Newton step from one
+exponential shared by value and derivative. Every value has the bits of
+the formulas as written above; no NumPy runs per point.
+
+``compute_spectrum`` checks that every branch |n| <= n_max holds a root
+and raises ContourError naming any branch that holds none, so a root
+that slips between the sweep and the ladder is reported, not dropped.
 """
 
 from __future__ import annotations
@@ -70,11 +81,104 @@ class HypothesisError(ValueError):
 
 
 class ContourError(RuntimeError):
-    """Argument-principle contour could not be evaluated reliably."""
+    """Argument-principle contour could not be evaluated reliably, or the
+    enumeration left a branch |n| <= n_max without a root."""
+
+
+def _overflow(lam: complex):
+    return OverflowError(f"characteristic function not evaluated at Re={lam.real}")
+
+
+def _a2_evaluators(p: SystemParams):
+    gp, gm, b, m = 1 + p.gamma, 1 - p.gamma, p.beta, p.m
+    exp = cmath.exp
+
+    def scaled(lam):
+        if lam.real > 300.0:
+            raise _overflow(lam)
+        e2 = exp(2 * lam)
+        t1 = e2 * (gp * lam + b) * (1 + m * lam)
+        t2 = (gm * lam - b) * (1 - m * lam)
+        return t1 - t2, 1.0 + abs(t1) + abs(t2)
+
+    def newton_quotient(lam):
+        if lam.real > 300.0:
+            raise _overflow(lam)
+        e2 = exp(2 * lam)
+        cp, mp = gp * lam + b, 1 + m * lam
+        cm, mm = gm * lam - b, 1 - m * lam
+        deriv = e2 * (2 * (cp * mp) + (gp * mp + m * cp)) - (gm * mm - m * cm)
+        if deriv == 0:
+            return None
+        return (e2 * cp * mp - cm * mm) / deriv
+
+    return scaled, newton_quotient
+
+
+def _a_evaluators(p: SystemParams):
+    ap, am, sp, sm = 1 + p.alpha, 1 - p.alpha, p.a + p.m, p.a - p.m
+    exp = cmath.exp
+
+    def scaled(lam):
+        if lam.real > 300.0:
+            raise _overflow(lam)
+        t1 = exp(2 * lam) * (ap + sp * lam)
+        t2 = am + sm * lam
+        return t1 + t2, 1.0 + abs(t1) + abs(t2)
+
+    def newton_quotient(lam):
+        if lam.real > 300.0:
+            raise _overflow(lam)
+        e2 = exp(2 * lam)
+        lead = ap + sp * lam
+        deriv = e2 * (2 * lead + sp) + sm
+        if deriv == 0:
+            return None
+        return (e2 * lead + (am + sm * lam)) / deriv
+
+    return scaled, newton_quotient
+
+
+def _abb_evaluators(p: SystemParams):
+    g, b = p.gamma, p.beta
+    exp = cmath.exp
+
+    def scaled(lam):
+        if lam.real > 300.0:
+            raise _overflow(lam)
+        e2 = exp(2 * lam)
+        t1 = lam * (e2 + 1)
+        t2 = (g * lam + b) * (e2 - 1)
+        return t1 + t2, 1.0 + abs(t1) + abs(t2)
+
+    def newton_quotient(lam):
+        if lam.real > 300.0:
+            raise _overflow(lam)
+        two_lam = 2 * lam
+        e2 = exp(two_lam)
+        ep, em, c = e2 + 1, e2 - 1, g * lam + b
+        deriv = ep + two_lam * e2 + g * em + 2 * c * e2
+        if deriv == 0:
+            return None
+        return (lam * ep + c * em) / deriv
+
+    return scaled, newton_quotient
+
+
+_EVALUATORS = {"A2": _a2_evaluators, "A": _a_evaluators, "Abb": _abb_evaluators}
 
 
 class CharFamily:
-    """One characteristic-equation family with its asymptotic data."""
+    """One characteristic-equation family with its asymptotic data.
+
+    The constructor builds the family's two evaluators once, with the
+    parameter constants folded in (each the float the written formula
+    computes first): ``scaled`` and the fused Newton quotient
+    ``newton_quotient(lam)``, value / derivative of the scaled function
+    from one exponential, or None where the derivative is 0. Both take a
+    complex and raise OverflowError beyond Re L = 300. The ladder
+    constants are computed once too.
+    """
 
     def __init__(self, tag: str, params: SystemParams):
         if tag not in FAMILY_TAGS:
@@ -82,6 +186,14 @@ class CharFamily:
         self.tag = tag
         self.params = params
         self.check_hypotheses()
+        self._scaled, self.newton_quotient = _EVALUATORS[tag](params)
+        p = params
+        if tag == "A":
+            self._asymptote = 0.5 * math.log(abs(p.m - p.a) / (p.m + p.a))
+            self._offset = 0.0 if p.m > p.a else 0.5
+        else:
+            self._asymptote = 0.5 * math.log(abs(p.gamma - 1) / (p.gamma + 1))
+            self._offset = 0.0 if p.gamma > 1 else (0.5 if tag == "A2" else -0.5)
 
     def check_hypotheses(self) -> None:
         for _, lhs, rhs, holds, families in STABILITY_HYPOTHESES:
@@ -111,37 +223,7 @@ class CharFamily:
         left half-plane); Abb is multiplied by 2 e^L, which removes the
         cosh/sinh growth for Re L < 0 without moving any zero.
         """
-        p = self.params
-        lam = complex(lam)
-        if lam.real > 300.0:
-            raise OverflowError(f"characteristic function not evaluated at Re={lam.real}")
-        e2 = cmath.exp(2 * lam)
-        if self.tag == "A2":
-            t1 = e2 * ((1 + p.gamma) * lam + p.beta) * (1 + p.m * lam)
-            t2 = ((1 - p.gamma) * lam - p.beta) * (1 - p.m * lam)
-            return t1 - t2, 1.0 + abs(t1) + abs(t2)
-        if self.tag == "A":
-            t1 = e2 * ((1 + p.alpha) + (p.a + p.m) * lam)
-            t2 = (1 - p.alpha) + (p.a - p.m) * lam
-            return t1 + t2, 1.0 + abs(t1) + abs(t2)
-        t1 = lam * (e2 + 1)
-        t2 = (p.gamma * lam + p.beta) * (e2 - 1)
-        return t1 + t2, 1.0 + abs(t1) + abs(t2)
-
-    def scaled_derivative(self, lam: complex) -> complex:
-        p = self.params
-        lam = complex(lam)
-        e2 = cmath.exp(2 * lam)
-        if self.tag == "A2":
-            lead = ((1 + p.gamma) * lam + p.beta) * (1 + p.m * lam)
-            dlead = (1 + p.gamma) * (1 + p.m * lam) + p.m * ((1 + p.gamma) * lam + p.beta)
-            dtrail = (1 - p.gamma) * (1 - p.m * lam) - p.m * ((1 - p.gamma) * lam - p.beta)
-            return e2 * (2 * lead + dlead) - dtrail
-        if self.tag == "A":
-            lead = (1 + p.alpha) + (p.a + p.m) * lam
-            return e2 * (2 * lead + (p.a + p.m)) + (p.a - p.m)
-        return ((e2 + 1) + 2 * lam * e2 + p.gamma * (e2 - 1)
-                + 2 * (p.gamma * lam + p.beta) * e2)
+        return self._scaled(complex(lam))
 
     def normalized_residual(self, lam: complex) -> float:
         value, scale = self.scaled(lam)
@@ -151,26 +233,18 @@ class CharFamily:
 
     def asymptote_real(self) -> float:
         """Common limit of the branch real parts, (1/2) ln(ratio)."""
-        p = self.params
-        if self.tag == "A":
-            return 0.5 * math.log(abs(p.m - p.a) / (p.m + p.a))
-        return 0.5 * math.log(abs(p.gamma - 1) / (p.gamma + 1))
+        return self._asymptote
 
     def branch_offset(self) -> float:
         """Fractional ladder offset: branch n sits near (n + offset) pi i."""
-        p = self.params
-        if self.tag == "A2":
-            return 0.0 if p.gamma > 1 else 0.5
-        if self.tag == "A":
-            return 0.0 if p.m > p.a else 0.5
-        return 0.0 if p.gamma > 1 else -0.5
+        return self._offset
 
     def seed(self, n: int) -> complex:
         """Asymptotic seed for branch n (exact up to the O(1/n) tail)."""
-        return complex(self.asymptote_real(), (n + self.branch_offset()) * math.pi)
+        return complex(self._asymptote, (n + self._offset) * math.pi)
 
     def branch_index(self, lam: complex) -> int:
-        return round(lam.imag / math.pi - self.branch_offset())
+        return round(lam.imag / math.pi - self._offset)
 
     def sweep_left_edge(self) -> float:
         """Left boundary of the rectangle that contains every eigenvalue.
@@ -261,13 +335,12 @@ def strip_interval(k: int) -> tuple[float, float]:
 
 def _newton(family: CharFamily, start: complex) -> tuple[complex, bool]:
     z = complex(start)
+    quotient = family.newton_quotient
     try:
         for _ in range(NEWTON_MAX_ITER):
-            value, _ = family.scaled(z)
-            deriv = family.scaled_derivative(z)
-            if deriv == 0:
+            step = quotient(z)
+            if step is None:
                 return z, False
-            step = value / deriv
             z -= step
             if abs(step) <= 1e-14 * (1.0 + abs(z)):
                 return z, True
@@ -328,26 +401,28 @@ def _winding(family: CharFamily, xlo, xhi, ylo, yhi) -> float:
                complex(xlo, yhi), complex(xlo, ylo)]
     total = 0.0
     budget = _MAX_CONTOUR_POINTS
+    scaled, phase = family._scaled, cmath.phase
     for z0, z1 in zip(corners[:-1], corners[1:]):
-        n0 = max(16, int(abs(z1 - z0) / 0.2))
-        pts = list(np.linspace(0.0, 1.0, n0 + 1))
+        dz = z1 - z0
+        n0 = max(16, int(abs(dz) / 0.2))
+        pts = np.linspace(0.0, 1.0, n0 + 1).tolist()
         vals: list[complex] = []
         for t in pts:
-            z = z0 + (z1 - z0) * t
-            value, scale = family.scaled(z)
+            z = z0 + dz * t
+            value, scale = scaled(z)
             if abs(value) / scale < _MIN_CONTOUR_MAG:
                 raise ContourError(f"zero too close to contour at {z}")
             vals.append(value)
         i = 0
         while i < len(vals) - 1:
-            dphi = cmath.phase(vals[i + 1] / vals[i])
+            dphi = phase(vals[i + 1] / vals[i])
             if abs(dphi) > 1.4:
                 budget -= 1
                 if budget <= 0:
                     raise ContourError("contour refinement budget exhausted")
                 tm = 0.5 * (pts[i] + pts[i + 1])
-                z = z0 + (z1 - z0) * tm
-                value, scale = family.scaled(z)
+                z = z0 + dz * tm
+                value, scale = scaled(z)
                 if abs(value) / scale < _MIN_CONTOUR_MAG:
                     raise ContourError(f"zero too close to contour at {z}")
                 pts.insert(i + 1, tm)
@@ -417,7 +492,9 @@ def compute_spectrum(family: CharFamily, n_max: int = 100) -> Spectrum:
     seeds; the low-|n| region, where eigenvalues need not follow the
     ladder (extra real roots, displaced central pairs), is swept by the
     argument principle. Conjugate roots are mirrored from the upper
-    half-plane and re-validated.
+    half-plane and re-validated. The mirror of branch n is branch
+    -n - 2 offset, so a ladder offset by -1/2 is seeded up to branch
+    n_max + 1 to reach branch -n_max.
 
     The roots are then sorted by (imag, real) and deduplicated: a root
     within DEDUPE_RADIUS of an already kept one is dropped. Each root is
@@ -426,43 +503,64 @@ def compute_spectrum(family: CharFamily, n_max: int = 100) -> Spectrum:
     the ladders, about pi apart in imaginary part, that window holds only
     copies of the same root, so the dedupe is linear in the number of
     roots (``_dedupe``).
+
+    Every branch |n| <= n_max must then hold at least one root (a branch
+    can hold two, such as the extra real roots of strip 0); if one holds
+    none, ContourError names it, since the enumeration missed a root.
     """
     n_low = min(N_LOW, n_max)
-    roots: list[tuple[complex, float, bool, complex | None]] = []
+    # (root, residual, converged, seed, the Eigenvalue refine_root built)
+    roots: list[tuple[complex, float, bool, complex | None, Eigenvalue | None]] = []
 
     edge_im = (n_low + 0.74) * math.pi
     swept = _sweep_box(family, family.sweep_left_edge(), 0.5, -1e-4, edge_im)
     for z in swept:
         if abs(z) < SPURIOUS_RADIUS and family.tag == "Abb":
             continue  # spurious origin zero: eigenfunction vanishes identically
-        roots.append((z, family.normalized_residual(z), True, None))
+        roots.append((z, family.normalized_residual(z), True, None, None))
 
-    for n in range(-n_max, n_max + 1):
+    # seeds below the swept box's top edge (all n < n_low) are skipped
+    n_top = n_max + 1 if family.branch_offset() < 0 else n_max
+    for n in range(n_low, n_top + 1):
         seed = family.seed(n)
         if seed.imag <= edge_im:
             continue
         eig = refine_root(family, seed, n)
-        roots.append((eig.refined, eig.residual, eig.converged, seed))
+        roots.append((eig.refined, eig.residual, eig.converged, seed, eig))
 
     # conjugate closure, then dedupe
     mirrored = []
-    for z, res, ok, seed in roots:
+    for z, res, ok, seed, _ in roots:
         if z.imag > 1e-9:
             zc = z.conjugate()
             mirrored.append((zc, family.normalized_residual(zc), ok,
-                             None if seed is None else seed.conjugate()))
+                             None if seed is None else seed.conjugate(), None))
     roots += mirrored
 
     roots.sort(key=lambda item: (item[0].imag, item[0].real))
     eigenvalues = []
-    for z, res, ok, seed in _dedupe(roots):
+    for z, res, ok, seed, eig in _dedupe(roots):
         n = family.branch_index(z)
         if abs(n) > n_max:
             continue
-        eigenvalues.append(Eigenvalue(
-            n=n, seed=family.seed(n) if seed is None else seed,
-            refined=z, residual=res, converged=ok and res <= RESIDUAL_TOL))
+        # a ladder root keeps refine_root's Eigenvalue unless Newton moved
+        # it to another branch (its converged flag is already res <= RESIDUAL_TOL)
+        if eig is None or eig.n != n:
+            eig = Eigenvalue(n=n, seed=family.seed(n) if seed is None else seed,
+                             refined=z, residual=res, converged=ok and res <= RESIDUAL_TOL)
+        eigenvalues.append(eig)
+    _check_branches(family, n_max, eigenvalues)
     return Spectrum(family=family, n_max=n_max, eigenvalues=eigenvalues)
+
+
+def _check_branches(family: CharFamily, n_max: int, eigenvalues) -> None:
+    """Raise ContourError unless every branch |n| <= n_max has a root."""
+    missing = sorted(set(range(-n_max, n_max + 1)).difference(e.n for e in eigenvalues),
+                     key=lambda n: (abs(n), n))
+    if missing:
+        shown = ", ".join(map(str, missing[:10])) + (", ..." if len(missing) > 10 else "")
+        raise ContourError(f"family {family.tag}: no root on {len(missing)} of the "
+                           f"branches |n| <= {n_max}: {shown}")
 
 
 def _dedupe(roots):

@@ -317,6 +317,18 @@ class TestRunScenario:
             in summary
         assert not any(line.startswith("spectral abscissa") for line in summary)
 
+    def test_missing_branch_skips_spectral_summary(self, tmp_path):
+        """A2 at gamma = 0.9999 leaves branches 8 and -9 without a root: the
+        observer loop's summary warns instead of printing abscissae."""
+        cfg = parse_config("preset = counterexample_sec3\ngamma = 0.9999\nhorizon = 0.2\n")
+        result = run_scenario(cfg, out_dir=str(tmp_path / "out"))
+        assert result.abscissae == {}
+        warning = ("spectral summary skipped: family A2: no root on 2 of the branches "
+                   "|n| <= 40: 8, -9")
+        assert result.warnings == [warning]
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert f"warning: {warning}" in summary
+
     def test_snapshots_closed_on_blow_up(self, tmp_path):
         """While a blow-up is being handled, each snapshot file already
         holds every row written, ending on a whole row."""
@@ -547,6 +559,28 @@ class TestCli:
         assert capsys.readouterr().err == \
             "spectral error: could not separate contour from zeros\n"
         assert not (tmp_path / "out").exists()
+
+    def test_spectrum_missing_branch(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "gamma = 0.9999\n")
+        code = cli_main(["spectrum", "--family", "A2", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "spectral error: family A2: no root on 2 of the branches |n| <= 100: 8, -9\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_warns_when_spectral_summary_skipped(self, tmp_path, capsys):
+        """The warning reaches stderr, not only summary.txt, and the run still
+        exits 0; a broken hypothesis, already printed, is not repeated."""
+        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\n")
+        code = cli_main(["simulate", cfg, "--out", str(tmp_path / "out"),
+                         "--override", "gamma=1.0001", "--override", "horizon=0.2"])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: spectral summary skipped: could not separate contour from zeros\n")
+        code = cli_main(["simulate", cfg, "--out", str(tmp_path / "out1"),
+                         "--override", "gamma=1", "--override", "horizon=0.2"])
+        assert code == 0
+        assert capsys.readouterr().err == "warning: gamma = 1 violates the stability hypotheses\n"
 
     def test_spectrum_subcommand(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "m = 5\nalpha = 2\na = 2\nbeta = 1.5\ngamma = 1.5\n")

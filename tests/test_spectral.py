@@ -1,15 +1,19 @@
+import cmath
 import math
+import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tipwave import EsoLoop, ObserverLoop, SingleFieldLoop, SystemParams
+from tipwave import spectral
 from tipwave.spectral import (
     DEDUPE_RADIUS,
     CharFamily,
+    ContourError,
     HypothesisError,
     _dedupe,
     combined_abscissa,
@@ -67,6 +71,74 @@ class TestResidual:
         # raw cosh/sinh overflow around |Re| ~ 710 for the pinned family
         value, scale = family.scaled(complex(-600.0, 1.0))
         assert np.isfinite(scale)
+
+
+def written_scaled(tag, p, lam):
+    """``CharFamily.scaled`` as written before its constants were folded."""
+    e2 = cmath.exp(2 * lam)
+    if tag == "A2":
+        t1 = e2 * ((1 + p.gamma) * lam + p.beta) * (1 + p.m * lam)
+        t2 = ((1 - p.gamma) * lam - p.beta) * (1 - p.m * lam)
+        return t1 - t2, 1.0 + abs(t1) + abs(t2)
+    if tag == "A":
+        t1 = e2 * ((1 + p.alpha) + (p.a + p.m) * lam)
+        t2 = (1 - p.alpha) + (p.a - p.m) * lam
+        return t1 + t2, 1.0 + abs(t1) + abs(t2)
+    t1 = lam * (e2 + 1)
+    t2 = (p.gamma * lam + p.beta) * (e2 - 1)
+    return t1 + t2, 1.0 + abs(t1) + abs(t2)
+
+
+def scaled_derivative(tag, p, lam):
+    """The derivative that Newton divided by before the fused quotient."""
+    e2 = cmath.exp(2 * lam)
+    if tag == "A2":
+        lead = ((1 + p.gamma) * lam + p.beta) * (1 + p.m * lam)
+        dlead = (1 + p.gamma) * (1 + p.m * lam) + p.m * ((1 + p.gamma) * lam + p.beta)
+        dtrail = (1 - p.gamma) * (1 - p.m * lam) - p.m * ((1 - p.gamma) * lam - p.beta)
+        return e2 * (2 * lead + dlead) - dtrail
+    if tag == "A":
+        lead = (1 + p.alpha) + (p.a + p.m) * lam
+        return e2 * (2 * lead + (p.a + p.m)) + (p.a - p.m)
+    return ((e2 + 1) + 2 * lam * e2 + p.gamma * (e2 - 1)
+            + 2 * (p.gamma * lam + p.beta) * e2)
+
+
+def hex_parts(z):
+    return z.real.hex(), z.imag.hex()
+
+
+GAINS = st.one_of(st.floats(0.01, 100.0), st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0]))
+LAMBDAS = st.builds(complex,
+                    st.one_of(st.floats(-800.0, 300.0), st.sampled_from([0.0, -0.0, 300.0])),
+                    st.one_of(st.floats(-1e4, 1e4), st.sampled_from([0.0, -0.0, math.pi])))
+
+
+class TestEvaluators:
+    @given(st.sampled_from(["A2", "A", "Abb"]), GAINS, GAINS, GAINS, GAINS, GAINS, LAMBDAS)
+    @settings(max_examples=1000, deadline=None)
+    def test_same_bits_as_written_formulas(self, tag, m, alpha, a, beta, gamma, lam):
+        """Folded constants and the fused quotient keep every bit."""
+        p = SystemParams(m=m, alpha=alpha, a=a, beta=beta, gamma=gamma)
+        assume(p.gamma != 1.0 and p.m != p.a)
+        fam = CharFamily(tag, p)
+        value, scale = written_scaled(tag, p, lam)
+        got_value, got_scale = fam.scaled(lam)
+        assert hex_parts(got_value) == hex_parts(value)
+        assert got_scale.hex() == scale.hex()
+        d = scaled_derivative(tag, p, lam)
+        quotient = fam.newton_quotient(lam)
+        if d == 0:
+            assert quotient is None
+        else:
+            assert hex_parts(quotient) == hex_parts(value / d)
+
+    def test_overflow_beyond_re_300(self, family):
+        lam = complex(300.5, 1.0)
+        with pytest.raises(OverflowError, match="Re=300.5"):
+            family.scaled(lam)
+        with pytest.raises(OverflowError, match="Re=300.5"):
+            family.newton_quotient(lam)
 
 
 class TestSeeds:
@@ -228,6 +300,45 @@ class TestSpectrum:
         lo0, hi0 = strip_interval(0)
         lo1, _ = strip_interval(1)
         assert hi0 == lo1 and lo0 == -hi0
+
+    def test_missing_branch_raises(self):
+        """A2 at gamma = 0.9999: the branch-8 root sits just above the swept
+        box and its seed just below it, so neither search finds it."""
+        fam = CharFamily("A2", SystemParams(gamma=0.9999))
+        with pytest.raises(ContourError,
+                           match=r"^family A2: no root on 2 of the branches "
+                                 r"\|n\| <= 100: 8, -9$"):
+            compute_spectrum(fam, n_max=100)
+
+
+@pytest.mark.parametrize("tag,params,offset", [
+    ("A2", SystemParams(), 0.0),
+    ("A", SystemParams(), 0.0),
+    ("Abb", SystemParams(), 0.0),
+    ("A2", SystemParams(gamma=0.5), 0.5),
+    ("A", SystemParams(m=1.0), 0.5),
+    ("Abb", SystemParams(gamma=0.5), -0.5),
+])
+def test_every_branch_listed_and_checked(tag, params, offset, monkeypatch):
+    """Each |n| <= n_max is listed, its mirror -n - 2 offset included, and
+    a branch whose Newton run lands on its neighbour's root is reported."""
+    fam = CharFamily(tag, params)
+    assert fam.branch_offset() == offset
+    for n_max in (0, 1, 9, 30):
+        spec = compute_spectrum(fam, n_max=n_max)
+        assert {e.n for e in spec.eigenvalues} == set(range(-n_max, n_max + 1)), n_max
+
+    refine = spectral.refine_root
+
+    def lands_on_neighbour(family, seed, n=None):
+        return refine(family, family.seed(14), n) if n == 15 else refine(family, seed, n)
+
+    monkeypatch.setattr(spectral, "refine_root", lands_on_neighbour)
+    missing = sorted({15, int(-15 - 2 * offset)}, key=lambda n: (abs(n), n))
+    message = (f"family {tag}: no root on 2 of the branches |n| <= 20: "
+               f"{missing[0]}, {missing[1]}")
+    with pytest.raises(ContourError, match=f"^{re.escape(message)}$"):
+        compute_spectrum(fam, n_max=20)
 
 
 R = DEDUPE_RADIUS
