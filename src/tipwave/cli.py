@@ -4,10 +4,11 @@
     tipwave spectrum --family {A2,A,Abb} [--n-max K] CONFIG [--out DIR]
     tipwave report OUTDIR
 
-Exit codes: 0 success, 1 config error (for spectrum, also a contour
-sweep that fails or a branch left without a root; for report, a
-malformed trace), 2 numerical blow-up, 3 configured acceptance
-threshold failed. A simulate run whose spectral summary is skipped
+Exit codes: 0 success, 1 config error (also an --out directory that
+cannot be created or written, with one ``output error:`` line; for
+spectrum, also a contour sweep that fails or a branch left without a
+root; for report, a malformed trace), 2 numerical blow-up, 3 configured
+acceptance threshold failed. A simulate run whose spectral summary is skipped
 still exits 0, with a ``warning:`` line on stderr.
 """
 
@@ -43,6 +44,9 @@ def _cmd_simulate(args) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     for msg in result.warnings:
         if msg not in printed:
             print(f"warning: {msg}", file=sys.stderr)
@@ -70,6 +74,9 @@ def _cmd_spectrum(args) -> int:
         result = run_scenario(config, out_dir=args.out)
     except ContourError as exc:
         print(f"spectral error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     for tag, value in result.abscissae.items():
         print(f"spectral abscissa {tag} = {value!r}")

@@ -36,6 +36,17 @@ per point), and ``newton_quotient`` gives a Newton step from one
 exponential shared by value and derivative. Every value has the bits of
 the formulas as written above; no NumPy runs per point.
 
+The sweep (the root count of Delves and Lyness, with bisection) does
+each piece of contour work once. When a box is split, only its first
+half is counted: winding numbers add over a partition, so the second
+half holds the rest. Each edge's phase change is kept in a memo keyed
+by its exact endpoints, so the side a half shares with its parent, and
+the split line that siblings share in opposite directions, are sampled
+once; the memo lives for one ``compute_spectrum`` call, or for one
+sweep outside it. The boxes and the Newton starting points are those
+of a sweep that counts every box on its own, so every root keeps its
+bits.
+
 ``compute_spectrum`` checks that every branch |n| <= n_max holds a root
 and raises ContourError naming any branch that holds none, so a root
 that slips between the sweep and the ladder is reported, not dropped.
@@ -187,6 +198,7 @@ class CharFamily:
         self.params = params
         self.check_hypotheses()
         self._scaled, self.newton_quotient = _EVALUATORS[tag](params)
+        self._edges = None  # the running compute_spectrum's _EdgeMemo
         p = params
         if tag == "A":
             self._asymptote = 0.5 * math.log(abs(p.m - p.a) / (p.m + p.a))
@@ -378,7 +390,7 @@ def _relocate_near(family: CharFamily, seed: complex) -> complex | None:
     xlo = min(family.sweep_left_edge(), seed.real - 2.0)
     box = (xlo, 0.5, seed.imag - math.pi / 2, seed.imag + math.pi / 2)
     try:
-        roots = _sweep_box(family, *box)
+        roots = _sweep_box(family, *box, edges=family._edges)
     except (ContourError, RecursionError):
         return None
     if not roots:
@@ -390,94 +402,180 @@ def _relocate_near(family: CharFamily, seed: complex) -> complex | None:
 # Argument-principle machinery
 # ----------------------------------------------------------------------
 
-_MAX_CONTOUR_POINTS = 200_000
+_MAX_CONTOUR_INSERTS = 200_000  # refinement midpoints allowed per contour
 _MIN_CONTOUR_MAG = 1e-9
 
 
-def _winding(family: CharFamily, xlo, xhi, ylo, yhi) -> float:
+class _EdgeMemo(dict):
+    """The contour work of one ``compute_spectrum`` call (or of one sweep
+    outside it), so that no edge is sampled twice.
+
+    Maps an edge's exact endpoints (z0, z1) to (phase change, refinement
+    inserts), or to None when a zero came too close to the edge. A
+    reversed edge (z1, z0) reads the same entry with the phase negated.
+    ``padded`` tells whether the last count made through the memo needed
+    an outward-nudged contour.
+    """
+
+    padded = False
+
+
+def _edge_phase(scaled, z0: complex, z1: complex, budget: int) -> tuple[float, int] | None:
+    """(phase change, refinement inserts) of the scaled function along z0 -> z1.
+
+    The edge starts from max(16, |edge| / 0.2) evenly spaced samples; a
+    midpoint is inserted wherever one step turns the phase by more than
+    1.4. Returns None when a sample lies within _MIN_CONTOUR_MAG
+    (relative) of a zero, and raises ContourError when the inserts reach
+    ``budget``.
+    """
+    phase = cmath.phase
+    dz = z1 - z0
+    n0 = max(16, int(abs(dz) / 0.2))
+    pts = np.linspace(0.0, 1.0, n0 + 1).tolist()
+    vals: list[complex] = []
+    for t in pts:
+        z = z0 + dz * t
+        value, scale = scaled(z)
+        if abs(value) / scale < _MIN_CONTOUR_MAG:
+            return None
+        vals.append(value)
+    total = 0.0
+    inserts = 0
+    i = 0
+    while i < len(vals) - 1:
+        dphi = phase(vals[i + 1] / vals[i])
+        if abs(dphi) > 1.4:
+            inserts += 1
+            if inserts >= budget:
+                raise ContourError("contour refinement budget exhausted")
+            tm = 0.5 * (pts[i] + pts[i + 1])
+            z = z0 + dz * tm
+            value, scale = scaled(z)
+            if abs(value) / scale < _MIN_CONTOUR_MAG:
+                return None
+            pts.insert(i + 1, tm)
+            vals.insert(i + 1, value)
+            continue
+        total += dphi
+        i += 1
+    return total, inserts
+
+
+def _winding(family: CharFamily, xlo, xhi, ylo, yhi, edges: _EdgeMemo) -> float:
     """Total phase change / 2 pi of the scaled characteristic function
-    around the rectangle, by adaptive phase tracking."""
+    around the rectangle, by adaptive phase tracking (``_edge_phase``).
+
+    An edge already in ``edges``, in either direction, is not sampled
+    again. The initial samples are not capped, so an edge costs in
+    proportion to its length; _MAX_CONTOUR_INSERTS caps only the
+    refinement midpoints, summed over the contour's four edges whether
+    sampled now or read from the memo.
+    """
     corners = [complex(xlo, ylo), complex(xhi, ylo), complex(xhi, yhi),
                complex(xlo, yhi), complex(xlo, ylo)]
     total = 0.0
-    budget = _MAX_CONTOUR_POINTS
-    scaled, phase = family._scaled, cmath.phase
+    budget = _MAX_CONTOUR_INSERTS
     for z0, z1 in zip(corners[:-1], corners[1:]):
-        dz = z1 - z0
-        n0 = max(16, int(abs(dz) / 0.2))
-        pts = np.linspace(0.0, 1.0, n0 + 1).tolist()
-        vals: list[complex] = []
-        for t in pts:
-            z = z0 + dz * t
-            value, scale = scaled(z)
-            if abs(value) / scale < _MIN_CONTOUR_MAG:
-                raise ContourError(f"zero too close to contour at {z}")
-            vals.append(value)
-        i = 0
-        while i < len(vals) - 1:
-            dphi = phase(vals[i + 1] / vals[i])
-            if abs(dphi) > 1.4:
-                budget -= 1
-                if budget <= 0:
-                    raise ContourError("contour refinement budget exhausted")
-                tm = 0.5 * (pts[i] + pts[i + 1])
-                z = z0 + dz * tm
-                value, scale = scaled(z)
-                if abs(value) / scale < _MIN_CONTOUR_MAG:
-                    raise ContourError(f"zero too close to contour at {z}")
-                pts.insert(i + 1, tm)
-                vals.insert(i + 1, value)
-                continue
-            total += dphi
-            i += 1
+        if (z0, z1) in edges:
+            work = edges[z0, z1]
+        elif (z1, z0) in edges:
+            work = edges[z1, z0]
+            if work is not None:
+                work = (-work[0], work[1])
+        else:
+            work = edges[z0, z1] = _edge_phase(family._scaled, z0, z1, budget)
+        if work is None:
+            raise ContourError(f"zero too close to contour on {z0} -> {z1}")
+        budget -= work[1]
+        if budget <= 0:
+            raise ContourError("contour refinement budget exhausted")
+        total += work[0]
     return total / (2 * math.pi)
 
 
 def count_zeros_in_box(family: CharFamily, corner_lo: complex,
-                       corner_hi: complex) -> int:
+                       corner_hi: complex, *, edges: _EdgeMemo | None = None) -> int:
     """Number of characteristic zeros inside an axis-aligned rectangle.
 
     If a zero sits (numerically) on the contour the box is nudged
-    outward a few times before giving up.
+    outward a few times before giving up. A sweep passes its ``edges``
+    memo, so that edges it has sampled before are reused, and reads
+    ``edges.padded`` afterwards to learn whether the count is the box's
+    own or includes a margin around it.
     """
     xlo, xhi = sorted((corner_lo.real, corner_hi.real))
     ylo, yhi = sorted((corner_lo.imag, corner_hi.imag))
+    if edges is None:
+        edges = _EdgeMemo()
     pad = 0.0
     for attempt in range(4):
         try:
-            cnt = _winding(family, xlo - pad, xhi + pad, ylo - pad, yhi + pad)
+            cnt = _winding(family, xlo - pad, xhi + pad, ylo - pad, yhi + pad, edges)
         except ContourError:
             pad = (pad + 1e-3) * 1.7
             continue
         n = round(cnt)
         if abs(cnt - n) >= 0.25:
             raise ContourError(f"winding {cnt} too far from an integer")
+        edges.padded = pad > 0.0
         return n
     raise ContourError("could not separate contour from zeros")
 
 
-def _sweep_box(family: CharFamily, xlo, xhi, ylo, yhi, depth: int = 0) -> list[complex]:
-    """All zeros in a rectangle by recursive bisection + Newton polish."""
-    if depth > 60:
-        raise ContourError("box bisection failed to isolate zeros (multiple root?)")
-    count = count_zeros_in_box(family, complex(xlo, ylo), complex(xhi, yhi))
-    if count == 0:
+def _split(xlo, xhi, ylo, yhi):
+    """The two halves of a box, across its longer side; the offset keeps
+    the split line off symmetric root locations."""
+    if xhi - xlo >= yhi - ylo:
+        xm = 0.5 * (xlo + xhi) + 0.0012345 * (xhi - xlo)
+        return (xlo, xm, ylo, yhi), (xm, xhi, ylo, yhi)
+    ym = 0.5 * (ylo + yhi) + 0.0012345 * (yhi - ylo)
+    return (xlo, xhi, ylo, ym), (xlo, xhi, ym, yhi)
+
+
+def _count(family: CharFamily, box, edges: _EdgeMemo) -> tuple[int, bool]:
+    """(zeros in the box, whether counted on the box's own contour)."""
+    xlo, xhi, ylo, yhi = box
+    n = count_zeros_in_box(family, complex(xlo, ylo), complex(xhi, yhi), edges=edges)
+    return n, not edges.padded
+
+
+def _sweep_box(family: CharFamily, xlo, xhi, ylo, yhi, depth: int = 0,
+               count: tuple[int, bool] | None = None,
+               edges: _EdgeMemo | None = None) -> list[complex]:
+    """All zeros in a rectangle by recursive bisection + Newton polish.
+
+    Only the first half of a split is counted. Winding numbers add over a
+    partition, so the second half holds the box's count minus the first
+    half's, and ``count`` hands that difference down. The second half is
+    counted on its own when either count came from an outward-nudged
+    contour (the margin lies in neither half) or the difference is
+    negative; a negative count raises ContourError.
+
+    One ``edges`` memo serves the whole sweep: a half's outer side equals
+    its parent's side, and the split line is shared, reversed, with the
+    sibling's subtree, so each edge is sampled once.
+    """
+    if edges is None:
+        edges = _EdgeMemo()
+    zeros, exact = _count(family, (xlo, xhi, ylo, yhi), edges) if count is None else count
+    if zeros < 0:
+        raise ContourError(f"negative zero count {zeros} in [{xlo}, {xhi}] x [{ylo}, {yhi}]")
+    if zeros == 0:
         return []
-    if count == 1:
+    if zeros == 1:
         z, ok = _newton(family, complex((xlo + xhi) / 2, (ylo + yhi) / 2))
         if (ok and xlo - 1e-9 <= z.real <= xhi + 1e-9
                 and ylo - 1e-9 <= z.imag <= yhi + 1e-9):
             return [z]
-    # offset keeps the split line off symmetric root locations
-    roots: list[complex] = []
-    if xhi - xlo >= yhi - ylo:
-        xm = 0.5 * (xlo + xhi) + 0.0012345 * (xhi - xlo)
-        roots += _sweep_box(family, xlo, xm, ylo, yhi, depth + 1)
-        roots += _sweep_box(family, xm, xhi, ylo, yhi, depth + 1)
-    else:
-        ym = 0.5 * (ylo + yhi) + 0.0012345 * (yhi - ylo)
-        roots += _sweep_box(family, xlo, xhi, ylo, ym, depth + 1)
-        roots += _sweep_box(family, xlo, xhi, ym, yhi, depth + 1)
+    if depth >= 60:
+        raise ContourError("box bisection failed to isolate zeros (multiple root?)")
+    first, second = _split(xlo, xhi, ylo, yhi)
+    first_count = _count(family, first, edges)
+    roots = _sweep_box(family, *first, depth + 1, first_count, edges)
+    rest = zeros - first_count[0]
+    second_count = (rest, True) if exact and first_count[1] and rest >= 0 else None
+    roots += _sweep_box(family, *second, depth + 1, second_count, edges)
     return roots
 
 
@@ -513,20 +611,27 @@ def compute_spectrum(family: CharFamily, n_max: int = 100) -> Spectrum:
     roots: list[tuple[complex, float, bool, complex | None, Eigenvalue | None]] = []
 
     edge_im = (n_low + 0.74) * math.pi
-    swept = _sweep_box(family, family.sweep_left_edge(), 0.5, -1e-4, edge_im)
-    for z in swept:
-        if abs(z) < SPURIOUS_RADIUS and family.tag == "Abb":
-            continue  # spurious origin zero: eigenfunction vanishes identically
-        roots.append((z, family.normalized_residual(z), True, None, None))
+    # the sweep below and every relocation sweep of refine_root share one
+    # edge memo, which is freed before the roots are mirrored and deduped
+    family._edges = _EdgeMemo()
+    try:
+        swept = _sweep_box(family, family.sweep_left_edge(), 0.5, -1e-4, edge_im,
+                           edges=family._edges)
+        for z in swept:
+            if abs(z) < SPURIOUS_RADIUS and family.tag == "Abb":
+                continue  # spurious origin zero: eigenfunction vanishes identically
+            roots.append((z, family.normalized_residual(z), True, None, None))
 
-    # seeds below the swept box's top edge (all n < n_low) are skipped
-    n_top = n_max + 1 if family.branch_offset() < 0 else n_max
-    for n in range(n_low, n_top + 1):
-        seed = family.seed(n)
-        if seed.imag <= edge_im:
-            continue
-        eig = refine_root(family, seed, n)
-        roots.append((eig.refined, eig.residual, eig.converged, seed, eig))
+        # seeds below the swept box's top edge (all n < n_low) are skipped
+        n_top = n_max + 1 if family.branch_offset() < 0 else n_max
+        for n in range(n_low, n_top + 1):
+            seed = family.seed(n)
+            if seed.imag <= edge_im:
+                continue
+            eig = refine_root(family, seed, n)
+            roots.append((eig.refined, eig.residual, eig.converged, seed, eig))
+    finally:
+        family._edges = None
 
     # conjugate closure, then dedupe
     mirrored = []

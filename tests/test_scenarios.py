@@ -568,6 +568,23 @@ class TestCli:
             "spectral error: family A2: no root on 2 of the branches |n| <= 100: 8, -9\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "spectrum"])
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_cannot_be_created(self, tmp_path, capsys, command, out):
+        """An --out naming a regular file, or a path through one, is one
+        ``output error:`` line and exit 1, not a traceback."""
+        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\nhorizon = 0.2\n"
+                                       "spectral_summary = false\n")
+        (tmp_path / "file").write_text("not a directory\n")
+        args = [command, cfg, "--out", str(tmp_path / out)]
+        if command == "spectrum":
+            args[1:1] = ["--family", "A", "--n-max", "5"]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: [Errno ") and err.count("\n") == 1
+        assert str(tmp_path / out) in err
+        assert (tmp_path / "file").read_text() == "not a directory\n"
+
     def test_simulate_warns_when_spectral_summary_skipped(self, tmp_path, capsys):
         """The warning reaches stderr, not only summary.txt, and the run still
         exits 0; a broken hypothesis, already printed, is not repeated."""

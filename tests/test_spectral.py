@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -212,6 +213,189 @@ class TestCounting:
                   if box_lo.real < e.refined.real < box_hi.real
                   and box_lo.imag < e.refined.imag < box_hi.imag]
         assert count_zeros_in_box(fam, box_lo, box_hi) == len(inside) == 2
+
+
+# The sweep as it was before each split's second half was counted by
+# subtraction and each edge sampled once, kept verbatim as the oracle:
+# every box is counted on its own, every edge of its contour sampled.
+
+def oracle_winding(family, xlo, xhi, ylo, yhi) -> float:
+    corners = [complex(xlo, ylo), complex(xhi, ylo), complex(xhi, yhi),
+               complex(xlo, yhi), complex(xlo, ylo)]
+    total = 0.0
+    budget = 200_000
+    scaled, phase = family._scaled, cmath.phase
+    for z0, z1 in zip(corners[:-1], corners[1:]):
+        dz = z1 - z0
+        n0 = max(16, int(abs(dz) / 0.2))
+        pts = np.linspace(0.0, 1.0, n0 + 1).tolist()
+        vals = []
+        for t in pts:
+            z = z0 + dz * t
+            value, scale = scaled(z)
+            if abs(value) / scale < 1e-9:
+                raise ContourError(f"zero too close to contour at {z}")
+            vals.append(value)
+        i = 0
+        while i < len(vals) - 1:
+            dphi = phase(vals[i + 1] / vals[i])
+            if abs(dphi) > 1.4:
+                budget -= 1
+                if budget <= 0:
+                    raise ContourError("contour refinement budget exhausted")
+                tm = 0.5 * (pts[i] + pts[i + 1])
+                z = z0 + dz * tm
+                value, scale = scaled(z)
+                if abs(value) / scale < 1e-9:
+                    raise ContourError(f"zero too close to contour at {z}")
+                pts.insert(i + 1, tm)
+                vals.insert(i + 1, value)
+                continue
+            total += dphi
+            i += 1
+    return total / (2 * math.pi)
+
+
+def oracle_count_zeros_in_box(family, corner_lo, corner_hi) -> int:
+    xlo, xhi = sorted((corner_lo.real, corner_hi.real))
+    ylo, yhi = sorted((corner_lo.imag, corner_hi.imag))
+    pad = 0.0
+    for attempt in range(4):
+        try:
+            cnt = oracle_winding(family, xlo - pad, xhi + pad, ylo - pad, yhi + pad)
+        except ContourError:
+            pad = (pad + 1e-3) * 1.7
+            continue
+        n = round(cnt)
+        if abs(cnt - n) >= 0.25:
+            raise ContourError(f"winding {cnt} too far from an integer")
+        return n
+    raise ContourError("could not separate contour from zeros")
+
+
+def oracle_sweep_box(family, xlo, xhi, ylo, yhi, depth=0, **_):
+    if depth > 60:
+        raise ContourError("box bisection failed to isolate zeros (multiple root?)")
+    count = oracle_count_zeros_in_box(family, complex(xlo, ylo), complex(xhi, yhi))
+    if count == 0:
+        return []
+    if count == 1:
+        z, ok = spectral._newton(family, complex((xlo + xhi) / 2, (ylo + yhi) / 2))
+        if (ok and xlo - 1e-9 <= z.real <= xhi + 1e-9
+                and ylo - 1e-9 <= z.imag <= yhi + 1e-9):
+            return [z]
+    roots = []
+    if xhi - xlo >= yhi - ylo:
+        xm = 0.5 * (xlo + xhi) + 0.0012345 * (xhi - xlo)
+        roots += oracle_sweep_box(family, xlo, xm, ylo, yhi, depth + 1)
+        roots += oracle_sweep_box(family, xm, xhi, ylo, yhi, depth + 1)
+    else:
+        ym = 0.5 * (ylo + yhi) + 0.0012345 * (yhi - ylo)
+        roots += oracle_sweep_box(family, xlo, xhi, ylo, ym, depth + 1)
+        roots += oracle_sweep_box(family, xlo, xhi, ym, yhi, depth + 1)
+    return roots
+
+
+def spectrum_bits(family, n_max):
+    """Every eigenvalue in float.hex, or the ContourError message."""
+    try:
+        spec = compute_spectrum(family, n_max=n_max)
+    except ContourError as exc:
+        return f"ContourError: {exc}"
+    return [(e.n, hex_parts(e.seed), hex_parts(e.refined), e.residual.hex(), e.converged)
+            for e in spec.eigenvalues]
+
+
+SWEEP_GAINS = st.floats(0.1, 8.0)
+
+
+def assert_same_as_oracle(family, n_max):
+    got = spectrum_bits(family, n_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_sweep_box", oracle_sweep_box)
+        assert got == spectrum_bits(family, n_max)
+
+
+class TestSweep:
+    @given(st.sampled_from(["A2", "A", "Abb"]), SWEEP_GAINS, SWEEP_GAINS, SWEEP_GAINS,
+           SWEEP_GAINS, SWEEP_GAINS, st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_same_bits_as_counting_every_box(self, tag, m, alpha, a, beta, gamma, n_max):
+        """Subtraction and the edge memo leave every root, residual, flag
+        and error message as a sweep that counts every box gives them."""
+        # nearer the hypothesis boundaries a sweep takes seconds
+        assume(abs(gamma - 1) >= 0.02 and abs(m - a) >= 0.05)
+        assert_same_as_oracle(
+            CharFamily(tag, SystemParams(m=m, alpha=alpha, a=a, beta=beta, gamma=gamma)), n_max)
+
+    @pytest.mark.parametrize("tag,params", [
+        ("Abb", SystemParams(gamma=1.0001)),  # the contour cannot be separated
+        ("A2", SystemParams(gamma=0.9999)),  # branches 8 and -9 hold no root
+        ("A2", SystemParams(gamma=1.01)),
+        ("A", SystemParams(m=2.01)),
+    ])
+    def test_same_bits_near_boundaries(self, tag, params):
+        assert_same_as_oracle(CharFamily(tag, params), 40)
+
+    @given(st.sampled_from(["A2", "A", "Abb"]), st.floats(-8.0, 0.4), st.floats(0.05, 9.0),
+           st.floats(-3.0, 30.0, allow_subnormal=False), st.floats(0.05, 9.0))
+    @settings(max_examples=150, deadline=None)
+    def test_halves_add_up(self, tag, xlo, width, ylo, height):
+        """The count of a box is the sum of the counts of the sweep's two halves."""
+        fam = CharFamily(tag, SystemParams())
+        box = (xlo, xlo + width, ylo, ylo + height)
+        counts = []
+        for xl, xh, yl, yh in (box, *spectral._split(*box)):
+            edges = spectral._EdgeMemo()
+            counts.append(count_zeros_in_box(fam, complex(xl, yl), complex(xh, yh),
+                                             edges=edges))
+            assume(not edges.padded)  # a nudged contour holds a margin outside the box
+        assert counts[0] == counts[1] + counts[2]
+
+    @pytest.mark.parametrize("tag", ["A2", "A", "Abb"])
+    def test_each_box_and_edge_once(self, tag, monkeypatch):
+        """At the default gains: no box is counted twice, no second half is
+        counted after its sibling's clean count, and no edge is sampled
+        twice in either direction."""
+        fam = CharFamily(tag, SystemParams())
+        boxes, points, counting = [], [], [False]
+        count, scaled = spectral.count_zeros_in_box, fam._scaled
+
+        def logged_count(family, lo, hi, **kw):
+            boxes.append((lo.real, hi.real, lo.imag, hi.imag))
+            counting[0] = True
+            try:
+                n = count(family, lo, hi, **kw)
+            finally:
+                counting[0] = False
+            assert not kw["edges"].padded  # every count here is the box's own
+            return n
+
+        def logged_scaled(lam):
+            if counting[0]:
+                points.append(lam)
+            return scaled(lam)
+
+        monkeypatch.setattr(spectral, "count_zeros_in_box", logged_count)
+        monkeypatch.setattr(fam, "_scaled", logged_scaled)
+        compute_spectrum(fam, n_max=100)
+
+        assert len(set(boxes)) == len(boxes) > 1
+        counted = set(boxes)
+        split = list(counted)
+        while split:
+            first, second = spectral._split(*split.pop())
+            if first in counted:  # the sweep split this box
+                assert second not in counted
+                split.append(second)
+
+        # an edge sampled again, in either direction, revisits its points up
+        # to rounding; only the box corners may be evaluated twice
+        corners = {complex(x, y) for xlo, xhi, ylo, yhi in boxes
+                   for x in (xlo, xhi) for y in (ylo, yhi)}
+        seen = Counter((round(z.real, 9), round(z.imag, 9)) for z in points)
+        twice = [p for p, k in seen.items() if k > 1]
+        assert all(min(abs(complex(*p) - c) for c in corners) < 1e-8 for p in twice)
 
 
 class TestEigenfunctions:
