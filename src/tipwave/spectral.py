@@ -426,8 +426,8 @@ def _edge_phase(scaled, z0: complex, z1: complex, budget: int) -> tuple[float, i
     The edge starts from max(16, |edge| / 0.2) evenly spaced samples; a
     midpoint is inserted wherever one step turns the phase by more than
     1.4. Returns None when a sample lies within _MIN_CONTOUR_MAG
-    (relative) of a zero, and raises ContourError when the inserts reach
-    ``budget``.
+    (relative) of a zero or the ratio of two neighbours leaves the float
+    range, and raises ContourError when the inserts reach ``budget``.
     """
     phase = cmath.phase
     dz = z1 - z0
@@ -444,7 +444,10 @@ def _edge_phase(scaled, z0: complex, z1: complex, budget: int) -> tuple[float, i
     inserts = 0
     i = 0
     while i < len(vals) - 1:
-        dphi = phase(vals[i + 1] / vals[i])
+        try:
+            dphi = phase(vals[i + 1] / vals[i])
+        except (OverflowError, ZeroDivisionError):
+            return None  # a ratio out of float range: too close to a zero to track
         if abs(dphi) > 1.4:
             inserts += 1
             if inserts >= budget:

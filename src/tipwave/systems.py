@@ -5,8 +5,8 @@ Three drivers share one interface (``step()``, ``t``, ``fields()``,
 stepper: each stores its fields as rows of one stacked array per time
 level, closed by its ``left_kinds`` and ``right_kinds``, and holds the
 ``DisturbanceSpec`` it runs under, so ``step()`` takes no inputs. Each
-steps through the ``wave_core.StepPlan`` it builds once from its grid,
-params and boundary kinds.
+writes its levels only through the ``wave_core.StepPlan`` it builds once
+from its grid, params and kinds, with the inputs of its ``_inputs()``.
 
 * ``SingleFieldLoop``  one wave field with any boundary pair (open
   plant, or either error system of the estimator analysis);
@@ -22,10 +22,10 @@ step n uses samples up to t_n only (one-step explicit lag), and returns
 0 until it has enough samples to difference. Time derivatives are
 backward differences of the samples; q_tt(1) comes from differencing
 the pinned q(1) samples, never from a one-sided spatial second
-derivative. The sampling and the control laws write these differences
-out with the expressions of ``slope_left``, ``slope_right`` and
-``backward_time_derivative``, so they give the same bits without those
-functions' per-call checks.
+derivative. The sampling, the control laws and ``_rate`` write these
+differences out with the expressions of ``slope_left``, ``slope_right``
+and ``backward_time_derivative``, so they give the same bits without
+those functions' per-call checks.
 """
 
 from __future__ import annotations
@@ -45,11 +45,8 @@ from .wave_core import (
     FieldHistory,
     Grid,
     StepPlan,
+    StructuralError,
     SystemParams,
-    WarmupError,
-    backward_time_derivative,
-    second_order_backstep,
-    slope_left,
 )
 
 __all__ = [
@@ -105,15 +102,9 @@ def control_eso(v1, vx1, q1, qx1, dt: float, params: SystemParams) -> float:
 def _rate(samples, dt: float) -> float:
     """Backward first difference of a sample history; 0.0 while it holds
     a single sample."""
-    try:
-        return backward_time_derivative(samples, 1, dt)
-    except WarmupError:
+    if len(samples) < 2:
         return 0.0
-
-
-def _tip_input(spec: DisturbanceSpec, tip: float, t: float) -> float:
-    """f(u(1, t)) + d(t): what the plant's tip receives besides the control."""
-    return eval_f(spec, tip) + eval_d(spec, t)
+    return (samples[-1] - samples[-2]) / dt
 
 
 class _StackedLoop:
@@ -128,7 +119,9 @@ class _StackedLoop:
     after every step the loop samples the stepped rows' boundaries: each
     row's tip value u(1), then each row's tip slope u_x(1), then the
     plant's measured slope u_x(0). The last three samples are kept,
-    enough for a backward second difference.
+    enough for a backward second difference. The back-step and every
+    step take a loop's boundary inputs from ``_inputs()`` and write the
+    rows that follow from the stepped ones with ``_couple(level)``.
     """
 
     names: tuple[str, ...]
@@ -141,15 +134,29 @@ class _StackedLoop:
         cls.energy_tags = tuple(tag for _, tag in cls.energy_rows)
 
     def __init__(self, grid: Grid, params: SystemParams, spec: DisturbanceSpec,
-                 prev: NDArray[np.float64], curr: NDArray[np.float64]):
+                 positions, velocities):
         self.grid = grid
         self.params = params
         self.spec = spec
-        self.levels = FieldHistory(prev, curr)
+        curr = np.zeros((len(self.energy_rows), grid.n_nodes))
+        curr[:len(self.names)] = self._initial_rows("position", positions)
+        self.levels = FieldHistory(curr, curr)
         self.plan = StepPlan(self.levels, grid, params, self.left_kinds, self.right_kinds)
         self._history: deque[tuple[float, ...]] = deque(maxlen=3)
         self._sample()
         self.step_index = 0
+        # the controls are 0 in warm-up, so these are the first step's inputs at t = 0
+        self.plan.backstep(self._initial_rows("velocity", velocities), *self._inputs())
+        self._couple(self.levels.prev)
+
+    def _initial_rows(self, kind: str, rows) -> NDArray[np.float64]:
+        """The stepped rows' initial positions or velocities, stacked."""
+        rows = [np.asarray(row, dtype=float) for row in rows]
+        for name, row in zip(self.names, rows):
+            if row.shape != (self.grid.n_nodes,):
+                raise StructuralError(f"initial {kind} of {name} has {row.size} values, "
+                                      f"grid expects {self.grid.n_nodes}")
+        return np.array(rows)
 
     @property
     def t(self) -> float:
@@ -185,8 +192,14 @@ class _StackedLoop:
                                        self.etas(self.boundary_states()),
                                        self.params, self.grid)))
 
-    def _finish_step(self) -> None:
-        """Guard the new level, promote it and sample its boundaries."""
+    def _couple(self, level: NDArray[np.float64]) -> None:
+        """Write the rows of ``level`` that follow from its stepped rows."""
+
+    def step(self) -> None:
+        """Advance one dt with the inputs evaluated at time t, then guard
+        the new level, promote it and sample its boundaries."""
+        self.plan.step(*self._inputs())
+        self._couple(self.levels.new)
         new = self.levels.new[:len(self.names)]
         if not np.abs(new, out=self.plan.magnitudes).max() <= BLOWUP_LIMIT:
             for name, row in zip(self.names, new):
@@ -215,17 +228,10 @@ class SingleFieldLoop(_StackedLoop):
     def __init__(self, grid: Grid, params: SystemParams, position, velocity,
                  left_kind: int, right_kind: int, spec: DisturbanceSpec = NO_DISTURBANCE):
         self.left_kinds, self.right_kinds = (left_kind,), (right_kind,)
-        curr = np.array([position], dtype=float)
-        prev = second_order_backstep(curr, np.array([velocity], dtype=float), grid, params,
-                                     self.left_kinds, (0.0,), self.right_kinds,
-                                     (_tip_input(spec, float(curr[0, -1]), 0.0),))
-        super().__init__(grid, params, spec, prev, curr)
+        super().__init__(grid, params, spec, (position,), (velocity,))
 
-    def step(self) -> None:
-        """Advance one dt with the inputs evaluated at time t."""
-        s = _tip_input(self.spec, self._history[-1][0], self.t)
-        self.plan.step((0.0,), (s,))
-        self._finish_step()
+    def _inputs(self) -> tuple[tuple[float], tuple[float]]:
+        return (0.0,), (eval_f(self.spec, self._history[-1][0]) + eval_d(self.spec, self.t),)
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, eta) with eta = m * u_t(1), the plant's tip momentum."""
@@ -259,24 +265,18 @@ class ObserverLoop(_StackedLoop):
 
     def __init__(self, grid: Grid, params: SystemParams,
                  u0, ut0, uhat0, uhatt0, spec: DisturbanceSpec = NO_DISTURBANCE):
-        curr = np.array([u0, uhat0], dtype=float)
-        # warm-up control is 0, so the back-step sees S_u = F(0), S_obs = 0
-        prev = second_order_backstep(curr, np.array([ut0, uhatt0], dtype=float), grid, params,
-                                     self.left_kinds, (0.0, slope_left(curr[0], grid.dx)),
-                                     self.right_kinds,
-                                     (_tip_input(spec, float(curr[0, -1]), 0.0), 0.0))
-        super().__init__(grid, params, spec, np.vstack([prev, prev[1] - prev[0]]),
-                         np.vstack([curr, curr[1] - curr[0]]))
+        super().__init__(grid, params, spec, (u0, uhat0), (ut0, uhatt0))
+        self._couple(self.levels.curr)
 
-    def step(self) -> None:
-        """Advance plant and observer by one dt with F evaluated at time t."""
+    def _inputs(self) -> tuple[tuple[float, float], tuple[float, float]]:
         u1, uhat1, _, uhatx1, ux0 = self._series()
         control = control_observer(uhat1, uhatx1, self.plan.dt, self.params)
-        disturbance = _tip_input(self.spec, u1[-1], self.t)
-        self.plan.step((0.0, ux0[-1]), (control + disturbance, control))
-        new = self.levels.new
-        np.subtract(new[1], new[0], out=new[2])
-        self._finish_step()
+        disturbance = eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.t)
+        return (0.0, ux0[-1]), (control + disturbance, control)
+
+    def _couple(self, level: NDArray[np.float64]) -> None:
+        """The observer error row, uhat - u."""
+        np.subtract(level[1], level[0], out=level[2])
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi) = boundary-dynamics states of plant and observer."""
@@ -310,25 +310,18 @@ class EsoLoop(_StackedLoop):
 
     def __init__(self, grid: Grid, params: SystemParams,
                  u0, ut0, v0, vt0, q0, qt0, spec: DisturbanceSpec = NO_DISTURBANCE):
-        curr = np.array([u0, v0, q0], dtype=float)
-        # q's pinned tip is a placeholder here, set from the closed u, v rows
-        prev = second_order_backstep(curr, np.array([ut0, vt0, qt0], dtype=float), grid, params,
-                                     self.left_kinds, (0.0, slope_left(curr[0], grid.dx), 0.0),
-                                     self.right_kinds,
-                                     (_tip_input(spec, float(curr[0, -1]), 0.0), 0.0, 0.0))
-        prev[2, -1] = prev[1, -1] - prev[0, -1]
-        super().__init__(grid, params, spec, prev, curr)
+        super().__init__(grid, params, spec, (u0, v0, q0), (ut0, vt0, qt0))
 
-    def step(self) -> None:
-        """One dt advance with uncertainty f(u(1, t)) and disturbance d(t)."""
+    def _inputs(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         u1, v1, q1, _, vx1, qx1, ux0 = self._series()
         control = control_eso(v1, vx1, q1, qx1, self.plan.dt, self.params)
         tip = control + eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.t)
         # q's pinned tip is a placeholder here, set from the closed u, v rows
-        self.plan.step((0.0, ux0[-1], 0.0), (tip, control, 0.0))
-        new = self.levels.new
-        new[2, -1] = new[1, -1] - new[0, -1]
-        self._finish_step()
+        return (0.0, ux0[-1], 0.0), (tip, control, 0.0)
+
+    def _couple(self, level: NDArray[np.float64]) -> None:
+        """Pin q's tip to the mismatch v - u of the closed rows."""
+        level[2, -1] = level[1, -1] - level[0, -1]
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi): tip-dynamics states of the closed loop."""

@@ -30,8 +30,8 @@ On a few hundred nodes a step's cost is mostly fixed Python and NumPy
 call overhead, so a loop builds one ``StepPlan`` for its levels when it
 is constructed and steps through it: the plan holds the closures'
 constants, the interior update's scratch lines and views of the level
-buffers, and re-derives none of them per step. ``leapfrog_step`` is the
-same step through a one-off plan.
+buffers, and re-derives none of them per step. It also back-steps the
+first level, so it is the only code that writes a loop's levels.
 """
 
 from __future__ import annotations
@@ -59,11 +59,9 @@ __all__ = [
     "RIGHT_TIP_MASS",
     "RIGHT_DIRICHLET_VALUE",
     "StepPlan",
-    "leapfrog_step",
     "backward_time_derivative",
     "slope_left",
     "slope_right",
-    "second_order_backstep",
 ]
 
 
@@ -198,7 +196,7 @@ class StepPlan:
     one-sided slopes read and a buffer of the rows' shape for the blow-up
     guard. Every expression keeps the operand order of the closures it
     implements; the constants are left-to-right prefixes of them, so a
-    planned step gives the same bits as the closures written out in full.
+    planned step or back-step gives the same bits as the closures written out in full.
     """
 
     def __init__(self, levels: FieldHistory, grid: Grid, params: SystemParams,
@@ -213,6 +211,7 @@ class StepPlan:
         self.levels = levels
         self.left_kinds, self.right_kinds = tuple(left_kinds), tuple(right_kinds)
         self.dx, self.dt = dx, dt
+        self.gamma, self.beta = gamma, beta
         self.r2 = r * r
         self.gamma_r = gamma / r
         self.two_dx_beta = 2.0 * dx * beta
@@ -277,20 +276,35 @@ class StepPlan:
             else:
                 new[i, -1] = s
 
-
-def leapfrog_step(levels: FieldHistory, grid: Grid, params: SystemParams,
-                  left_kinds: Sequence[int], exts: Sequence[float],
-                  right_kinds: Sequence[int], right_inputs: Sequence[float]) -> FieldHistory:
-    """Fill the new level of the first ``len(left_kinds)`` stacked rows.
-
-    One interior update covers all of them. Then, in row order, row i is
-    closed at x = 0 by ``left_kinds[i]`` (Robin input ``exts[i]``) and at
-    x = 1 by ``right_kinds[i]``, whose tip input or pinned value is
-    ``right_inputs[i]``. Later rows are left untouched. This is a one-off
-    ``StepPlan``; a loop builds its plan once and steps through it.
-    """
-    StepPlan(levels, grid, params, left_kinds, right_kinds).step(exts, right_inputs)
-    return levels
+    def backstep(self, velocities: NDArray, exts: Sequence[float],
+                 right_inputs: Sequence[float]) -> None:
+        """Fill the planned rows of the previous level, at t = -dt, from the
+        current level at t = 0 and the rows' initial velocities, by
+        u(-dt) = u(0) - dt u_t(0) + (dt^2/2) u_tt(0) with u_tt(0) from the
+        ghost-eliminated relations ``step`` closes the rows with, fed the
+        inputs at t = 0, so the first step is second-order accurate."""
+        p = self.levels.curr[:len(self.left_kinds)]
+        w = np.asarray(velocities, dtype=float)
+        if w.shape != p.shape:
+            raise StructuralError(f"initial velocities {w.shape} must be {p.shape}")
+        dx, dt, gamma, beta = self.dx, self.dt, self.gamma, self.beta
+        prev = self.levels.prev[:len(p)]
+        # the end nodes are closed below
+        prev[:, 1:-1] = (p[:, 1:-1] - dt * w[:, 1:-1]
+                         + 0.5 * (self.r2 * (p[:, 2:] - 2.0 * p[:, 1:-1] + p[:, :-2])))
+        for row, pi, wi, left, ext, right, s in zip(prev, p, w, self.left_kinds, exts,
+                                                    self.right_kinds, right_inputs):
+            if left == LEFT_ROBIN:
+                accel = (2.0 * pi[1] - 2.0 * pi[0]
+                         - self.two_dx * (gamma * wi[0] + beta * pi[0] + ext)) / (dx * dx)
+                row[0] = pi[0] - dt * wi[0] + 0.5 * dt * dt * accel
+            else:
+                row[0] = 0.0
+            if right == RIGHT_TIP_MASS:
+                tip = self.dt2 * (s - (pi[-1] - pi[-2]) / dx) / self.tip_mass
+                row[-1] = pi[-1] - dt * wi[-1] + 0.5 * tip
+            else:
+                row[-1] = s
 
 
 def slope_left(values, dx: float) -> float:
@@ -316,40 +330,3 @@ def backward_time_derivative(samples, order: int, dt: float) -> float:
     if order == 1:
         return (samples[-1] - samples[-2]) / dt
     return (samples[-1] - 2.0 * samples[-2] + samples[-3]) / (dt * dt)
-
-
-def second_order_backstep(positions: NDArray, velocities: NDArray, grid: Grid,
-                          params: SystemParams, left_kinds: Sequence[int], exts: Sequence[float],
-                          right_kinds: Sequence[int], right_inputs: Sequence[float]) -> NDArray:
-    """Build the t = -dt level of stacked rows from their initial positions
-    and velocities.
-
-    Uses u(-dt) = u(0) - dt u_t(0) + (dt^2/2) u_tt(0) with the
-    acceleration taken from the same ghost-eliminated relations the
-    stepper uses, so the first step is second-order accurate. Rows are
-    closed as in ``leapfrog_step``, with the inputs at t = 0.
-    """
-    p = np.asarray(positions, dtype=float)
-    w = np.asarray(velocities, dtype=float)
-    if not p.shape == w.shape == (len(left_kinds), grid.n_nodes):
-        raise StructuralError(f"initial positions {p.shape} and velocities {w.shape} must "
-                              f"be {len(left_kinds)} rows of {grid.n_nodes} nodes")
-    dx, dt, r = grid.dx, grid.dt, grid.r
-    r2 = r * r
-    delta = np.zeros_like(p)
-    delta[:, 1:-1] = r2 * (p[:, 2:] - 2.0 * p[:, 1:-1] + p[:, :-2])
-    prev = p - dt * w + 0.5 * delta
-    for row, pi, wi, left, ext, right, s in zip(prev, p, w, left_kinds, exts,
-                                                right_kinds, right_inputs):
-        if left == LEFT_DIRICHLET_ZERO:
-            row[0] = 0.0
-        elif left == LEFT_ROBIN:
-            accel = (2.0 * pi[1] - 2.0 * pi[0]
-                     - 2.0 * dx * (params.gamma * wi[0] + params.beta * pi[0] + ext)) / (dx * dx)
-            row[0] = pi[0] - dt * wi[0] + 0.5 * dt * dt * accel
-        if right == RIGHT_TIP_MASS:
-            tip = dt * dt * (s - (pi[-1] - pi[-2]) / dx) / (params.m + 0.5 * dx)
-            row[-1] = pi[-1] - dt * wi[-1] + 0.5 * tip
-        elif right == RIGHT_DIRICHLET_VALUE:
-            row[-1] = s
-    return prev

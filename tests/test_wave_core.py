@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tipwave import FieldHistory, Grid, SingleFieldLoop, SystemParams
+from tipwave import FieldHistory, Grid, SingleFieldLoop, SystemParams, default_backend_name
 from tipwave.wave_core import (
     LEFT_DIRICHLET_ZERO,
     LEFT_ROBIN,
@@ -15,8 +15,6 @@ from tipwave.wave_core import (
     StructuralError,
     WarmupError,
     backward_time_derivative,
-    leapfrog_step,
-    second_order_backstep,
     slope_left,
     slope_right,
 )
@@ -25,7 +23,7 @@ from tipwave.wave_core import (
 # ----------------------------------------------------------------------
 # Reference implementation: one field, one operation at a time. The
 # sympy tests below check these closures against the symbolic ghost-node
-# elimination; the stacked ``leapfrog_step`` must match them bit for bit.
+# elimination; a stacked ``StepPlan.step`` must match them bit for bit.
 # ----------------------------------------------------------------------
 
 def _check(field, grid):
@@ -89,6 +87,23 @@ def apply_robin_left(field, external_input, params, grid):
 def apply_dirichlet_trace_right(field, value):
     field.new[-1] = value
     return field
+
+
+def composed_step(levels, grid, params, lefts, exts, rights, right_inputs):
+    """Fill the new level of the first ``len(lefts)`` stacked rows, each by
+    the closures above on a copy of that row alone."""
+    for i, (left, ext, right, s) in enumerate(zip(lefts, exts, rights, right_inputs)):
+        row = FieldHistory(levels.prev[i], levels.curr[i])
+        step_interior(row, grid)
+        if left == LEFT_ROBIN:
+            apply_robin_left(row, ext, params, grid)
+        else:
+            apply_dirichlet_zero_left(row)
+        if right == RIGHT_TIP_MASS:
+            apply_tip_mass_right(row, s, 0.0, params, grid)
+        else:
+            apply_dirichlet_trace_right(row, s)
+        levels.new[i] = row.new
 
 
 def make_field(grid, curr, prev=None):
@@ -361,6 +376,14 @@ class TestLinearity:
         np.testing.assert_array_equal(advance(-curr, -prev), -advance(curr, prev))
 
 
+BC_CASES = [
+    (LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS),
+    (LEFT_ROBIN, RIGHT_TIP_MASS),
+    (LEFT_ROBIN, RIGHT_DIRICHLET_VALUE),
+    (LEFT_DIRICHLET_ZERO, RIGHT_DIRICHLET_VALUE),
+]
+
+
 class TestStackedStep:
     @given(data=st.data(), n_rows=st.integers(1, 3), n_cells=st.integers(3, 40),
            r=st.floats(0.05, 1.0))
@@ -380,20 +403,31 @@ class TestStackedStep:
         exts, rins = data.draw(inputs), data.draw(inputs)
 
         stacked = FieldHistory(prev, curr)
-        leapfrog_step(stacked, grid, params, lefts, exts, rights, rins)
+        StepPlan(stacked, grid, params, lefts, rights).step(exts, rins)
+        composed = FieldHistory(prev, curr)
+        composed_step(composed, grid, params, lefts, exts, rights, rins)
+        np.testing.assert_array_equal(stacked.new, composed.new)
 
-        for i in range(n_rows):
-            row = FieldHistory(prev[i], curr[i])
-            step_interior(row, grid)
-            if lefts[i] == LEFT_ROBIN:
-                apply_robin_left(row, exts[i], params, grid)
-            else:
-                apply_dirichlet_zero_left(row)
-            if rights[i] == RIGHT_TIP_MASS:
-                apply_tip_mass_right(row, rins[i], 0.0, params, grid)
-            else:
-                apply_dirichlet_trace_right(row, rins[i])
-            np.testing.assert_array_equal(stacked.new[i], row.new)
+    @pytest.mark.parametrize("left,right", BC_CASES)
+    def test_fused_kernel_matches_composed_ops(self, left, right):
+        """Fixed cases: one row of each boundary pair, ten random levels each."""
+        grid = Grid(n_cells=37, r=0.8)
+        params = SystemParams(m=3.0, alpha=1.7, a=2.4, beta=0.9, gamma=2.1)
+        rng = np.random.default_rng(1234)
+        for trial in range(10):
+            curr = rng.uniform(-2, 2, grid.n_nodes)
+            prev = rng.uniform(-2, 2, grid.n_nodes)
+            ext, rin = rng.uniform(-3, 3, 2)
+
+            fused = FieldHistory(prev[None, :], curr[None, :])
+            StepPlan(fused, grid, params, [left], [right]).step([ext], [rin])
+            composed = FieldHistory(prev[None, :], curr[None, :])
+            composed_step(composed, grid, params, [left], [ext], [right], [rin])
+            np.testing.assert_array_equal(fused.new, composed.new)
+
+    def test_one_stepper_named_python(self):
+        """The benchmark records this name with every run."""
+        assert default_backend_name() == "python"
 
     def test_plan_rejects_bad_shapes(self, grid, params):
         rows = FieldHistory(np.zeros((2, grid.n_nodes)), np.zeros((2, grid.n_nodes)))
@@ -405,14 +439,14 @@ class TestStackedStep:
     def test_leaves_unstepped_rows_alone(self, grid, params):
         levels = FieldHistory(np.ones((3, grid.n_nodes)), np.ones((3, grid.n_nodes)))
         levels.new[:] = 7.0
-        leapfrog_step(levels, grid, params, [LEFT_ROBIN] * 2, [0.0] * 2,
-                      [RIGHT_TIP_MASS] * 2, [0.0] * 2)
+        StepPlan(levels, grid, params, [LEFT_ROBIN] * 2, [RIGHT_TIP_MASS] * 2).step(
+            [0.0] * 2, [0.0] * 2)
         assert (levels.new[2] == 7.0).all() and not (levels.new[:2] == 7.0).any()
 
 
 def backstep_row(p, w, grid, params, left, ext0, right, s0):
-    """One row's t = -dt level, one operation at a time: the reference the
-    stacked ``second_order_backstep`` must match bit for bit."""
+    """One row's t = -dt level, one operation at a time: the reference a
+    stacked ``StepPlan.backstep`` must match bit for bit."""
     dx, dt, r2 = grid.dx, grid.dt, grid.r * grid.r
     delta = np.zeros_like(p)
     delta[1:-1] = r2 * (p[2:] - 2.0 * p[1:-1] + p[:-2])
@@ -431,13 +465,20 @@ def backstep_row(p, w, grid, params, left, ext0, right, s0):
     return prev
 
 
+def backstep(positions, velocities, grid, params, lefts, exts, rights, inputs):
+    """The t = -dt level of stacked rows, back-stepped through a plan."""
+    levels = FieldHistory(positions, positions)
+    StepPlan(levels, grid, params, lefts, rights).backstep(velocities, exts, inputs)
+    return levels.prev
+
+
 class TestBackstep:
     def test_rest_start_is_position(self):
         grid = Grid(n_cells=40, r=0.5)
         params = SystemParams()
         x = grid.nodes()
-        prev = second_order_backstep(x[None], np.zeros((1, grid.n_nodes)), grid, params,
-                                     [LEFT_DIRICHLET_ZERO], [0.0], [RIGHT_TIP_MASS], [1.0])
+        prev = backstep(x[None], np.zeros((1, grid.n_nodes)), grid, params,
+                        [LEFT_DIRICHLET_ZERO], [0.0], [RIGHT_TIP_MASS], [1.0])
         # u = x is stationary under boundary input 1: zero acceleration
         np.testing.assert_allclose(prev[0], x, atol=1e-15)
 
@@ -446,15 +487,12 @@ class TestBackstep:
         params = SystemParams()
         x = grid.nodes()[None]
         w = np.sin(np.pi * x)
-        a = second_order_backstep(x, w, grid, params, [LEFT_ROBIN], [0.0],
-                                  [RIGHT_TIP_MASS], [0.0])
-        b = second_order_backstep(x, np.zeros_like(x), grid, params, [LEFT_ROBIN], [0.0],
-                                  [RIGHT_TIP_MASS], [0.0])
+        a = backstep(x, w, grid, params, [LEFT_ROBIN], [0.0], [RIGHT_TIP_MASS], [0.0])
+        b = backstep(x, np.zeros_like(x), grid, params, [LEFT_ROBIN], [0.0],
+                     [RIGHT_TIP_MASS], [0.0])
         np.testing.assert_allclose(a - b, -grid.dt * w, atol=1e-12)
 
-    @pytest.mark.parametrize("left,right", [
-        (LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS), (LEFT_DIRICHLET_ZERO, RIGHT_DIRICHLET_VALUE),
-        (LEFT_ROBIN, RIGHT_TIP_MASS), (LEFT_ROBIN, RIGHT_DIRICHLET_VALUE)])
+    @pytest.mark.parametrize("left,right", BC_CASES)
     def test_stacked_matches_row_by_row(self, left, right):
         """Each row of a stacked back-step, here the middle one between rows
         of the other kinds, equals that row's back-step on its own."""
@@ -466,8 +504,21 @@ class TestBackstep:
         other_left = LEFT_ROBIN if left == LEFT_DIRICHLET_ZERO else LEFT_DIRICHLET_ZERO
         other_right = RIGHT_DIRICHLET_VALUE if right == RIGHT_TIP_MASS else RIGHT_TIP_MASS
         lefts, rights = [other_left, left, other_left], [other_right, right, other_right]
-        stacked = second_order_backstep(p, w, grid, params, lefts, exts, rights, inputs)
+        stacked = backstep(p, w, grid, params, lefts, exts, rights, inputs)
         for i in range(3):
             expected = backstep_row(p[i], w[i], grid, params, lefts[i], exts[i],
                                     rights[i], inputs[i])
             np.testing.assert_array_equal(stacked[i], expected)
+
+    def test_fills_only_planned_rows(self, grid, params):
+        levels = FieldHistory(np.full((3, grid.n_nodes), 7.0), np.ones((3, grid.n_nodes)))
+        plan = StepPlan(levels, grid, params, [LEFT_ROBIN] * 2, [RIGHT_TIP_MASS] * 2)
+        plan.backstep(np.zeros((2, grid.n_nodes)), [0.0] * 2, [0.0] * 2)
+        assert (levels.prev[2] == 7.0).all() and not (levels.prev[:2] == 7.0).any()
+
+    def test_rejects_velocities_of_another_shape(self, grid, params):
+        levels = FieldHistory(np.zeros((2, grid.n_nodes)), np.zeros((2, grid.n_nodes)))
+        plan = StepPlan(levels, grid, params, [LEFT_ROBIN] * 2, [RIGHT_TIP_MASS] * 2)
+        with pytest.raises(StructuralError,
+                           match=r"^initial velocities \(2, 100\) must be \(2, 101\)$"):
+            plan.backstep(np.zeros((2, grid.n_nodes - 1)), [0.0] * 2, [0.0] * 2)
