@@ -4,12 +4,13 @@
     tipwave spectrum --family {A2,A,Abb} [--n-max K] CONFIG [--out DIR]
     tipwave report OUTDIR
 
-Exit codes: 0 success, 1 config error (also an --out directory that
-cannot be created or written, with one ``output error:`` line; for
-spectrum, also a contour sweep that fails or a branch left without a
-root; for report, a malformed trace), 2 numerical blow-up, 3 configured
-acceptance threshold failed. A simulate run whose spectral summary is skipped
-still exits 0, with a ``warning:`` line on stderr.
+``spectrum`` appends ``mode``, ``family`` and ``n_max`` overrides and
+runs ``simulate``'s path. Exit codes: 0 success, 1 config error (also an
+unwritable --out, with one ``output error:`` line; a spectrum whose
+contour sweep fails or leaves a branch without a root, with one
+``spectral error:`` line; for report, a malformed trace), 2 numerical
+blow-up, 3 configured acceptance threshold failed. A time-domain run whose
+spectral summary is skipped still exits 0, with a ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -44,12 +45,18 @@ def _cmd_simulate(args) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 2
+    except ContourError as exc:
+        print(f"spectral error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1
     for msg in result.warnings:
         if msg not in printed:
             print(f"warning: {msg}", file=sys.stderr)
+    if config.mode == "spectrum":
+        for tag, value in result.abscissae.items():
+            print(f"spectral abscissa {tag} = {value!r}")
     print(f"artifacts written to {result.out_dir}")
     if result.threshold_failures:
         for msg in result.threshold_failures:
@@ -59,29 +66,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    overrides = list(args.override or [])
-    overrides.append("mode=spectrum")
+    args.override.append("mode=spectrum")
     if args.family:
-        overrides.append(f"family={args.family}")
+        args.override.append(f"family={args.family}")
     if args.n_max is not None:
-        overrides.append(f"n_max={args.n_max}")
-    try:
-        config = parse_config(_read(args.config), overrides=overrides)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = run_scenario(config, out_dir=args.out)
-    except ContourError as exc:
-        print(f"spectral error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 1
-    for tag, value in result.abscissae.items():
-        print(f"spectral abscissa {tag} = {value!r}")
-    print(f"artifacts written to {result.out_dir}")
-    return 0
+        args.override.append(f"n_max={args.n_max}")
+    return _cmd_simulate(args)
 
 
 def _cmd_report(args) -> int:

@@ -141,8 +141,9 @@ class ScenarioConfig:
 
     @property
     def warnings(self) -> list[str]:
-        """Broken stability hypotheses: a time-domain run still goes ahead."""
-        return self.params().hypothesis_warnings()
+        """Broken stability hypotheses a time-domain run still goes ahead
+        with (a spectrum run's family checks its own on construction)."""
+        return [] if self.mode == "spectrum" else self.params().hypothesis_warnings()
 
     def params(self) -> SystemParams:
         return SystemParams(m=self.m, alpha=self.alpha, a=self.a,
@@ -447,7 +448,7 @@ def _check_thresholds(config, traces, boundary) -> list[str]:
     failures = []
     if config.threshold_plant_energy_ratio is not None and "u_H1" in traces:
         e = traces["u_H1"].values
-        ratio = e[-1] / e[0] if e[0] > 0 else 0.0
+        ratio = e[-1] / e[0] if e[0] > 0 else (math.inf if e[-1] > 0 else 0.0)
         if not ratio <= config.threshold_plant_energy_ratio:
             failures.append(
                 f"plant energy ratio {ratio!r} exceeds "

@@ -47,9 +47,11 @@ sweep outside it. The boxes and the Newton starting points are those
 of a sweep that counts every box on its own, so every root keeps its
 bits.
 
-``compute_spectrum`` checks that every branch |n| <= n_max holds a root
-and raises ContourError naming any branch that holds none, so a root
-that slips between the sweep and the ladder is reported, not dropped.
+``compute_spectrum`` builds each root's Eigenvalue once, where the root
+is found (``_eigenvalue``), and checks that every branch |n| <= n_max
+holds a root: it raises ContourError naming any branch that holds none,
+so a root that slips between the sweep and the ladder is reported, not
+dropped. The sweep's top edge lies mid-gap on a half-offset ladder.
 """
 
 from __future__ import annotations
@@ -214,20 +216,6 @@ class CharFamily:
 
     # -- characteristic function ---------------------------------------
 
-    def char_residual(self, lam: complex) -> complex:
-        """Raw residual (LHS - RHS) of the family's characteristic equation."""
-        p = self.params
-        lam = complex(lam)
-        if self.tag == "A2":
-            lead = ((1 + p.gamma) * lam + p.beta) * (1 + p.m * lam)
-            trail = ((1 - p.gamma) * lam - p.beta) * (1 - p.m * lam)
-            return cmath.exp(2 * lam) * lead - trail
-        if self.tag == "A":
-            lead = (1 + p.alpha) + (p.a + p.m) * lam
-            trail = (1 - p.alpha) + (p.a - p.m) * lam
-            return cmath.exp(2 * lam) * lead + trail
-        return lam * cmath.cosh(lam) + (p.gamma * lam + p.beta) * cmath.sinh(lam)
-
     def scaled(self, lam: complex) -> tuple[complex, float]:
         """(value, magnitude scale) of an overflow-safe rescaling.
 
@@ -363,7 +351,7 @@ def _newton(family: CharFamily, start: complex) -> tuple[complex, bool]:
 
 
 def refine_root(family: CharFamily, seed: complex, n: int | None = None) -> Eigenvalue:
-    """Newton-refine one asymptotic seed.
+    """Newton-refine one asymptotic seed; ``n`` defaults to the seed's branch.
 
     If Newton drifts to a different branch (further than pi/2 from the
     seed), the strip around the seed is re-searched by the argument
@@ -371,19 +359,22 @@ def refine_root(family: CharFamily, seed: complex, n: int | None = None) -> Eige
     still fails the residual tolerance is returned flagged.
     """
     seed = complex(seed)
-    if n is None:
-        n = family.branch_index(seed)
     z, ok = _newton(family, seed)
     if not ok or abs(z - seed) > math.pi / 2:
         relocated = _relocate_near(family, seed)
         if relocated is not None:
             z, ok = relocated, True
-        elif not ok:
-            return Eigenvalue(n=n, seed=seed, refined=z,
-                              residual=family.normalized_residual(z), converged=False)
+    return _eigenvalue(family, z, seed, ok, family.branch_index(seed) if n is None else n)
+
+
+def _eigenvalue(family: CharFamily, z: complex, seed: complex | None = None,
+                ok: bool = True, n: int | None = None) -> Eigenvalue:
+    """Every Eigenvalue is built here: ``n`` defaults to z's branch, ``seed``
+    to that branch's ladder seed; converged is ``ok`` and residual <= RESIDUAL_TOL."""
+    n = family.branch_index(z) if n is None else n
     res = family.normalized_residual(z)
-    return Eigenvalue(n=n, seed=seed, refined=z, residual=res,
-                      converged=res <= RESIDUAL_TOL)
+    return Eigenvalue(n=n, seed=family.seed(n) if seed is None else seed, refined=z,
+                      residual=res, converged=ok and res <= RESIDUAL_TOL)
 
 
 def _relocate_near(family: CharFamily, seed: complex) -> complex | None:
@@ -536,9 +527,8 @@ def _split(xlo, xhi, ylo, yhi):
     return (xlo, xhi, ylo, ym), (xlo, xhi, ym, yhi)
 
 
-def _count(family: CharFamily, box, edges: _EdgeMemo) -> tuple[int, bool]:
+def _count(family: CharFamily, xlo, xhi, ylo, yhi, edges: _EdgeMemo) -> tuple[int, bool]:
     """(zeros in the box, whether counted on the box's own contour)."""
-    xlo, xhi, ylo, yhi = box
     n = count_zeros_in_box(family, complex(xlo, ylo), complex(xhi, yhi), edges=edges)
     return n, not edges.padded
 
@@ -561,7 +551,7 @@ def _sweep_box(family: CharFamily, xlo, xhi, ylo, yhi, depth: int = 0,
     """
     if edges is None:
         edges = _EdgeMemo()
-    zeros, exact = _count(family, (xlo, xhi, ylo, yhi), edges) if count is None else count
+    zeros, exact = _count(family, xlo, xhi, ylo, yhi, edges) if count is None else count
     if zeros < 0:
         raise ContourError(f"negative zero count {zeros} in [{xlo}, {xhi}] x [{ylo}, {yhi}]")
     if zeros == 0:
@@ -574,7 +564,7 @@ def _sweep_box(family: CharFamily, xlo, xhi, ylo, yhi, depth: int = 0,
     if depth >= 60:
         raise ContourError("box bisection failed to isolate zeros (multiple root?)")
     first, second = _split(xlo, xhi, ylo, yhi)
-    first_count = _count(family, first, edges)
+    first_count = _count(family, *first, edges)
     roots = _sweep_box(family, *first, depth + 1, first_count, edges)
     rest = zeros - first_count[0]
     second_count = (rest, True) if exact and first_count[1] and rest >= 0 else None
@@ -592,7 +582,9 @@ def compute_spectrum(family: CharFamily, n_max: int = 100) -> Spectrum:
     Branches beyond N_LOW are Newton-refined from their asymptotic
     seeds; the low-|n| region, where eigenvalues need not follow the
     ladder (extra real roots, displaced central pairs), is swept by the
-    argument principle. Conjugate roots are mirrored from the upper
+    argument principle up to a top edge mid-gap between branches N_LOW
+    and N_LOW + 1 of a half-offset ladder (at 0.74 of the gap on an
+    integer ladder). Conjugate roots are mirrored from the upper
     half-plane and re-validated. The mirror of branch n is branch
     -n - 2 offset, so a ladder offset by -1/2 is seeded up to branch
     n_max + 1 to reach branch -n_max.
@@ -610,53 +602,40 @@ def compute_spectrum(family: CharFamily, n_max: int = 100) -> Spectrum:
     none, ContourError names it, since the enumeration missed a root.
     """
     n_low = min(N_LOW, n_max)
-    # (root, residual, converged, seed, the Eigenvalue refine_root built)
-    roots: list[tuple[complex, float, bool, complex | None, Eigenvalue | None]] = []
-
-    edge_im = (n_low + 0.74) * math.pi
+    offset = family.branch_offset()
+    edge_im = (n_low + (0.74 if offset == 0.0 else offset + 0.5)) * math.pi
     # the sweep below and every relocation sweep of refine_root share one
     # edge memo, which is freed before the roots are mirrored and deduped
     family._edges = _EdgeMemo()
     try:
         swept = _sweep_box(family, family.sweep_left_edge(), 0.5, -1e-4, edge_im,
                            edges=family._edges)
-        for z in swept:
-            if abs(z) < SPURIOUS_RADIUS and family.tag == "Abb":
-                continue  # spurious origin zero: eigenfunction vanishes identically
-            roots.append((z, family.normalized_residual(z), True, None, None))
+        # Abb's origin zero is spurious: its eigenfunction vanishes identically
+        swept = [_eigenvalue(family, z) for z in swept
+                 if not (abs(z) < SPURIOUS_RADIUS and family.tag == "Abb")]
 
         # seeds below the swept box's top edge (all n < n_low) are skipped
-        n_top = n_max + 1 if family.branch_offset() < 0 else n_max
+        ladder = []
+        n_top = n_max + 1 if offset < 0 else n_max
         for n in range(n_low, n_top + 1):
             seed = family.seed(n)
             if seed.imag <= edge_im:
                 continue
             eig = refine_root(family, seed, n)
-            roots.append((eig.refined, eig.residual, eig.converged, seed, eig))
+            if family.branch_index(eig.refined) != eig.n:  # Newton moved to another branch
+                eig = _eigenvalue(family, eig.refined, seed, eig.converged)
+            ladder.append(eig)
     finally:
         family._edges = None
 
-    # conjugate closure, then dedupe
-    mirrored = []
-    for z, res, ok, seed, _ in roots:
-        if z.imag > 1e-9:
-            zc = z.conjugate()
-            mirrored.append((zc, family.normalized_residual(zc), ok,
-                             None if seed is None else seed.conjugate(), None))
-    roots += mirrored
-
-    roots.sort(key=lambda item: (item[0].imag, item[0].real))
-    eigenvalues = []
-    for z, res, ok, seed, eig in _dedupe(roots):
-        n = family.branch_index(z)
-        if abs(n) > n_max:
-            continue
-        # a ladder root keeps refine_root's Eigenvalue unless Newton moved
-        # it to another branch (its converged flag is already res <= RESIDUAL_TOL)
-        if eig is None or eig.n != n:
-            eig = Eigenvalue(n=n, seed=family.seed(n) if seed is None else seed,
-                             refined=z, residual=res, converged=ok and res <= RESIDUAL_TOL)
-        eigenvalues.append(eig)
+    # conjugate closure, then dedupe: a swept root's mirror is seeded from
+    # its own branch, a ladder root's mirror from the conjugate seed
+    eigenvalues = swept + ladder + [
+        _eigenvalue(family, e.refined.conjugate()) for e in swept if e.refined.imag > 1e-9] + [
+        _eigenvalue(family, e.refined.conjugate(), e.seed.conjugate(), e.converged)
+        for e in ladder if e.refined.imag > 1e-9]
+    eigenvalues.sort(key=lambda e: (e.refined.imag, e.refined.real))
+    eigenvalues = [e for e in _dedupe(eigenvalues) if abs(e.n) <= n_max]
     _check_branches(family, n_max, eigenvalues)
     return Spectrum(family=family, n_max=n_max, eigenvalues=eigenvalues)
 
@@ -681,17 +660,17 @@ def _dedupe(roots):
     pairwise check against every kept root, in the same order.
     """
     unique = []
-    for item in roots:
-        z = item[0]
+    for e in roots:
+        z = e.refined
         duplicate = False
         for kept in reversed(unique):
-            if z.imag - kept[0].imag > DEDUPE_RADIUS:
+            if z.imag - kept.refined.imag > DEDUPE_RADIUS:
                 break
-            if abs(z - kept[0]) <= DEDUPE_RADIUS:
+            if abs(z - kept.refined) <= DEDUPE_RADIUS:
                 duplicate = True
                 break
         if not duplicate:
-            unique.append(item)
+            unique.append(e)
     return unique
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tipwave import spectral
 from tipwave.cli import main as cli_main
 from tipwave.energy import ENERGY_BLOCK_BYTES
 from tipwave.scenarios import (
@@ -23,6 +24,8 @@ from tipwave.scenarios import (
 )
 from tipwave.systems import BlowUpError, EsoLoop, ObserverLoop
 from tipwave.wave_core import Grid
+
+from test_spectral import lands_on_neighbour
 
 
 def tree_digest(root):
@@ -234,6 +237,23 @@ class TestRunScenario:
         header = open(path).readline().strip()
         assert header == "n,seed_re,seed_im,refined_re,refined_im,residual"
 
+    @pytest.mark.parametrize("table,ratio,verdict", [
+        ("0:0 1:1 5:1", "inf", "FAIL: plant energy ratio inf exceeds 0.5"),
+        ("0:0 5:0", "0.0", "thresholds: PASS"),
+    ], ids=["grows", "stays_zero"])
+    def test_plant_energy_ratio_from_zero(self, tmp_path, table, ratio, verdict):
+        """From zero initial energy, energy that grows is an infinite ratio,
+        and energy that stays at zero a ratio of 0."""
+        cfg = parse_config("mode = eso_loop\nu0 = 0\nut0 = 0\nd_kind = table\n"
+                           f"d_table = {table}\nhorizon = 5\nspectral_summary = false\n"
+                           "threshold_plant_energy_ratio = 0.5\n")
+        result = run_scenario(cfg, out_dir=str(tmp_path / "out"))
+        e = result.energy_traces["u_H1"].values
+        assert e[0] == 0.0 and (e[-1] > 0.0) == (ratio == "inf")
+        assert result.threshold_failures == ([] if ratio == "0.0" else
+                                             [f"plant energy ratio {ratio} exceeds 0.5"])
+        assert open(result.summary_path).read().splitlines()[-1] == verdict
+
     def test_threshold_failure_reported(self, tmp_path):
         cfg = parse_config("preset = reproduce_sec4\nhorizon = 1\n"
                            "spectral_summary = false\n"
@@ -317,14 +337,16 @@ class TestRunScenario:
             in summary
         assert not any(line.startswith("spectral abscissa") for line in summary)
 
-    def test_missing_branch_skips_spectral_summary(self, tmp_path):
-        """A2 at gamma = 0.9999 leaves branches 8 and -9 without a root: the
-        observer loop's summary warns instead of printing abscissae."""
-        cfg = parse_config("preset = counterexample_sec3\ngamma = 0.9999\nhorizon = 0.2\n")
+    def test_missing_branch_skips_spectral_summary(self, tmp_path, monkeypatch):
+        """Newton for branch 15 lands on branch 14's root, which leaves
+        branches 15 and -15 without a root: the observer loop's summary
+        warns instead of printing abscissae."""
+        monkeypatch.setattr(spectral, "refine_root", lands_on_neighbour(spectral.refine_root))
+        cfg = parse_config("preset = counterexample_sec3\nhorizon = 0.2\n")
         result = run_scenario(cfg, out_dir=str(tmp_path / "out"))
         assert result.abscissae == {}
-        warning = ("spectral summary skipped: family A2: no root on 2 of the branches "
-                   "|n| <= 40: 8, -9")
+        warning = ("spectral summary skipped: family A: no root on 2 of the branches "
+                   "|n| <= 40: -15, 15")
         assert result.warnings == [warning]
         summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
         assert f"warning: {warning}" in summary
@@ -560,13 +582,39 @@ class TestCli:
             "spectral error: could not separate contour from zeros\n"
         assert not (tmp_path / "out").exists()
 
-    def test_spectrum_missing_branch(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, "gamma = 0.9999\n")
+    def test_spectrum_missing_branch(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "refine_root", lands_on_neighbour(spectral.refine_root))
+        cfg = self.write_cfg(tmp_path, "")
         code = cli_main(["spectrum", "--family", "A2", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "spectral error: family A2: no root on 2 of the branches |n| <= 100: 8, -9\n")
+            "spectral error: family A2: no root on 2 of the branches |n| <= 100: -15, 15\n")
         assert not (tmp_path / "out").exists()
+
+    def test_simulate_on_spectrum_config(self, tmp_path, capsys):
+        """simulate runs a spectrum config through the same path as spectrum:
+        a failed sweep is one line and exit 1, a working one prints its abscissa."""
+        cfg = self.write_cfg(tmp_path, "mode = spectrum\nfamily = Abb\ngamma = 1.0001\n")
+        assert cli_main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == (
+            "", "spectral error: could not separate contour from zeros\n")
+        assert not (tmp_path / "out").exists()
+        code = cli_main(["simulate", cfg, "--out", str(tmp_path / "out"),
+                         "--override", "gamma=1.5", "--override", "n_max=5"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith("spectral abscissa Abb = -0.67205")
+        assert out.endswith(f"artifacts written to {tmp_path / 'out'}\n")
+
+    def test_spectrum_prints_no_other_familys_warning(self, tmp_path, capsys):
+        """m = a breaks only family A's hypothesis, which an A2 spectrum never reads."""
+        cfg = self.write_cfg(tmp_path, "m = 2\na = 2\n")
+        code = cli_main(["spectrum", "--family", "A2", "--n-max", "5", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 2
 
     @pytest.mark.parametrize("command", ["simulate", "spectrum"])
     @pytest.mark.parametrize("out", ["file", "file/sub"])

@@ -2,7 +2,7 @@ import cmath
 import math
 import re
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -45,26 +45,30 @@ def spectra():
 
 
 class TestResidual:
+    """The scaled characteristic function, the value the sweep and the
+    residuals use (A2 and A as written, Abb times 2 e^L)."""
+
     def test_observer_error_family_at_origin(self):
         fam = CharFamily("A2", SystemParams())
         # LHS - RHS at 0: beta - (-beta) = 2 beta = 3.0
-        assert fam.char_residual(0.0) == pytest.approx(3.0, rel=1e-14)
+        assert fam.scaled(0.0)[0] == pytest.approx(3.0, rel=1e-14)
 
     def test_state_feedback_family_at_origin(self):
         # (1+alpha) + (1-alpha) + (a-m)*0 = 2; the trailing term carries
         # the eigenvalue factor (dropping it would put a root in the
         # right half-plane, contradicting exponential stability)
         fam = CharFamily("A", SystemParams())
-        assert fam.char_residual(0.0) == pytest.approx(2.0, rel=1e-14)
+        assert fam.scaled(0.0)[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_pinned_error_family_at_i_pi(self):
+        # the raw value -i pi times 2 e^{i pi} = -2
         fam = CharFamily("Abb", SystemParams())
-        value = fam.char_residual(1j * math.pi)
-        assert value == pytest.approx(-1j * math.pi, abs=1e-12)
+        value, _ = fam.scaled(1j * math.pi)
+        assert value == pytest.approx(2j * math.pi, abs=1e-12)
 
     def test_origin_is_raw_zero_for_pinned_family(self):
         fam = CharFamily("Abb", SystemParams())
-        assert fam.char_residual(0.0) == 0.0
+        assert fam.scaled(0.0)[0] == 0.0
 
     def test_scaled_form_is_overflow_safe(self, family):
         value, scale = family.scaled(complex(-250.0, 4.0))
@@ -306,10 +310,10 @@ def oracle_sweep_box(family, xlo, xhi, ylo, yhi, depth=0, **_):
     return roots
 
 
-def spectrum_bits(family, n_max):
+def spectrum_bits(family, n_max, compute=compute_spectrum):
     """Every eigenvalue in float.hex, or the ContourError message."""
     try:
-        spec = compute_spectrum(family, n_max=n_max)
+        spec = compute(family, n_max=n_max)
     except ContourError as exc:
         return f"ContourError: {exc}"
     return [(e.n, hex_parts(e.seed), hex_parts(e.refined), e.residual.hex(), e.converged)
@@ -326,6 +330,13 @@ def assert_same_as_oracle(family, n_max):
         assert got == spectrum_bits(family, n_max)
 
 
+def lands_on_neighbour(refine):
+    """refine_root, except that Newton for branch 15 starts from branch 14's seed."""
+    def patched(family, seed, n=None):
+        return refine(family, family.seed(14), n) if n == 15 else refine(family, seed, n)
+    return patched
+
+
 class TestSweep:
     @given(st.sampled_from(["A2", "A", "Abb"]), SWEEP_GAINS, SWEEP_GAINS, SWEEP_GAINS,
            SWEEP_GAINS, SWEEP_GAINS, st.integers(0, 40))
@@ -340,7 +351,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("tag,params", [
         ("Abb", SystemParams(gamma=1.0001)),  # the contour cannot be separated
-        ("A2", SystemParams(gamma=0.9999)),  # branches 8 and -9 hold no root
+        ("A2", SystemParams(gamma=0.9999)),  # branch 8 sits just above the mid-gap edge
         ("A2", SystemParams(gamma=1.01)),
         ("A", SystemParams(m=2.01)),
     ])
@@ -406,6 +417,145 @@ class TestSweep:
         seen = Counter((round(z.real, 9), round(z.imag, 9)) for z in points)
         twice = [p for p, k in seen.items() if k > 1]
         assert all(min(abs(complex(*p) - c) for c in corners) < 1e-8 for p in twice)
+
+
+# The enumeration as it was before every root became one Eigenvalue
+# record built in one place, kept verbatim as the oracle: 5-tuples through
+# compute_spectrum, a tuple dedupe, and refine_root's two returns. Its top
+# edge sits at 0.74 of the gap on every ladder, so it is the oracle of the
+# integer (offset 0) ladders only.
+
+def oracle_refine_root(family, seed, n=None):
+    seed = complex(seed)
+    if n is None:
+        n = family.branch_index(seed)
+    z, ok = spectral._newton(family, seed)
+    if not ok or abs(z - seed) > math.pi / 2:
+        relocated = spectral._relocate_near(family, seed)
+        if relocated is not None:
+            z, ok = relocated, True
+        elif not ok:
+            return spectral.Eigenvalue(n=n, seed=seed, refined=z,
+                                       residual=family.normalized_residual(z), converged=False)
+    res = family.normalized_residual(z)
+    return spectral.Eigenvalue(n=n, seed=seed, refined=z, residual=res,
+                               converged=res <= spectral.RESIDUAL_TOL)
+
+
+def oracle_dedupe(roots):
+    unique = []
+    for item in roots:
+        z = item[0]
+        duplicate = False
+        for kept in reversed(unique):
+            if z.imag - kept[0].imag > DEDUPE_RADIUS:
+                break
+            if abs(z - kept[0]) <= DEDUPE_RADIUS:
+                duplicate = True
+                break
+        if not duplicate:
+            unique.append(item)
+    return unique
+
+
+def oracle_compute_spectrum(family, n_max=100):
+    n_low = min(spectral.N_LOW, n_max)
+    # (root, residual, converged, seed, the Eigenvalue refine_root built)
+    roots = []
+
+    edge_im = (n_low + 0.74) * math.pi
+    family._edges = spectral._EdgeMemo()
+    try:
+        swept = spectral._sweep_box(family, family.sweep_left_edge(), 0.5, -1e-4, edge_im,
+                                    edges=family._edges)
+        for z in swept:
+            if abs(z) < spectral.SPURIOUS_RADIUS and family.tag == "Abb":
+                continue  # spurious origin zero: eigenfunction vanishes identically
+            roots.append((z, family.normalized_residual(z), True, None, None))
+
+        # seeds below the swept box's top edge (all n < n_low) are skipped
+        n_top = n_max + 1 if family.branch_offset() < 0 else n_max
+        for n in range(n_low, n_top + 1):
+            seed = family.seed(n)
+            if seed.imag <= edge_im:
+                continue
+            eig = oracle_refine_root(family, seed, n)
+            roots.append((eig.refined, eig.residual, eig.converged, seed, eig))
+    finally:
+        family._edges = None
+
+    # conjugate closure, then dedupe
+    mirrored = []
+    for z, res, ok, seed, _ in roots:
+        if z.imag > 1e-9:
+            zc = z.conjugate()
+            mirrored.append((zc, family.normalized_residual(zc), ok,
+                             None if seed is None else seed.conjugate(), None))
+    roots += mirrored
+
+    roots.sort(key=lambda item: (item[0].imag, item[0].real))
+    eigenvalues = []
+    for z, res, ok, seed, eig in oracle_dedupe(roots):
+        n = family.branch_index(z)
+        if abs(n) > n_max:
+            continue
+        # a ladder root keeps refine_root's Eigenvalue unless Newton moved
+        # it to another branch (its converged flag is already res <= RESIDUAL_TOL)
+        if eig is None or eig.n != n:
+            eig = spectral.Eigenvalue(n=n, seed=family.seed(n) if seed is None else seed,
+                                      refined=z, residual=res,
+                                      converged=ok and res <= spectral.RESIDUAL_TOL)
+        eigenvalues.append(eig)
+    spectral._check_branches(family, n_max, eigenvalues)
+    return spectral.Spectrum(family=family, n_max=n_max, eigenvalues=eigenvalues)
+
+
+def assert_same_as_oracle_records(family, n_max):
+    assert (spectrum_bits(family, n_max)
+            == spectrum_bits(family, n_max, compute=oracle_compute_spectrum))
+
+
+def reindexed(refine):
+    """refine_root, except that branch 15's root is labelled branch 16, so
+    the enumeration must move it back to its own branch."""
+    def patched(family, seed, n=None):
+        return refine(family, seed, 16) if n == 15 else refine(family, seed, n)
+    return patched
+
+
+class TestRecords:
+    @given(st.sampled_from(["A2", "A", "Abb"]), SWEEP_GAINS, SWEEP_GAINS, SWEEP_GAINS,
+           st.floats(1.02, 8.0), st.floats(0.05, 6.0), st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_same_bits_as_tuple_records(self, tag, alpha, a, beta, gamma, m_minus_a, n_max):
+        """One Eigenvalue per root, built where the root is found, keeps
+        every root, seed, residual, flag and error message of the integer
+        ladders (gamma > 1, m > a)."""
+        p = SystemParams(m=a + m_minus_a, alpha=alpha, a=a, beta=beta, gamma=gamma)
+        assert CharFamily(tag, p).branch_offset() == 0.0
+        assert_same_as_oracle_records(CharFamily(tag, p), n_max)
+
+    @pytest.mark.parametrize("tag,params", [
+        # A2's and A's branch-0 pairs lie off the real axis: the mirror's seed
+        # is its own branch's, imaginary part +0.0, not the conjugate's -0.0
+        ("A2", SystemParams()),
+        ("A", SystemParams()),
+        ("Abb", SystemParams()),
+        ("Abb", SystemParams(gamma=1.0001)),  # the contour cannot be separated
+        ("A2", SystemParams(gamma=1.01)),
+        ("A", SystemParams(m=2.01)),
+    ])
+    def test_same_bits_at_points(self, tag, params):
+        assert_same_as_oracle_records(CharFamily(tag, params), 40)
+
+    @pytest.mark.parametrize("patch", [reindexed, lands_on_neighbour])
+    @pytest.mark.parametrize("tag", ["A2", "A", "Abb"])
+    def test_same_bits_when_newton_changes_branch(self, tag, patch, monkeypatch):
+        """A ladder root that lies on another branch than its label, kept
+        (reindexed) or a duplicate of its neighbour (lands_on_neighbour)."""
+        monkeypatch.setattr(spectral, "refine_root", patch(spectral.refine_root))
+        monkeypatch.setitem(globals(), "oracle_refine_root", patch(oracle_refine_root))
+        assert_same_as_oracle_records(CharFamily(tag, SystemParams()), 20)
 
 
 class TestEigenfunctions:
@@ -495,14 +645,29 @@ class TestSpectrum:
         lo1, _ = strip_interval(1)
         assert hi0 == lo1 and lo0 == -hi0
 
-    def test_missing_branch_raises(self):
-        """A2 at gamma = 0.9999: the branch-8 root sits just above the swept
-        box and its seed just below it, so neither search finds it."""
-        fam = CharFamily("A2", SystemParams(gamma=0.9999))
+    def test_missing_branch_raises(self, monkeypatch):
+        """Newton from branch 15's seed lands on branch 14's root, so
+        branch 15 and its mirror -15 hold no root."""
+        monkeypatch.setattr(spectral, "refine_root", lands_on_neighbour(spectral.refine_root))
+        fam = CharFamily("A2", SystemParams())
         with pytest.raises(ContourError,
                            match=r"^family A2: no root on 2 of the branches "
-                                 r"\|n\| <= 100: 8, -9$"):
+                                 r"\|n\| <= 100: -15, 15$"):
             compute_spectrum(fam, n_max=100)
+
+    @pytest.mark.parametrize("kw,n_max", [
+        ({"gamma": 0.998}, 40), ({"gamma": 0.999}, 40), ({"gamma": 0.9995}, 40),
+        ({"gamma": 0.9999}, 40),
+        ({"m": 7.76, "alpha": 7.922, "a": 1.148029, "beta": 6.4, "gamma": 0.878578}, 3),
+    ])
+    def test_mid_gap_edge_finds_every_branch(self, kw, n_max):
+        """On a half-offset ladder a root can sit above an edge at 0.74 of
+        the gap while its seed sits below it (A2 at gamma = 0.9999 put
+        branch 8 at Im ~ 8.746 pi); the edge mid-gap leaves no branch out."""
+        spec = compute_spectrum(CharFamily("A2", SystemParams(**kw)), n_max=n_max)
+        assert {e.n for e in spec.eigenvalues} >= set(range(-n_max, n_max + 1))
+        for k, counted, enumerated in verify_strip_counts(spec, n_max - 1):
+            assert counted == enumerated, k
 
 
 @pytest.mark.parametrize("tag,params,offset", [
@@ -522,12 +687,7 @@ def test_every_branch_listed_and_checked(tag, params, offset, monkeypatch):
         spec = compute_spectrum(fam, n_max=n_max)
         assert {e.n for e in spec.eigenvalues} == set(range(-n_max, n_max + 1)), n_max
 
-    refine = spectral.refine_root
-
-    def lands_on_neighbour(family, seed, n=None):
-        return refine(family, family.seed(14), n) if n == 15 else refine(family, seed, n)
-
-    monkeypatch.setattr(spectral, "refine_root", lands_on_neighbour)
+    monkeypatch.setattr(spectral, "refine_root", lands_on_neighbour(spectral.refine_root))
     missing = sorted({15, int(-15 - 2 * offset)}, key=lambda n: (abs(n), n))
     message = (f"family {tag}: no root on 2 of the branches |n| <= 20: "
                f"{missing[0]}, {missing[1]}")
@@ -538,13 +698,16 @@ def test_every_branch_listed_and_checked(tag, params, offset, monkeypatch):
 R = DEDUPE_RADIUS
 
 
+Root = namedtuple("Root", "refined tag")
+
+
 def dedupe_pairwise(roots):
     """The quadratic dedupe that ``_dedupe`` replaced, kept as its oracle."""
     unique = []
-    for item in roots:
-        if any(abs(item[0] - kept[0]) <= R for kept in unique):
+    for root in roots:
+        if any(abs(root.refined - kept.refined) <= R for kept in unique):
             continue
-        unique.append(item)
+        unique.append(root)
     return unique
 
 
@@ -586,19 +749,19 @@ class TestDedupe:
     @given(root_groups())
     @settings(max_examples=300, deadline=None)
     def test_matches_pairwise_dedupe(self, zs):
-        roots = sorted(((z, i) for i, z in enumerate(zs)),
-                       key=lambda item: (item[0].imag, item[0].real))
+        roots = sorted((Root(z, i) for i, z in enumerate(zs)),
+                       key=lambda root: (root.refined.imag, root.refined.real))
         assert _dedupe(roots) == dedupe_pairwise(roots)
 
     def test_ladder_with_twins_is_linear(self):
         """The pairwise check needs ~4e8 comparisons here; the window needs ~4e4."""
         ladder = [complex(-0.4, math.pi * k) for k in range(-10_000, 10_000)]
-        roots = [(z, "root") for z in ladder] + [(z + 1e-8, "twin") for z in ladder]
-        roots.sort(key=lambda item: (item[0].imag, item[0].real))
+        roots = [Root(z, "root") for z in ladder] + [Root(z + 1e-8, "twin") for z in ladder]
+        roots.sort(key=lambda root: (root.refined.imag, root.refined.real))
         t0 = time.perf_counter()
         unique = _dedupe(roots)
         elapsed = time.perf_counter() - t0
-        assert unique == [(z, "root") for z in ladder]
+        assert unique == [Root(z, "root") for z in ladder]
         assert elapsed < 2.0
 
 
