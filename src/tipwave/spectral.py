@@ -52,6 +52,16 @@ is found (``_eigenvalue``), and checks that every branch |n| <= n_max
 holds a root: it raises ContourError naming any branch that holds none,
 so a root that slips between the sweep and the ladder is reported, not
 dropped. The sweep's top edge lies mid-gap on a half-offset ladder.
+
+The three equations have real coefficients, so each spectrum is closed
+under conjugation, and the lower half-plane is mirrored from the upper
+one without evaluating anything: a mirrored root takes its twin's
+residual. That residual has the bits an evaluation at the conjugate
+would give, because every operation of the evaluators (cmath.exp,
+complex +, - and *, abs, the real division, the Re L > 300 guard)
+commutes exactly with conjugation in IEEE arithmetic. Only signed zeros
+can break the symmetry of the value, on the real axis, and mirrors
+exist only for Im L > 1e-9; a hypothesis test pins both facts.
 """
 
 from __future__ import annotations
@@ -76,8 +86,6 @@ __all__ = [
     "compute_spectrum",
     "spectral_abscissa",
     "combined_abscissa",
-    "strip_interval",
-    "verify_strip_counts",
     "riesz_defect",
 ]
 
@@ -312,21 +320,23 @@ class Spectrum:
     def abscissa(self) -> float:
         return spectral_abscissa(self)
 
-    def in_strip(self, k: int) -> list[Eigenvalue]:
-        lo, hi = strip_interval(k)
-        return [e for e in self.eigenvalues if lo <= e.refined.imag < hi]
-
     def write_csv(self, path) -> None:
+        """One row per eigenvalue, every float in ``repr``.
+
+        A family's seeds share one real part (the ladder asymptote), so
+        seed_re is formatted only when it differs from the previous row's;
+        zeros are formatted every time, since 0.0 == -0.0 but the two
+        print differently (NaN differs from everything, itself included).
+        """
         with open(path, "w", newline="") as fh:
             fh.write("n,seed_re,seed_im,refined_re,refined_im,residual\n")
+            last, seed_re = None, ""
             for e in self.eigenvalues:
-                fh.write(f"{e.n},{e.seed.real!r},{e.seed.imag!r},"
+                x = e.seed.real
+                if x != last or x == 0.0:
+                    last, seed_re = x, repr(x)
+                fh.write(f"{e.n},{seed_re},{e.seed.imag!r},"
                          f"{e.refined.real!r},{e.refined.imag!r},{e.residual!r}\n")
-
-
-def strip_interval(k: int) -> tuple[float, float]:
-    """Horizontal strip k: Im in [(k - 1/2) pi, (k + 1/2) pi)."""
-    return (k - 0.5) * math.pi, (k + 0.5) * math.pi
 
 
 # ----------------------------------------------------------------------
@@ -368,11 +378,15 @@ def refine_root(family: CharFamily, seed: complex, n: int | None = None) -> Eige
 
 
 def _eigenvalue(family: CharFamily, z: complex, seed: complex | None = None,
-                ok: bool = True, n: int | None = None) -> Eigenvalue:
+                ok: bool = True, n: int | None = None,
+                residual: float | None = None) -> Eigenvalue:
     """Every Eigenvalue is built here: ``n`` defaults to z's branch, ``seed``
-    to that branch's ladder seed; converged is ``ok`` and residual <= RESIDUAL_TOL."""
+    to that branch's ladder seed, ``residual`` to the normalized residual
+    at z; converged is ``ok`` and residual <= RESIDUAL_TOL. A mirrored root
+    passes its twin's residual, which is bit-identical (see the module
+    docstring) and costs no evaluation."""
     n = family.branch_index(z) if n is None else n
-    res = family.normalized_residual(z)
+    res = family.normalized_residual(z) if residual is None else residual
     return Eigenvalue(n=n, seed=family.seed(n) if seed is None else seed, refined=z,
                       residual=res, converged=ok and res <= RESIDUAL_TOL)
 
@@ -585,9 +599,11 @@ def compute_spectrum(family: CharFamily, n_max: int = 100) -> Spectrum:
     argument principle up to a top edge mid-gap between branches N_LOW
     and N_LOW + 1 of a half-offset ladder (at 0.74 of the gap on an
     integer ladder). Conjugate roots are mirrored from the upper
-    half-plane and re-validated. The mirror of branch n is branch
-    -n - 2 offset, so a ladder offset by -1/2 is seeded up to branch
-    n_max + 1 to reach branch -n_max.
+    half-plane; a mirror takes its twin's residual, which conjugate
+    symmetry makes bit-identical to an evaluation at the mirror (a test
+    pins it). The mirror of branch n is branch -n - 2 offset, so a ladder
+    offset by -1/2 is seeded up to branch n_max + 1 to reach branch
+    -n_max.
 
     The roots are then sorted by (imag, real) and deduplicated: a root
     within DEDUPE_RADIUS of an already kept one is dropped. Each root is
@@ -629,10 +645,13 @@ def compute_spectrum(family: CharFamily, n_max: int = 100) -> Spectrum:
         family._edges = None
 
     # conjugate closure, then dedupe: a swept root's mirror is seeded from
-    # its own branch, a ladder root's mirror from the conjugate seed
+    # its own branch, a ladder root's mirror from the conjugate seed, and
+    # each mirror keeps its twin's residual
     eigenvalues = swept + ladder + [
-        _eigenvalue(family, e.refined.conjugate()) for e in swept if e.refined.imag > 1e-9] + [
-        _eigenvalue(family, e.refined.conjugate(), e.seed.conjugate(), e.converged)
+        _eigenvalue(family, e.refined.conjugate(), residual=e.residual)
+        for e in swept if e.refined.imag > 1e-9] + [
+        _eigenvalue(family, e.refined.conjugate(), e.seed.conjugate(), e.converged,
+                    residual=e.residual)
         for e in ladder if e.refined.imag > 1e-9]
     eigenvalues.sort(key=lambda e: (e.refined.imag, e.refined.real))
     eigenvalues = [e for e in _dedupe(eigenvalues) if abs(e.n) <= n_max]
@@ -695,24 +714,6 @@ def spectral_abscissa(spectrum: Spectrum) -> float:
 def combined_abscissa(spectra) -> float:
     """Abscissa of a block-triangular loop: the union of its block spectra."""
     return max(spectral_abscissa(s) for s in spectra)
-
-
-def verify_strip_counts(spectrum: Spectrum, k_max: int) -> list[tuple[int, int, int]]:
-    """(k, argument-principle count, enumerated count) per strip |k| <= k_max.
-
-    The Abb origin zero is spurious (excluded from the enumeration) and
-    is subtracted from the contour count of strip 0.
-    """
-    family = spectrum.family
-    xlo = family.sweep_left_edge()
-    out = []
-    for k in range(-k_max, k_max + 1):
-        lo, hi = strip_interval(k)
-        counted = count_zeros_in_box(family, complex(xlo, lo), complex(0.5, hi))
-        if k == 0 and family.tag == "Abb":
-            counted -= 1
-        out.append((k, counted, len(spectrum.in_strip(k))))
-    return out
 
 
 def riesz_defect(family: CharFamily, eig: Eigenvalue, panels: int = 1024) -> float:

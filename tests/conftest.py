@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from tipwave import Grid, SystemParams
@@ -13,17 +12,3 @@ def params():
 @pytest.fixture
 def grid():
     return Grid(n_cells=100, r=0.5)
-
-
-def cubic_plant_profile(grid):
-    x = grid.nodes()
-    return x ** 3 - 3 * x ** 2
-
-
-def cubic_observer_profile(grid):
-    x = grid.nodes()
-    return -2 * x ** 3
-
-
-def zeros(grid):
-    return np.zeros(grid.n_nodes)

@@ -25,7 +25,6 @@ from tipwave.spectral import (
     compute_spectrum,
     combined_abscissa,
     spectral_abscissa,
-    verify_strip_counts,
 )
 from tipwave.wave_core import (
     LEFT_DIRICHLET_ZERO,
@@ -34,6 +33,8 @@ from tipwave.wave_core import (
     RIGHT_TIP_MASS,
     slope_right,
 )
+
+from test_spectral import verify_strip_counts
 
 
 def report(num: int, name: str, checks: list[tuple[str, bool]], detail: str = ""):

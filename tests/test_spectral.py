@@ -23,13 +23,35 @@ from tipwave.spectral import (
     refine_root,
     riesz_defect,
     spectral_abscissa,
-    strip_interval,
-    verify_strip_counts,
 )
 
 # abscissae at the reference gains, frozen from the package's own full
 # sweep (|n| <= 100) and cross-checked by the argument principle
 SWEPT_ABSCISSA = {"A2": -0.0228969413, "A": -0.4026362488, "Abb": -0.6720560519}
+
+
+def strip_interval(k: int) -> tuple[float, float]:
+    """Horizontal strip k: Im in [(k - 1/2) pi, (k + 1/2) pi)."""
+    return (k - 0.5) * math.pi, (k + 0.5) * math.pi
+
+
+def verify_strip_counts(spectrum, k_max: int) -> list[tuple[int, int, int]]:
+    """(k, argument-principle count, enumerated count) per strip |k| <= k_max.
+
+    The Abb origin zero is spurious (excluded from the enumeration) and
+    is subtracted from the contour count of strip 0.
+    """
+    family = spectrum.family
+    xlo = family.sweep_left_edge()
+    out = []
+    for k in range(-k_max, k_max + 1):
+        lo, hi = strip_interval(k)
+        counted = count_zeros_in_box(family, complex(xlo, lo), complex(0.5, hi))
+        if k == 0 and family.tag == "Abb":
+            counted -= 1
+        enumerated = [e for e in spectrum.eigenvalues if lo <= e.refined.imag < hi]
+        out.append((k, counted, len(enumerated)))
+    return out
 
 
 @pytest.fixture(scope="module", params=["A2", "A", "Abb"])
@@ -137,6 +159,23 @@ class TestEvaluators:
             assert quotient is None
         else:
             assert hex_parts(quotient) == hex_parts(value / d)
+
+    @given(st.sampled_from(["A2", "A", "Abb"]), GAINS, GAINS, GAINS, GAINS, GAINS, LAMBDAS)
+    @settings(max_examples=1000, deadline=None)
+    def test_conjugate_symmetry(self, tag, m, alpha, a, beta, gamma, lam):
+        """The evaluators commute with conjugation bit for bit, so a mirrored
+        root may take its twin's residual. On the real axis the value's
+        signed zeros can differ (mirrors need Im > 1e-9); the residual cannot."""
+        p = SystemParams(m=m, alpha=alpha, a=a, beta=beta, gamma=gamma)
+        assume(p.gamma != 1.0 and p.m != p.a)
+        fam = CharFamily(tag, p)
+        res = fam.normalized_residual(lam)
+        assert fam.normalized_residual(lam.conjugate()).hex() == res.hex()
+        if abs(lam.imag) > 1e-9:
+            value, scale = fam.scaled(lam)
+            got_value, got_scale = fam.scaled(lam.conjugate())
+            assert hex_parts(got_value) == hex_parts(value.conjugate())
+            assert got_scale.hex() == scale.hex()
 
     def test_overflow_beyond_re_300(self, family):
         lam = complex(300.5, 1.0)
@@ -556,6 +595,89 @@ class TestRecords:
         monkeypatch.setattr(spectral, "refine_root", patch(spectral.refine_root))
         monkeypatch.setitem(globals(), "oracle_refine_root", patch(oracle_refine_root))
         assert_same_as_oracle_records(CharFamily(tag, SystemParams()), 20)
+
+
+def reevaluating(eigenvalue):
+    """``_eigenvalue`` ignoring a passed residual: every record, a mirror
+    too, evaluates its own, as the enumeration did before mirrors took
+    their twin's."""
+    def patched(family, z, seed=None, ok=True, n=None, residual=None):
+        return eigenvalue(family, z, seed, ok, n)
+    return patched
+
+
+class TestMirrors:
+    @pytest.mark.parametrize("tag", ["A2", "A", "Abb"])
+    def test_mirror_takes_twins_residual(self, tag, monkeypatch):
+        """A mirrored root costs no normalized_residual call, and the
+        records keep every bit of an enumeration that evaluates each mirror."""
+        calls = [0]
+        residual = CharFamily.normalized_residual
+
+        def counted(self, lam):
+            calls[0] += 1
+            return residual(self, lam)
+
+        monkeypatch.setattr(CharFamily, "normalized_residual", counted)
+        fam = CharFamily(tag, SystemParams())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_eigenvalue", reevaluating(spectral._eigenvalue))
+            evaluated = spectrum_bits(fam, 100)
+        evaluated_calls, calls[0] = calls[0], 0
+        spec = compute_spectrum(fam, n_max=100)
+        mirrored = sum(e.refined.imag < -1e-9 for e in spec.eigenvalues)
+        assert mirrored >= 100
+        assert calls[0] == evaluated_calls - mirrored
+        assert spectrum_bits(fam, 100) == evaluated
+
+
+def oracle_write_csv(spectrum, path):
+    """``Spectrum.write_csv`` as it was before the seed column was
+    formatted once per run of equal values, kept verbatim as the oracle."""
+    with open(path, "w", newline="") as fh:
+        fh.write("n,seed_re,seed_im,refined_re,refined_im,residual\n")
+        for e in spectrum.eigenvalues:
+            fh.write(f"{e.n},{e.seed.real!r},{e.seed.imag!r},"
+                     f"{e.refined.real!r},{e.refined.imag!r},{e.residual!r}\n")
+
+
+NAN, INF = float("nan"), float("inf")
+# runs of one value, value changes mid-file, and runs of +0.0, -0.0 and NaN
+# (0.0 == -0.0 and NaN != NaN, yet each must print as itself)
+SEED_COLUMN = ([-0.8047189562170501] * 3 + [0.0] * 2 + [-0.0] * 3 + [0.0, -0.0, 0.0]
+               + [NAN] * 3 + [-NAN, 0.0, NAN, -0.0] + [-0.4236489301936017] * 2
+               + [INF, INF, -INF, 5e-324, 5e-324, -0.8047189562170501])
+
+
+def csv_spectrum(seed_column):
+    eigenvalues = [spectral.Eigenvalue(n=k, seed=complex(x, k * math.pi),
+                                       refined=complex(-0.4 - 1e-3 * k, k * 3.1),
+                                       residual=1e-13 * k, converged=k % 2 == 0)
+                   for k, x in enumerate(seed_column)]
+    return spectral.Spectrum(family=CharFamily("A", SystemParams()),
+                             n_max=len(eigenvalues), eigenvalues=eigenvalues)
+
+
+class TestCsv:
+    def test_same_bytes_as_one_repr_per_float(self, tmp_path):
+        spec = csv_spectrum(SEED_COLUMN)
+        spec.write_csv(tmp_path / "got.csv")
+        oracle_write_csv(spec, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        column = [line.split(b",")[1] for line in got.splitlines()[1:]]
+        assert column[3:10] == [b"0.0", b"0.0", b"-0.0", b"-0.0", b"-0.0", b"0.0", b"-0.0"]
+        assert column[11:15] == [b"nan"] * 4
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, NAN, INF, -0.8047189562170501]),
+                              st.floats(allow_nan=True)), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_on_any_column(self, tmp_path_factory, seed_column):
+        folder = tmp_path_factory.mktemp("csv")
+        spec = csv_spectrum(seed_column)
+        spec.write_csv(folder / "got.csv")
+        oracle_write_csv(spec, folder / "want.csv")
+        assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
 
 
 class TestEigenfunctions:
