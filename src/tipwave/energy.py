@@ -35,6 +35,7 @@ output did not took up to 2.5x as long.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from .wave_core import Grid, SystemParams
 
 __all__ = ["EnergyTrace", "EnergyRecorder", "NoFitError", "energy", "energies",
-           "fit_decay_rate", "envelope_samples", "fit_envelope_rate"]
+           "fit_decay_rate"]
 
 SPACE_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
 ENERGY_BLOCK_BYTES = 192 * 1024
@@ -55,6 +56,8 @@ class NoFitError(RuntimeError):
 @dataclass
 class EnergyTrace:
     """Time series of one named energy, suitable for decay fitting."""
+
+    CSV_HEADER = "t,E,tag"
 
     space_tag: str
     times: list[float] = field(default_factory=list)
@@ -76,11 +79,17 @@ class EnergyTrace:
     def __len__(self) -> int:
         return len(self.times)
 
+    def csv_rows(self, t_text, start: int = 0) -> str:
+        """The CSV lines of the records from ``start`` on, one for each
+        text in ``t_text``, the ``repr`` of each record's time."""
+        tag = self.space_tag
+        return "".join([f"{t},{float(v)!r},{tag}\n"
+                        for t, v in zip(t_text, self.values[start:start + len(t_text)])])
+
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write("t,E,tag\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{float(t)!r},{float(v)!r},{self.space_tag}\n")
+            fh.write(f"{self.CSV_HEADER}\n")
+            fh.write(self.csv_rows([repr(float(t)) for t in self.times]))
 
     @classmethod
     def read_csv(cls, path, space_tag: str) -> EnergyTrace:
@@ -93,8 +102,9 @@ class EnergyTrace:
                 fields = text.split(",")
                 try:
                     if lineno == 1:
-                        if text != "t,E,tag":
-                            raise ValueError(f"expected the header t,E,tag, got {text!r}")
+                        if text != cls.CSV_HEADER:
+                            raise ValueError(f"expected the header {cls.CSV_HEADER}, "
+                                             f"got {text!r}")
                     elif fields[2:] != [space_tag]:
                         raise ValueError(f"expected t,E,{space_tag}, got {text!r}")
                     else:
@@ -212,7 +222,8 @@ class EnergyRecorder:
     record measures its level against the one pushed before it. A block
     holds as many levels as fit in ``ENERGY_BLOCK_BYTES`` (at least one);
     each full block, and the partial one at ``flush``, takes one
-    ``energies`` call, and its records reach the traces in record order.
+    ``energies`` call, and its records reach the traces in record order,
+    checked as ``EnergyTrace.append`` checks them but once per block.
     """
 
     def __init__(self, traces, prev, params: SystemParams, grid: Grid):
@@ -243,9 +254,22 @@ class EnergyRecorder:
             return
         values = energies(self.tags, self.ring[:n], self.ring[1:n + 1], self.etas,
                           self.params, self.grid, work=[buf[:n] for buf in self.work])
-        for t, row in zip(self.times, values):
-            for trace, value in zip(self.traces, row):
-                trace.append(t, value)
+        times, columns = self.times, list(zip(*values))
+        # a NaN that min passes over makes the sum NaN; a sum that overflows
+        # only sends a valid block down the record-by-record path
+        if (all(map(operator.lt, times, times[1:])) and times[-1] < math.inf
+                and all((trace.times[-1] if trace.times else -math.inf) < times[0]
+                        for trace in self.traces)
+                and all(0.0 <= min(column) and sum(column) < math.inf
+                        for column in columns)):
+            for trace, column in zip(self.traces, columns):
+                trace.times.extend(times)
+                trace.values.extend(column)
+        else:
+            # ``append`` raises at the first bad record, in its own words
+            for t, row in zip(times, values):
+                for trace, value in zip(self.traces, row):
+                    trace.append(t, value)
         self.ring[0] = self.ring[n]
         self.times.clear()
         self.etas.clear()
@@ -273,43 +297,6 @@ def fit_decay_rate(trace: EnergyTrace, window: float = 0.5,
     if sel.sum() < 20:
         raise NoFitError(f"need >= 20 samples in window, have {int(sel.sum())}")
     return _fit_log_linear(t[sel], e[sel])
-
-
-def envelope_samples(times, values, width: float):
-    """Windowed maxima of |values|: (window centers, maxima) arrays.
-
-    A boundary trace like u_x(1, t) oscillates through zero, so its log
-    cannot be fitted directly; the maximum over consecutive windows of
-    about one oscillation period tracks the decaying envelope instead.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.abs(np.asarray(values, dtype=float))
-    if t.size != v.size or t.size == 0:
-        raise ValueError("times and values must be equal-length and nonempty")
-    centers, maxima = [], []
-    left = t[0]
-    while left + width <= t[-1] + 1e-12:
-        sel = (t >= left) & (t < left + width)
-        if sel.any():
-            centers.append(left + 0.5 * width)
-            maxima.append(float(v[sel].max()))
-        left += width
-    return np.asarray(centers), np.asarray(maxima)
-
-
-def fit_envelope_rate(times, values, width: float,
-                      t_start: float, t_end: float) -> tuple[float, float]:
-    """Exponential rate of an oscillatory signal's envelope.
-
-    Windowed maxima over [t_start, t_end] are fitted log-linearly; this
-    is a state-level rate (the signal itself is not quadratic). Needs at
-    least four windows.
-    """
-    centers, maxima = envelope_samples(times, values, width)
-    sel = (centers >= t_start) & (centers <= t_end) & (maxima > 1e-300)
-    if sel.sum() < 4:
-        raise NoFitError(f"need >= 4 envelope windows, have {int(sel.sum())}")
-    return _fit_log_linear(centers[sel], maxima[sel])
 
 
 def _fit_log_linear(t, values) -> tuple[float, float]:

@@ -44,6 +44,7 @@ __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "serialize_config",
 MODES = ("open_plant", "observer_loop", "eso_loop", "spectrum")
 
 _EARLY_WINDOW = 2.0  # time units used as the "startup" reference for boundedness
+RECORD_CHUNK = 256  # records per write of the per-record CSVs, each after a flush of the energies
 
 
 class ConfigError(ValueError):
@@ -326,6 +327,35 @@ class _SnapshotWriter:
         self.fh.close()
 
 
+class _RecordWriter:
+    """``energy_<key>.csv`` of each trace and ``boundary_states.csv``,
+    written as the run goes: each ``write`` adds the records that the
+    traces hold and the files do not, formatting each record's time once
+    for all the files. The files are unbuffered, so a call makes one
+    write per file, and no text outlives the call."""
+
+    def __init__(self, stack: contextlib.ExitStack, out: str,
+                 traces: dict[str, EnergyTrace], boundary: dict[str, list[float]]):
+        self.traces, self.boundary = traces, boundary
+        *self.energy_files, self.boundary_file = [
+            stack.enter_context(open(os.path.join(out, name), "wb", buffering=0))
+            for name in [*(f"energy_{key}.csv" for key in traces), "boundary_states.csv"]]
+        for fh in self.energy_files:
+            fh.write(f"{EnergyTrace.CSV_HEADER}\n".encode())
+        self.boundary_file.write(b"t,eta,psi\n")
+        self.written = 0
+
+    def write(self) -> None:
+        start, end = self.written, len(next(iter(self.traces.values())))
+        t_text = [repr(t) for t in self.boundary["t"][start:end]]
+        for fh, trace in zip(self.energy_files, self.traces.values()):
+            fh.write(trace.csv_rows(t_text, start).encode())
+        eta, psi = (self.boundary[key][start:end] for key in ("eta", "psi"))
+        self.boundary_file.write("".join([f"{t},{e!r},{p!r}\n"
+                                          for t, e, p in zip(t_text, eta, psi)]).encode())
+        self.written = end
+
+
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
     """Run one scenario and write its artifact set. A spectrum whose
     contour sweep fails or leaves a branch without a root raises
@@ -387,10 +417,11 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     recorder = EnergyRecorder(traces.values(), loop.levels.prev, loop.params, grid)
     boundary = {"t": [], "eta": [], "psi": []}
 
-    with contextlib.ExitStack() as stack:  # closes the snapshot files however the run ends
+    with contextlib.ExitStack() as stack:  # closes the output files however the run ends
         writers = {name: stack.enter_context(contextlib.closing(
                        _SnapshotWriter(os.path.join(out, f"snapshots_{name}.csv"), x_text)))
                    for name in loop.fields()}
+        records = _RecordWriter(stack, out, traces, boundary)
         # record k is the state at t = k*dt: the initial data, then each step's result
         for k in range(n_steps + 1):
             if k:
@@ -405,14 +436,9 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
             if k % config.stride == 0 or k == n_steps:
                 for name, values in loop.fields().items():
                     writers[name].write(t, values)
-    recorder.flush()
-
-    for key, trace in traces.items():
-        trace.write_csv(os.path.join(out, f"energy_{key}.csv"))
-    with open(os.path.join(out, "boundary_states.csv"), "w", newline="") as fh:
-        fh.write("t,eta,psi\n")
-        for t, eta, psi in zip(boundary["t"], boundary["eta"], boundary["psi"]):
-            fh.write(f"{t!r},{eta!r},{psi!r}\n")
+            if (k + 1) % RECORD_CHUNK == 0 or k == n_steps:
+                recorder.flush()
+                records.write()
 
     fitted = {}
     for key, trace in traces.items():

@@ -22,10 +22,11 @@ step n uses samples up to t_n only (one-step explicit lag), and returns
 0 until it has enough samples to difference. Time derivatives are
 backward differences of the samples; q_tt(1) comes from differencing
 the pinned q(1) samples, never from a one-sided spatial second
-derivative. The sampling, the control laws and ``_rate`` write these
-differences out with the expressions of ``slope_left``, ``slope_right``
-and ``backward_time_derivative``, so they give the same bits without
-those functions' per-call checks.
+derivative. The boundary slopes are one-sided second-order differences
+over three nodes, exact on quadratics. Each sample reads its level's
+edge nodes through the plan, which closes the next step from the same
+read, and the history is transposed once per sample for every law that
+reads it.
 """
 
 from __future__ import annotations
@@ -119,7 +120,9 @@ class _StackedLoop:
     after every step the loop samples the stepped rows' boundaries: each
     row's tip value u(1), then each row's tip slope u_x(1), then the
     plant's measured slope u_x(0). The last three samples are kept,
-    enough for a backward second difference. The back-step and every
+    enough for a backward second difference, and ``_series`` holds them
+    transposed: the history of each sampled quantity, oldest first, in
+    sample order. The back-step and every
     step take a loop's boundary inputs from ``_inputs()`` and write the
     rows that follow from the stepped ones with ``_couple(level)``.
     """
@@ -168,18 +171,18 @@ class _StackedLoop:
         return dict(zip(self.names, self.levels.curr))
 
     def _sample(self) -> None:
-        # slope_right of each row and slope_left of the plant, written out
+        # each row's u(1) and u_x(1), then the plant's u_x(0)
         two_dx = self.plan.two_dx
-        rows = self.levels.curr.take(self.plan.edge_index).tolist()
+        rows = self.plan.read_edges(self.levels.curr)
         first = rows[0]
-        self._history.append((*[row[-1] for row in rows],
-                              *[(3.0 * row[-1] - 4.0 * row[-2] + row[-3]) / two_dx
-                                for row in rows],
-                              (-3.0 * first[0] + 4.0 * first[1] - first[2]) / two_dx))
+        self._push((*[row[-1] for row in rows],
+                    *[(3.0 * row[-1] - 4.0 * row[-2] + row[-3]) / two_dx for row in rows],
+                    (-3.0 * first[0] + 4.0 * first[1] - first[2]) / two_dx))
 
-    def _series(self) -> list[tuple[float, ...]]:
-        """The history of each sampled quantity, oldest first, in sample order."""
-        return list(zip(*self._history))
+    def _push(self, sample: tuple[float, ...]) -> None:
+        """Keep ``sample`` as the latest boundary sample."""
+        self._history.append(sample)
+        self._series = list(zip(*self._history))
 
     def energies(self) -> dict[str, float]:
         """Energy of each of ``energy_rows`` in its space, keyed "<row>_<tag>".
@@ -235,7 +238,7 @@ class SingleFieldLoop(_StackedLoop):
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, eta) with eta = m * u_t(1), the plant's tip momentum."""
-        eta = self.params.m * _rate(self._series()[0], self.plan.dt)
+        eta = self.params.m * _rate(self._series[0], self.plan.dt)
         return eta, eta
 
     def energy(self, space_tag: str) -> float:
@@ -269,7 +272,7 @@ class ObserverLoop(_StackedLoop):
         self._couple(self.levels.curr)
 
     def _inputs(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        u1, uhat1, _, uhatx1, ux0 = self._series()
+        u1, uhat1, _, uhatx1, ux0 = self._series
         control = control_observer(uhat1, uhatx1, self.plan.dt, self.params)
         disturbance = eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.t)
         return (0.0, ux0[-1]), (control + disturbance, control)
@@ -281,7 +284,7 @@ class ObserverLoop(_StackedLoop):
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi) = boundary-dynamics states of plant and observer."""
         p, dt = self.params, self.plan.dt
-        u1, uhat1, _, uhatx1, _ = self._series()
+        u1, uhat1, _, uhatx1, _ = self._series
         shared = p.a * uhatx1[-1]
         eta = p.m * _rate(u1, dt) + shared
         psi = p.m * _rate(uhat1, dt) + shared
@@ -289,7 +292,7 @@ class ObserverLoop(_StackedLoop):
 
     def etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
         dt = self.plan.dt
-        u1, uhat1 = self._series()[:2]
+        u1, uhat1 = self._series[:2]
         return (*states, self.params.m * (_rate(uhat1, dt) - _rate(u1, dt)))
 
 
@@ -313,7 +316,7 @@ class EsoLoop(_StackedLoop):
         super().__init__(grid, params, spec, (u0, v0, q0), (ut0, vt0, qt0))
 
     def _inputs(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-        u1, v1, q1, _, vx1, qx1, ux0 = self._series()
+        u1, v1, q1, _, vx1, qx1, ux0 = self._series
         control = control_eso(v1, vx1, q1, qx1, self.plan.dt, self.params)
         tip = control + eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.t)
         # q's pinned tip is a placeholder here, set from the closed u, v rows
@@ -326,7 +329,7 @@ class EsoLoop(_StackedLoop):
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi): tip-dynamics states of the closed loop."""
         p, dt = self.params, self.plan.dt
-        u1, _, q1, _, vx1, qx1, _ = self._series()
+        u1, _, q1, _, vx1, qx1, _ = self._series
         slope_gap = p.a * (vx1[-1] - qx1[-1])
         eta = p.m * _rate(u1, dt) + slope_gap
         psi = eta - p.m * _rate(q1, dt)

@@ -17,10 +17,7 @@ relation hold simultaneously:
 
 The tip-mass closure uses a centered second difference in time for the
 boundary acceleration; the Robin closure uses a centered first
-difference, which keeps the whole scheme second order. One-sided
-3-point stencils (exact on quadratics) supply the boundary slopes that
-feed the control laws, and backward differences of sampled boundary
-values supply their time derivatives.
+difference, which keeps the whole scheme second order.
 
 Each row is closed at both ends by its own pair of boundary kinds:
 LEFT_DIRICHLET_ZERO or LEFT_ROBIN at x = 0, RIGHT_TIP_MASS or
@@ -31,7 +28,10 @@ call overhead, so a loop builds one ``StepPlan`` for its levels when it
 is constructed and steps through it: the plan holds the closures'
 constants, the interior update's scratch lines and views of the level
 buffers, and re-derives none of them per step. It also back-steps the
-first level, so it is the only code that writes a loop's levels.
+first level, so it is the only code that writes a loop's levels. The
+closures read only the few nodes at each row's ends, and so do the
+loop's boundary samples: the plan keeps each level's edge nodes, read
+once by whichever of the two needs them first.
 """
 
 from __future__ import annotations
@@ -52,16 +52,12 @@ __all__ = [
     "STABILITY_HYPOTHESES",
     "Grid",
     "FieldHistory",
-    "WarmupError",
     "StructuralError",
     "LEFT_DIRICHLET_ZERO",
     "LEFT_ROBIN",
     "RIGHT_TIP_MASS",
     "RIGHT_DIRICHLET_VALUE",
     "StepPlan",
-    "backward_time_derivative",
-    "slope_left",
-    "slope_right",
 ]
 
 
@@ -69,12 +65,8 @@ class StructuralError(ValueError):
     """Raised when array shapes or grid parameters are inconsistent."""
 
 
-class WarmupError(RuntimeError):
-    """Raised when a backward time difference lacks history."""
-
-
 # The stability hypotheses of the decay results, each "lhs != rhs":
-# (report key, lhs, rhs, whether it holds, the spectral families whose
+# (name, lhs, rhs, whether it holds, the spectral families whose
 # asymptotics need it).
 STABILITY_HYPOTHESES = (
     ("gamma_not_one", "gamma", "1", lambda p: p.gamma != 1.0, ("A2", "Abb")),
@@ -106,14 +98,6 @@ class SystemParams:
                if not getattr(self, name) > 0.0]
         if bad:
             raise ValueError("; ".join(bad))
-
-    def hypothesis_report(self) -> dict[str, bool]:
-        """Tri-valued stability hypotheses, reported rather than enforced.
-
-        The failure scenarios (constant-disturbance counterexample) must
-        stay expressible, so violations never raise here.
-        """
-        return {key: holds(self) for key, _, _, holds, _ in STABILITY_HYPOTHESES}
 
     def hypothesis_warnings(self) -> list[str]:
         return [f"{lhs} = {rhs} violates the stability hypotheses"
@@ -191,9 +175,10 @@ class StepPlan:
     the closures' scalar constants, two scratch lines for the interior
     stencil, and the flat ``[1:-1]``, ``[2:]`` and ``[:-2]`` views of the
     stepped rows of each of the three level buffers. The views are keyed
-    by buffer, so they follow ``FieldHistory.rotate``. For the loop that
-    steps through it, it also holds the flat positions of the nodes the
-    one-sided slopes read and a buffer of the rows' shape for the blow-up
+    by buffer, so they follow ``FieldHistory.rotate``, and so are the
+    edge rows of ``read_edges``, from which the closures and the loop's
+    boundary samples read the rows' end nodes. For the loop that steps
+    through it, it also holds a buffer of the rows' shape for the blow-up
     guard. Every expression keeps the operand order of the closures it
     implements; the constants are left-to-right prefixes of them, so a
     planned step or back-step gives the same bits as the closures written out in full.
@@ -220,12 +205,11 @@ class StepPlan:
         self.dt2 = dt * dt
         self.tip_mass = m + 0.5 * dx
         n = grid.n_nodes
-        # flat positions, in each row, of the nodes the closures read from the
-        # current and the previous level, and of those the slopes read
+        # flat positions, in each row, of the nodes the closures and the
+        # one-sided slopes read
         starts = np.arange(k)[:, None] * n
-        self.closure_index = starts + [0, 1, n - 2, n - 1]
-        self.end_index = starts + [0, n - 1]
         self.edge_index = starts + [0, 1, 2, n - 3, n - 2, n - 1]
+        self.edge_rows: dict[int, list[list[float]]] = {}
         self.scratch = (np.empty(k * n - 2), np.empty(k * n - 2))
         self.magnitudes = np.empty((k, n))
         self._cut_views()
@@ -241,30 +225,49 @@ class StepPlan:
 
     def __setstate__(self, state) -> None:
         """A copied or unpickled plan cuts its views from its own levels:
-        copied views would not alias the copied buffers."""
+        copied views would not alias the copied buffers. It keeps no edge
+        rows, whose keys name the original buffers."""
         self.__dict__.update(state)
         self._cut_views()
+        self.edge_rows = {}
+
+    def read_edges(self, level: NDArray) -> list[list[float]]:
+        """The edge nodes 0, 1, 2, n-3, n-2 and n-1 of each planned row of
+        ``level``, one of the three level buffers, as floats.
+
+        The plan keeps them, keyed by buffer, and a step closes its rows
+        from the kept rows of the current and the previous level, reading
+        a level here only when none are kept for it. A plan's own writes
+        drop the written level's rows; after writing a level by other
+        means, read it again.
+        """
+        rows = self.edge_rows[id(level)] = level.take(self.edge_index).tolist()
+        return rows
 
     def step(self, exts: Sequence[float], right_inputs: Sequence[float]) -> None:
         """Fill the new level of the planned rows: row i is closed at x = 0
         with Robin input ``exts[i]`` and at x = 1 with tip input or pinned
         value ``right_inputs[i]``. Later rows are left untouched."""
-        levels, views = self.levels, self.views
+        levels, views, edges = self.levels, self.views, self.edge_rows
         prev, curr, new = levels.prev, levels.curr, levels.new
-        c_mid, c_right, c_left = views[id(curr)]
+        prev_id, curr_id, new_id = id(prev), id(curr), id(new)
+        c_mid, c_right, c_left = views[curr_id]
         twice, lap = self.scratch
         # 2 u^n - u^{n-1} + r^2 (u_{j+1} - 2 u_j + u_{j-1}), with 2 u_j formed once
         np.multiply(2.0, c_mid, out=twice)
         np.subtract(c_right, twice, out=lap)
         np.add(lap, c_left, out=lap)
         np.multiply(self.r2, lap, out=lap)
-        np.subtract(twice, views[id(prev)][0], out=twice)
-        np.add(twice, lap, out=views[id(new)][0])
+        np.subtract(twice, views[prev_id][0], out=twice)
+        np.add(twice, lap, out=views[new_id][0])
         r2, gamma_r, two_dx_beta, two_dx = self.r2, self.gamma_r, self.two_dx_beta, self.two_dx
         robin_denom, dt2, dx, tip_mass = self.robin_denom, self.dt2, self.dx, self.tip_mass
-        rows = zip(curr.take(self.closure_index).tolist(), prev.take(self.end_index).tolist(),
+        edges.pop(new_id, None)
+        rows = zip(edges.get(curr_id) or self.read_edges(curr),
+                   edges.get(prev_id) or self.read_edges(prev),
                    self.left_kinds, exts, self.right_kinds, right_inputs)
-        for i, ((c0, c1, cm, cn), (p0, pn), left, ext, right, s) in enumerate(rows):
+        for i, ((c0, c1, _, _, cm, cn), (p0, _, _, _, _, pn),
+                left, ext, right, s) in enumerate(rows):
             if left == LEFT_ROBIN:
                 new[i, 0] = (2.0 * (c1 - c0) + (2.0 * c0 - p0) / r2
                              + gamma_r * p0 - two_dx_beta * c0
@@ -288,6 +291,7 @@ class StepPlan:
         if w.shape != p.shape:
             raise StructuralError(f"initial velocities {w.shape} must be {p.shape}")
         dx, dt, gamma, beta = self.dx, self.dt, self.gamma, self.beta
+        self.edge_rows.pop(id(self.levels.prev), None)
         prev = self.levels.prev[:len(p)]
         # the end nodes are closed below
         prev[:, 1:-1] = (p[:, 1:-1] - dt * w[:, 1:-1]
@@ -306,27 +310,3 @@ class StepPlan:
             else:
                 row[-1] = s
 
-
-def slope_left(values, dx: float) -> float:
-    """One-sided second-order u_x(0); exact on quadratics."""
-    if len(values) < 3:
-        raise StructuralError("grid too coarse for one-sided slopes")
-    return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx)
-
-
-def slope_right(values, dx: float) -> float:
-    """One-sided second-order u_x(1); exact on quadratics."""
-    if len(values) < 3:
-        raise StructuralError("grid too coarse for one-sided slopes")
-    return (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dx)
-
-
-def backward_time_derivative(samples, order: int, dt: float) -> float:
-    """First or second backward difference of a sampled boundary trace."""
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if len(samples) < order + 1:
-        raise WarmupError(f"need {order + 1} samples, have {len(samples)}")
-    if order == 1:
-        return (samples[-1] - samples[-2]) / dt
-    return (samples[-1] - 2.0 * samples[-2] + samples[-3]) / (dt * dt)

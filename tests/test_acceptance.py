@@ -18,7 +18,7 @@ from tipwave import (
     SingleFieldLoop,
     SystemParams,
 )
-from tipwave.energy import EnergyTrace, fit_decay_rate, fit_envelope_rate
+from tipwave.energy import EnergyTrace, fit_decay_rate
 from tipwave.scenarios import parse_config, run_scenario
 from tipwave.spectral import (
     CharFamily,
@@ -31,10 +31,11 @@ from tipwave.wave_core import (
     LEFT_ROBIN,
     RIGHT_DIRICHLET_VALUE,
     RIGHT_TIP_MASS,
-    slope_right,
 )
 
+from test_energy import fit_envelope_rate
 from test_spectral import verify_strip_counts
+from test_wave_core import slope_right
 
 
 def report(num: int, name: str, checks: list[tuple[str, bool]], detail: str = ""):

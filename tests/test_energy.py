@@ -12,10 +12,9 @@ from tipwave.energy import (
     SPACE_TAGS,
     EnergyRecorder,
     NoFitError,
+    _fit_log_linear,
     energies,
     energy,
-    envelope_samples,
-    fit_envelope_rate,
 )
 
 ALL_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
@@ -237,6 +236,68 @@ class TestEnergyRecorder:
         assert all(tr.times == [k * grid.dt for k in range(1, len(levels))] for tr in traces)
 
 
+    def test_valid_blocks_take_no_append(self, grid, params, monkeypatch):
+        """A block that passes its one check reaches the traces by extending
+        them, with no per-record ``append``."""
+        def refuse(self, t, value):
+            raise AssertionError("append called")
+
+        monkeypatch.setattr(EnergyTrace, "append", refuse)
+        rng = np.random.default_rng(3)
+        levels = rng.normal(size=(90, 1, grid.n_nodes))
+        traces = [EnergyTrace("H1")]
+        recorder = EnergyRecorder(traces, levels[0], params, grid)
+        for k in range(1, len(levels)):
+            recorder.push(k * grid.dt, levels[k], [0.5])
+        recorder.flush()
+        assert traces[0].values == [energy("H1", levels[k - 1, 0], levels[k, 0], 0.5, params,
+                                           grid) for k in range(1, len(levels))]
+
+    @pytest.mark.parametrize("bad", ["nan_level", "inf_level", "repeated_time", "nan_time",
+                                     "inf_time", "later_trace"])
+    def test_bad_record_raises_as_append_does(self, grid, params, bad):
+        """A block holding a bad record raises the ValueError that appending
+        its records one at a time raises at the first bad one, and leaves
+        the traces as that does: every earlier block and record kept."""
+        rng = np.random.default_rng(5)
+        tags = ("H1", "H2", "Hbb1")
+        levels = rng.normal(size=(100, 3, grid.n_nodes))
+        etas = rng.normal(size=(100, 3)).tolist()
+        times = [k * grid.dt for k in range(100)]
+        j = 90  # in the second block of 81
+        if bad == "nan_level":
+            levels[j, 1, 5] = math.nan
+        elif bad == "inf_level":
+            levels[j, 2, 0] = math.inf
+        elif bad == "repeated_time":
+            times[j] = times[j - 1]
+        elif bad == "nan_time":
+            times[j] = math.nan
+        elif bad == "inf_time":
+            times[j:] = [math.inf] * (100 - j)
+        traces, expected = ([EnergyTrace(tag) for tag in tags] for _ in range(2))
+        if bad == "later_trace":
+            for trace in (traces[1], expected[1]):
+                trace.append(1.0, 2.0)
+        recorder = EnergyRecorder(traces, levels[0], params, grid)
+        with pytest.raises(ValueError) as got:
+            for k in range(1, len(levels)):
+                recorder.push(times[k], levels[k], etas[k])
+            recorder.flush()
+        with pytest.raises(ValueError) as want:
+            for k in range(1, len(levels)):
+                for trace, value in zip(expected, energies(tags, levels[k - 1], levels[k],
+                                                           etas[k], params, grid)):
+                    trace.append(times[k], value)
+        assert str(got.value) == str(want.value)
+        assert [(tr.times, tr.values) for tr in traces] == [(tr.times, tr.values)
+                                                            for tr in expected]
+        # the first block is in; record 90 is in each trace that precedes the bad one
+        assert [len(tr) for tr in traces] == {
+            "nan_level": [90, 89, 89], "inf_level": [90, 90, 89],
+            "later_trace": [1, 1, 0]}.get(bad, [89, 89, 89])
+
+
 class TestEnergyTrace:
     def test_validation(self):
         tr = EnergyTrace("H1")
@@ -354,6 +415,43 @@ class TestFitDecayRate:
         tr = self.synthetic(lambda t: 1.0, T=5.0)
         with pytest.raises(ValueError):
             fit_decay_rate(tr, window=0.0)
+
+
+def envelope_samples(times, values, width: float):
+    """Windowed maxima of |values|: (window centers, maxima) arrays.
+
+    A boundary trace like u_x(1, t) oscillates through zero, so its log
+    cannot be fitted directly; the maximum over consecutive windows of
+    about one oscillation period tracks the decaying envelope instead.
+    """
+    t = np.asarray(times, dtype=float)
+    v = np.abs(np.asarray(values, dtype=float))
+    if t.size != v.size or t.size == 0:
+        raise ValueError("times and values must be equal-length and nonempty")
+    centers, maxima = [], []
+    left = t[0]
+    while left + width <= t[-1] + 1e-12:
+        sel = (t >= left) & (t < left + width)
+        if sel.any():
+            centers.append(left + 0.5 * width)
+            maxima.append(float(v[sel].max()))
+        left += width
+    return np.asarray(centers), np.asarray(maxima)
+
+
+def fit_envelope_rate(times, values, width: float,
+                      t_start: float, t_end: float) -> tuple[float, float]:
+    """Exponential rate of an oscillatory signal's envelope.
+
+    Windowed maxima over [t_start, t_end] are fitted log-linearly; this
+    is a state-level rate (the signal itself is not quadratic). Needs at
+    least four windows.
+    """
+    centers, maxima = envelope_samples(times, values, width)
+    sel = (centers >= t_start) & (centers <= t_end) & (maxima > 1e-300)
+    if sel.sum() < 4:
+        raise NoFitError(f"need >= 4 envelope windows, have {int(sel.sum())}")
+    return _fit_log_linear(centers[sel], maxima[sel])
 
 
 class TestEnvelope:

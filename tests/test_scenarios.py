@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from tipwave.energy import ENERGY_BLOCK_BYTES
 from tipwave.scenarios import (
     ConfigError,
     PRESETS,
+    RECORD_CHUNK,
     ScenarioConfig,
     _build_loop,
     _SnapshotWriter,
@@ -368,6 +370,23 @@ class TestRunScenario:
         assert rows and all(len(row.split(",")) == 3 for row in rows)
         assert len(rows) % cfg.grid().n_nodes == 0
 
+    def test_records_written_before_blow_up(self, tmp_path):
+        """The energy traces and boundary states go out every RECORD_CHUNK
+        records, so a run that blows up leaves every record of its written
+        chunks, byte for byte those of a run that stops there."""
+        text = ("mode = eso_loop\nd_kind = table\nd_table = 0:0 2:0 3:1e17\n"
+                "spectral_summary = false\n")
+        with pytest.raises(BlowUpError) as err:
+            run_scenario(parse_config(text + "horizon = 4\n"), out_dir=str(tmp_path / "blown"))
+        assert RECORD_CHUNK < err.value.step_index < 2 * RECORD_CHUNK
+        short = parse_config(text + f"horizon = {(RECORD_CHUNK - 1) * 0.005!r}\n")
+        run_scenario(short, out_dir=str(tmp_path / "short"))
+        for name in ("energy_u_H1.csv", "energy_v_Hbb1.csv", "energy_q_Hbb1.csv",
+                     "boundary_states.csv"):
+            blown = (tmp_path / "blown" / name).read_bytes()
+            assert blown.count(b"\n") == 1 + RECORD_CHUNK
+            assert blown == (tmp_path / "short" / name).read_bytes()
+
     def test_summary_prints_plain_floats(self, short_run):
         assert "np.float64" not in open(short_run.summary_path).read()
 
@@ -665,6 +684,13 @@ class TestCli:
         text = capsys.readouterr().out
         assert "u_H1: fitted energy rate" in text
         assert os.path.exists(out / "report.txt")
+        # the traces read back fit to the rates the run printed, digit for digit
+        summary = re.findall(r"^fitted energy rate (\S+) = (\S+) \(state rate (\S+)\)$",
+                             (out / "summary.txt").read_text(), re.M)
+        report = re.findall(r"^(\S+): fitted energy rate = (\S+) \(state rate (\S+)\)$",
+                            (out / "report.txt").read_text(), re.M)
+        assert sorted(summary) == sorted(report)
+        assert {key for key, _, _ in report} == {"u_H1", "v_Hbb1", "q_Hbb1"}
 
     def test_report_empty_dir(self, tmp_path):
         assert cli_main(["report", str(tmp_path)]) == 1

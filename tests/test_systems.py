@@ -24,11 +24,8 @@ from tipwave.wave_core import (
     FieldHistory,
     StepPlan,
     StructuralError,
-    backward_time_derivative,
-    slope_left,
-    slope_right,
 )
-from test_wave_core import composed_step
+from test_wave_core import backward_time_derivative, composed_step, slope_left, slope_right
 
 # f = sin(u(1, t)), d = cos(2t): the reference experiment's inputs
 SEC4_INPUTS = DisturbanceSpec(d_kind="cosine", frequency=2.0, f_kind="sin_of_tip")
@@ -38,7 +35,8 @@ def push_tip_samples(loop, tips):
     """Append boundary samples that differ from the latest one only in
     the plant's tip value u(1)."""
     latest = loop._history[-1]
-    loop._history.extend((tip,) + latest[1:] for tip in tips)
+    for tip in tips:
+        loop._push((tip,) + latest[1:])
 
 
 class TestControlObserver:
@@ -332,6 +330,45 @@ def test_plan_matches_module_step(grid, params, make):
     assert planned.levels.curr[:, -1].any()
 
 
+def kept_edges(plan, level):
+    """The edge rows ``plan`` keeps for ``level``, as bytes, or None."""
+    rows = plan.edge_rows.get(id(level))
+    return None if rows is None else np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda grid, params, x, kinds=kinds: SingleFieldLoop(
+        grid, params, x ** 3 - 3 * x ** 2, np.sin(np.pi * x), *kinds, SEC4_INPUTS)
+      for kinds in [(LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS), (LEFT_ROBIN, RIGHT_TIP_MASS),
+                    (LEFT_ROBIN, RIGHT_DIRICHLET_VALUE),
+                    (LEFT_DIRICHLET_ZERO, RIGHT_DIRICHLET_VALUE)]],
+    lambda grid, params, x: ObserverLoop(grid, params, x ** 3 - 3 * x ** 2, np.sin(np.pi * x),
+                                         -2 * x ** 3, x * x, SEC4_INPUTS),
+    lambda grid, params, x: EsoLoop(grid, params, x ** 3 - 3 * x ** 2, np.sin(np.pi * x),
+                                    -2 * x ** 3, x * x, 0.5 * x, -x, SEC4_INPUTS),
+], ids=["single-pinned-tip", "single-robin-tip", "single-robin-pinned",
+        "single-pinned-pinned", "observer", "eso"])
+def test_steps_close_from_the_samples_edge_read(grid, params, make):
+    """The edge nodes a step closes its rows from are those of a fresh read
+    of the current and previous levels, bit for bit: after construction
+    (the back-step, and the ESO's coupling of q's tip, rewrite the
+    previous level) and after each of 50 steps. Once stepping, both are
+    the rows the boundary samples read, so a step reads no level itself;
+    only the first step reads the previous level."""
+    loop = make(grid, params, grid.nodes())
+    plan = loop.plan
+    for step in range(51):
+        if step:
+            loop.step()
+        curr, prev = loop.levels.curr, loop.levels.prev
+        assert kept_edges(plan, curr) == curr.take(plan.edge_index).tobytes()
+        if step:
+            assert kept_edges(plan, prev) == prev.take(plan.edge_index).tobytes()
+        else:
+            # the back-step dropped them: the first step reads the coupled level
+            assert kept_edges(plan, prev) is None
+
+
 # ----------------------------------------------------------------------
 # The loops' construction and steps as they were written before the plan
 # made every level: ``second_order_backstep``, ``_tip_input``, the stacked
@@ -425,7 +462,7 @@ class OracleObserverLoop(ObserverLoop):
                             np.vstack([curr, curr[1] - curr[0]]))
 
     def step(self):
-        u1, uhat1, _, uhatx1, ux0 = self._series()
+        u1, uhat1, _, uhatx1, ux0 = list(zip(*self._history))
         control = control_observer(uhat1, uhatx1, self.plan.dt, self.params)
         disturbance = _tip_input(self.spec, u1[-1], self.t)
         self.plan.step((0.0, ux0[-1]), (control + disturbance, control))
@@ -446,7 +483,7 @@ class OracleEsoLoop(EsoLoop):
         oracle_stacked_init(self, grid, params, spec, prev, curr)
 
     def step(self):
-        u1, v1, q1, _, vx1, qx1, ux0 = self._series()
+        u1, v1, q1, _, vx1, qx1, ux0 = list(zip(*self._history))
         control = control_eso(v1, vx1, q1, qx1, self.plan.dt, self.params)
         tip = control + eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.t)
         # q's pinned tip is a placeholder here, set from the closed u, v rows
