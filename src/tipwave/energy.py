@@ -18,7 +18,8 @@ the half step t - dt/2 and keeps the estimator second-order accurate
 levels along any leading axes, with the same array expressions either
 way. A block takes 12 full-size array passes, every one of them written
 into one of two work buffers of the block's shape: the first holds the
-sum of the two levels and then the velocity, the second the slope. A
+sum of the two levels, then the velocity and then the integrand, the
+second the slope and then the trapezoid pairs. A
 run records an energy every step, and at a few hundred nodes one call
 is mostly fixed per-operation overhead, so an ``EnergyRecorder`` keeps
 the recorded levels in a ring and measures them one block at a time. A
@@ -28,8 +29,9 @@ allocated once per run and cost about 0.6 MB at 3 x 1601 nodes (16
 levels), while an uncapped block at 1601 nodes would leave the cache,
 and per-call temporaries above glibc's 128 KiB mmap threshold would be
 mapped and page-faulted afresh on every call. The recorder's buffers
-start on a 64-byte boundary: on an AVX-512 host, a NumPy pass whose
-output did not took up to 2.5x as long.
+start on a 64-byte boundary, the second at its element 1, so that only
+the slope's squaring writes from an unaligned start: on an AVX-512 host,
+a NumPy pass whose output did not took up to 2.5x as long.
 """
 
 from __future__ import annotations
@@ -168,18 +170,18 @@ def energies(space_tags, prev, curr, etas, params: SystemParams, grid: Grid,
     g = s
     np.subtract(curr, prev, out=g)
     np.divide(g, dt, out=g)
-    # integrand fp*fp + g*g in fp; np.trapezoid's (dx * (y[1:] + y[:-1])) / 2.0
-    # in g, halving by * 0.5, which rounds as / 2.0 does. The pairs run over
-    # all rows as one line too: each row's last column pairs two rows and is
-    # left out of the sum
+    # integrand fp*fp + g*g in g; np.trapezoid's (dx * (y[1:] + y[:-1])) / 2.0
+    # in fp[1:], halving by * 0.5, which rounds as / 2.0 does. The pairs run
+    # over all rows as one line too: each row's first column pairs two rows
+    # and is left out of the sum
     np.multiply(fp, fp, out=fp)
     np.multiply(g, g, out=g)
-    np.add(fp, g, out=fp)
-    pairs = g.reshape(-1)[:-1]
-    np.add(fpf[1:], fpf[:-1], out=pairs)
+    np.add(fp, g, out=g)
+    gf, pairs = g.reshape(-1), fpf[1:]
+    np.add(gf[1:], gf[:-1], out=pairs)
     np.multiply(dx, pairs, out=pairs)
     np.multiply(pairs, 0.5, out=pairs)
-    totals = np.add.reduce(g[..., :-1], axis=-1)
+    totals = np.add.reduce(fp[..., 1:], axis=-1)
     eta_values = np.asarray(etas, dtype=float)
     if eta_values.shape != totals.shape:
         raise ValueError(f"etas must have shape {totals.shape}, got {eta_values.shape}")
@@ -204,11 +206,12 @@ def energy(space_tag: str, prev, curr, eta: float,
     return energies((space_tag,), prev[None], curr[None], (eta,), params, grid)[0]
 
 
-def _aligned_empty(shape):
-    """An uninitialised float array that starts on a 64-byte boundary."""
+def _aligned_empty(shape, lead: int = 0):
+    """An uninitialised float array whose flat element ``lead`` starts on
+    a 64-byte boundary."""
     size = math.prod(shape)
     raw = np.empty(size + 8)
-    start = -raw.ctypes.data % 64 // 8
+    start = (-raw.ctypes.data % 64 // 8 - lead) % 8
     return raw[start:start + size].reshape(shape)
 
 
@@ -234,7 +237,7 @@ class EnergyRecorder:
         # slot 0 holds the level before the block's first record
         self.ring = np.empty((self.size + 1, *prev.shape))
         self.ring[0] = prev
-        self.work = [_aligned_empty((self.size, *prev.shape)) for _ in range(2)]
+        self.work = [_aligned_empty((self.size, *prev.shape), lead) for lead in (0, 1)]
         self.times: list[float] = []
         self.etas: list = []
 

@@ -309,19 +309,20 @@ class ScenarioResult:
 
 
 class _SnapshotWriter:
-    """Rows ``t,x,value`` of one field; ``x_text`` holds each node's
-    ``",x,"`` text, formatted once per run and shared by every field."""
+    """Rows ``t,x,value`` of one field: one ``%`` and one write per record."""
 
-    def __init__(self, path, x_text: list[str]):
-        self.fh = open(path, "w", newline="")
-        self.fh.write("t,x,value\n")
-        self.x_text = x_text
+    @staticmethod
+    def template(x) -> str:
+        """``T,<x>,%r`` per node; with a record's ``repr(t)`` for each T, the
+        ``lines`` of its ``write`` (float reprs hold neither T nor %)."""
+        return "".join([f"T,{xj!r},%r\n" for xj in x.tolist()])
 
-    def write(self, t: float, values) -> None:
-        t_text = repr(float(t))
-        write = self.fh.write
-        for xj, vj in zip(self.x_text, values.tolist()):
-            write(f"{t_text}{xj}{vj!r}\n")
+    def __init__(self, path):
+        self.fh = open(path, "wb", buffering=0)
+        self.fh.write(b"t,x,value\n")
+
+    def write(self, lines: str, values) -> None:
+        self.fh.write((lines % tuple(values.tolist())).encode())
 
     def close(self):
         self.fh.close()
@@ -411,7 +412,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     loop = _build_loop(config)
     n_steps = int(round(config.horizon / grid.dt))
 
-    x_text = [f",{xj!r}," for xj in grid.nodes().tolist()]
+    template = _SnapshotWriter.template(grid.nodes())
     traces = {key: EnergyTrace(space_tag=tag)
               for key, tag in zip(loop.energy_keys, loop.energy_tags)}
     recorder = EnergyRecorder(traces.values(), loop.levels.prev, loop.params, grid)
@@ -419,7 +420,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
 
     with contextlib.ExitStack() as stack:  # closes the output files however the run ends
         writers = {name: stack.enter_context(contextlib.closing(
-                       _SnapshotWriter(os.path.join(out, f"snapshots_{name}.csv"), x_text)))
+                       _SnapshotWriter(os.path.join(out, f"snapshots_{name}.csv"))))
                    for name in loop.fields()}
         records = _RecordWriter(stack, out, traces, boundary)
         # record k is the state at t = k*dt: the initial data, then each step's result
@@ -434,8 +435,9 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
             boundary["eta"].append(eta)
             boundary["psi"].append(psi)
             if k % config.stride == 0 or k == n_steps:
+                lines = template.replace("T", repr(t))  # once for every field
                 for name, values in loop.fields().items():
-                    writers[name].write(t, values)
+                    writers[name].write(lines, values)
             if (k + 1) % RECORD_CHUNK == 0 or k == n_steps:
                 recorder.flush()
                 records.write()
@@ -531,9 +533,5 @@ def _summary_lines(config, traces, boundary, fitted, abscissae, warnings, failur
 def _write_summary(out, config, lines) -> str:
     path = os.path.join(out, "summary.txt")
     with open(path, "w", newline="") as fh:
-        fh.write("# scenario summary\n")
-        fh.write(serialize_config(config))
-        fh.write("\n")
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("\n".join(["# scenario summary", serialize_config(config), *lines, ""]))
     return path

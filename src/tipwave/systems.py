@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e12
+# a level whose sum of squares is at most this holds no value above the
+# limit, with the halving to spare for the rounding of the sum
+_GUARD_SQUARES = BLOWUP_LIMIT ** 2 / 2
 NO_DISTURBANCE = DisturbanceSpec()
 
 
@@ -200,12 +203,14 @@ class _StackedLoop:
 
     def step(self) -> None:
         """Advance one dt with the inputs evaluated at time t, then guard
-        the new level, promote it and sample its boundaries."""
+        the new level, promote it and sample its boundaries. The guard is
+        one ``np.vdot`` (which, unlike ``np.dot``, overflows without a
+        warning); only a level it does not clear is searched row by row."""
         self.plan.step(*self._inputs())
         self._couple(self.levels.new)
-        new = self.levels.new[:len(self.names)]
-        if not np.abs(new, out=self.plan.magnitudes).max() <= BLOWUP_LIMIT:
-            for name, row in zip(self.names, new):
+        line = self.plan.views[id(self.levels.new)][0]
+        if not np.vdot(line, line) <= _GUARD_SQUARES:
+            for name, row in zip(self.names, self.levels.new):
                 peak = float(np.max(np.abs(row)))
                 if not peak <= BLOWUP_LIMIT:
                     raise BlowUpError(name, self.step_index + 1, self.t, peak)

@@ -173,15 +173,16 @@ class StepPlan:
     Built from the levels, the grid, the params and the boundary kinds of
     the first ``len(left_kinds)`` rows, it holds everything a step re-uses:
     the closures' scalar constants, two scratch lines for the interior
-    stencil, and the flat ``[1:-1]``, ``[2:]`` and ``[:-2]`` views of the
-    stepped rows of each of the three level buffers. The views are keyed
-    by buffer, so they follow ``FieldHistory.rotate``, and so are the
-    edge rows of ``read_edges``, from which the closures and the loop's
-    boundary samples read the rows' end nodes. For the loop that steps
-    through it, it also holds a buffer of the rows' shape for the blow-up
-    guard. Every expression keeps the operand order of the closures it
-    implements; the constants are left-to-right prefixes of them, so a
-    planned step or back-step gives the same bits as the closures written out in full.
+    stencil, and the flat line of the stepped rows of each of the three
+    level buffers with its ``[1:-1]``, ``[2:]`` and ``[:-2]`` views (the
+    whole line is the blow-up guard's, in the loop that steps through
+    the plan). The views are keyed by buffer, so they follow
+    ``FieldHistory.rotate``, and so are the edge rows of ``read_edges``,
+    from which the closures and the loop's boundary samples read the
+    rows' end nodes. Every expression keeps the operand order of the
+    closures it implements; the constants are left-to-right prefixes of
+    them, so a planned step or back-step gives the same bits as the
+    closures written out in full.
     """
 
     def __init__(self, levels: FieldHistory, grid: Grid, params: SystemParams,
@@ -211,7 +212,6 @@ class StepPlan:
         self.edge_index = starts + [0, 1, 2, n - 3, n - 2, n - 1]
         self.edge_rows: dict[int, list[list[float]]] = {}
         self.scratch = (np.empty(k * n - 2), np.empty(k * n - 2))
-        self.magnitudes = np.empty((k, n))
         self._cut_views()
 
     def _cut_views(self) -> None:
@@ -221,7 +221,7 @@ class StepPlan:
         self.views = {}
         for buf in (self.levels.prev, self.levels.curr, self.levels.new):
             line = buf[:k].reshape(-1)
-            self.views[id(buf)] = (line[1:-1], line[2:], line[:-2])
+            self.views[id(buf)] = (line, line[1:-1], line[2:], line[:-2])
 
     def __setstate__(self, state) -> None:
         """A copied or unpickled plan cuts its views from its own levels:
@@ -251,15 +251,15 @@ class StepPlan:
         levels, views, edges = self.levels, self.views, self.edge_rows
         prev, curr, new = levels.prev, levels.curr, levels.new
         prev_id, curr_id, new_id = id(prev), id(curr), id(new)
-        c_mid, c_right, c_left = views[curr_id]
+        _, c_mid, c_right, c_left = views[curr_id]
         twice, lap = self.scratch
         # 2 u^n - u^{n-1} + r^2 (u_{j+1} - 2 u_j + u_{j-1}), with 2 u_j formed once
         np.multiply(2.0, c_mid, out=twice)
         np.subtract(c_right, twice, out=lap)
         np.add(lap, c_left, out=lap)
         np.multiply(self.r2, lap, out=lap)
-        np.subtract(twice, views[prev_id][0], out=twice)
-        np.add(twice, lap, out=views[new_id][0])
+        np.subtract(twice, views[prev_id][1], out=twice)
+        np.add(twice, lap, out=views[new_id][1])
         r2, gamma_r, two_dx_beta, two_dx = self.r2, self.gamma_r, self.two_dx_beta, self.two_dx
         robin_denom, dt2, dx, tip_mass = self.robin_denom, self.dt2, self.dx, self.tip_mass
         edges.pop(new_id, None)

@@ -157,8 +157,12 @@ class TestEnergy:
         etas = log_uniform(rng, (k, rows), lo_exp, hi_exp, zero_share).tolist()
         expected = thirteen_pass_energies(tags, prev, curr, etas, params, grid)
         work = [np.full((k, rows, n + 1), np.nan) for _ in range(2)]
+        # a recorder's buffers, whose slope buffer is offset by one element
+        recorder = EnergyRecorder([EnergyTrace(tag) for tag in tags], prev[0], params, grid)
         for got in (energies(tags, prev, curr, etas, params, grid, work=work),
-                    energies(tags, prev, curr, etas, params, grid)):
+                    energies(tags, prev, curr, etas, params, grid),
+                    energies(tags, prev, curr, etas, params, grid,
+                             work=[buf[:k] for buf in recorder.work])):
             assert [[e.hex() for e in row] for row in got] == \
                 [[e.hex() for e in row] for row in expected]
 
@@ -215,6 +219,14 @@ class TestEnergyRecorder:
             sizes.append(EnergyRecorder([EnergyTrace("Hbb")] * rows, prev, params, grid).size)
         assert ENERGY_BLOCK_BYTES == 192 * 1024
         assert sizes == [81, 5, 1]
+
+    def test_buffers_aligned_for_their_passes(self, grid, params):
+        """The sum buffer starts on a 64-byte boundary, and the slope
+        buffer's element 1, where its central differences start."""
+        for _ in range(20):  # twenty recorders, wherever the allocator puts them
+            work = EnergyRecorder([EnergyTrace("H1")] * 3, np.zeros((3, grid.n_nodes)),
+                                  params, grid).work
+            assert [work[0].ctypes.data % 64, work[1].reshape(-1)[1:].ctypes.data % 64] == [0, 0]
 
     def test_records_match_per_level_calls(self, grid, params):
         """Pushed levels reach the traces in record order, each measured

@@ -419,14 +419,15 @@ def write_snapshots_per_node(path, x, snapshots):
 SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                   2.2250738585072014e-308, 1e-300, 1e308, -1e308,
                   1.7976931348623157e308, -1.7976931348623157e308,
-                  1.0, -3.0, 1e16, 1e22, 2.0 ** 53, 123456789.0, 0.1, -2.0 / 3.0)
+                  1.0, -3.0, 1e16, 1e22, 2.0 ** 53, 123456789.0, 0.1, -2.0 / 3.0,
+                  math.nan, math.inf, -math.inf)
 
 
 class TestSnapshotWriter:
     @given(n_cells=st.integers(3, 2000),
            r=st.sampled_from([0.5, 1.0, 0.3, 0.25, 0.9]),
            ks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3, unique=True),
-           extra=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+           extra=st.lists(st.floats(), max_size=20),
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_per_node_writer(self, tmp_path_factory, n_cells, r, ks, extra, seed):
@@ -435,8 +436,8 @@ class TestSnapshotWriter:
         n = grid.n_nodes
         snapshots = []
         for k in sorted(ks):
-            # magnitudes 1e-300..1e300, special values, integral floats and
-            # arbitrary doubles, mixed along the row
+            # magnitudes 1e-300..1e300, special values (NaN and +-inf too),
+            # integral floats and arbitrary doubles, mixed along the row
             values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
             pick = rng.random(n)
             values = np.where(pick < 0.2, rng.choice(SPECIAL_VALUES, n), values)
@@ -446,10 +447,10 @@ class TestSnapshotWriter:
             snapshots.append((k * grid.dt, values))
         out = tmp_path_factory.mktemp("snap")
         write_snapshots_per_node(out / "expected.csv", grid.nodes(), snapshots)
-        writer = _SnapshotWriter(out / "actual.csv",
-                                 [f",{xj!r}," for xj in grid.nodes().tolist()])
+        template = _SnapshotWriter.template(grid.nodes())
+        writer = _SnapshotWriter(out / "actual.csv")
         for t, values in snapshots:
-            writer.write(t, values)
+            writer.write(template.replace("T", repr(t)), values)
         writer.close()
         assert (out / "actual.csv").read_bytes() == (out / "expected.csv").read_bytes()
 

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import warnings
 from collections import deque
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from tipwave import DisturbanceSpec, EsoLoop, Grid, ObserverLoop, SingleFieldLoop, SystemParams
 from tipwave.signals import D_KINDS, F_KINDS, eval_d, eval_f
 from tipwave.systems import (
+    _GUARD_SQUARES,
     BLOWUP_LIMIT,
     NO_DISTURBANCE,
     BlowUpError,
@@ -419,12 +421,13 @@ def oracle_stacked_init(self, grid, params, spec, prev, curr):
     self._history = deque(maxlen=3)
     self._sample()
     self.step_index = 0
+    self.magnitudes = np.empty((len(self.names), grid.n_nodes))
 
 
 def oracle_finish_step(self):
     """Guard the new level, promote it and sample its boundaries."""
     new = self.levels.new[:len(self.names)]
-    if not np.abs(new, out=self.plan.magnitudes).max() <= BLOWUP_LIMIT:
+    if not np.abs(new, out=self.magnitudes).max() <= BLOWUP_LIMIT:
         for name, row in zip(self.names, new):
             peak = float(np.max(np.abs(row)))
             if not peak <= BLOWUP_LIMIT:
@@ -644,3 +647,34 @@ class TestBlowUpGuard:
         with pytest.raises(BlowUpError) as err:
             loop.step()
         assert err.value.field_name == "v" and err.value.step_index == 1
+
+    def test_guard_without_warnings(self, grid, params):
+        """The one-vdot guard raises on a huge row and on NaN, and lets a
+        level whose sum of squares it does not clear step on when no value
+        is above the limit; nothing on the way warns."""
+        x = grid.nodes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loop = EsoLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x)
+            loop.levels.curr[2] = 1e200  # q, whose square overflows
+            loop.plan.read_edges(loop.levels.curr)
+            with pytest.raises(BlowUpError) as err:
+                loop.step()
+            assert (err.value.field_name, err.value.step_index) == ("q", 1)
+            assert err.value.value >= 1e200
+
+            loop = EsoLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x)
+            loop.levels.curr[1, 50] = np.nan
+            with pytest.raises(BlowUpError) as err:
+                loop.step()
+            assert (err.value.field_name, err.value.step_index) == ("v", 1)
+            assert np.isnan(err.value.value)
+
+            loop = SingleFieldLoop(grid, params, 0 * x + 9.9e11, 0 * x,
+                                   LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
+            for _ in range(50):
+                loop.step()
+                line = loop.levels.curr.reshape(-1)
+                assert np.vdot(line, line) > _GUARD_SQUARES
+                assert np.abs(line).max() <= BLOWUP_LIMIT
+            assert loop.step_index == 50
