@@ -32,6 +32,18 @@ mapped and page-faulted afresh on every call. The recorder's buffers
 start on a 64-byte boundary, the second at its element 1, so that only
 the slope's squaring writes from an unaligned start: on an AVX-512 host,
 a NumPy pass whose output did not took up to 2.5x as long.
+
+An ``EnergyTrace`` keeps its records in two float64 columns
+(``array('d')``), which the recorder fills a block at a time.
+``fit_decay_rate`` fits the least-squares line through (t, ln E) in
+closed form, with exact sums: each column is scaled to integers and
+split into 20-bit digits, whose products NumPy sums in float64 chunks
+small enough to stay exact, and Python ints add up the chunks. The rate
+and the log amplitude are each the exact least-squares value, rounded
+once. The fit runs no BLAS or LAPACK, NumPy only for exact steps, and
+one inexact function, the C library's ``log``. So the fitted digits
+depend neither on the OpenBLAS kernel nor on NumPy's SIMD path: they
+are the same on any CPU whose C library computes the same logs.
 """
 
 from __future__ import annotations
@@ -39,31 +51,52 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .wave_core import Grid, SystemParams
+
+if TYPE_CHECKING:
+    from array import array
 
 __all__ = ["EnergyTrace", "EnergyRecorder", "NoFitError", "energy", "energies",
            "fit_decay_rate"]
 
 SPACE_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
 ENERGY_BLOCK_BYTES = 192 * 1024
+FIT_DIGIT_BITS = 20  # a decay fit's digit products stay below 2**40, so float64 sums
+FIT_CHUNK = 2 ** 13  # of up to 2**13 of them are integers below 2**53: exact
 
 
 class NoFitError(RuntimeError):
     """Raised when a decay fit has no usable samples."""
 
 
+def float_column() -> array:
+    """An empty float64 column, ``array('d')``, for one series of records.
+
+    ``array`` is imported here, on first use, and not with the package:
+    loading its extension module during the package import raised the
+    peak RSS of a spectrum run, which makes no column, by up to 0.13 MB,
+    though the run allocates the same (allocator layout).
+    """
+    from array import array
+
+    return array("d")
+
+
 @dataclass
 class EnergyTrace:
-    """Time series of one named energy, suitable for decay fitting."""
+    """Time series of one named energy, suitable for decay fitting: two
+    float64 columns, ``times`` and ``values``. ``np.asarray`` of a column
+    is a view, and while one lives the column cannot grow (BufferError)."""
 
     CSV_HEADER = "t,E,tag"
 
     space_tag: str
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
+    times: array = field(default_factory=float_column)
+    values: array = field(default_factory=float_column)
 
     def append(self, t: float, value: float) -> None:
         """Add one sample. A time that is not finite or does not exceed the
@@ -85,32 +118,32 @@ class EnergyTrace:
         """The CSV lines of the records from ``start`` on, one for each
         text in ``t_text``, the ``repr`` of each record's time."""
         tag = self.space_tag
-        return "".join([f"{t},{float(v)!r},{tag}\n"
+        return "".join([f"{t},{v!r},{tag}\n"
                         for t, v in zip(t_text, self.values[start:start + len(t_text)])])
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(f"{self.CSV_HEADER}\n")
-            fh.write(self.csv_rows([repr(float(t)) for t in self.times]))
+            fh.write(self.csv_rows([repr(t) for t in self.times]))
 
     @classmethod
     def read_csv(cls, path, space_tag: str) -> EnergyTrace:
-        """Read back a trace that ``write_csv`` wrote; a malformed line
-        raises ValueError naming the file and the line number."""
+        """Read back a trace that ``write_csv`` wrote; a missing header (an
+        empty file too) or a malformed line raises ValueError naming the
+        file and the line number."""
         trace = cls(space_tag)
         with open(path, newline="") as fh:
-            for lineno, line in enumerate(fh, start=1):
+            header = fh.readline().rstrip("\n")
+            if header != cls.CSV_HEADER:
+                raise ValueError(f"{path}, line 1: expected the header {cls.CSV_HEADER}, "
+                                 f"got {header!r}")
+            for lineno, line in enumerate(fh, start=2):
                 text = line.rstrip("\n")
                 fields = text.split(",")
                 try:
-                    if lineno == 1:
-                        if text != cls.CSV_HEADER:
-                            raise ValueError(f"expected the header {cls.CSV_HEADER}, "
-                                             f"got {text!r}")
-                    elif fields[2:] != [space_tag]:
+                    if fields[2:] != [space_tag]:
                         raise ValueError(f"expected t,E,{space_tag}, got {text!r}")
-                    else:
-                        trace.append(float(fields[0]), float(fields[1]))
+                    trace.append(float(fields[0]), float(fields[1]))
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
         return trace
@@ -257,7 +290,7 @@ class EnergyRecorder:
             return
         values = energies(self.tags, self.ring[:n], self.ring[1:n + 1], self.etas,
                           self.params, self.grid, work=[buf[:n] for buf in self.work])
-        times, columns = self.times, list(zip(*values))
+        times, columns = self.times, [list(column) for column in zip(*values)]
         # a NaN that min passes over makes the sum NaN; a sum that overflows
         # only sends a valid block down the record-by-record path
         if (all(map(operator.lt, times, times[1:])) and times[-1] < math.inf
@@ -265,9 +298,10 @@ class EnergyRecorder:
                         for trace in self.traces)
                 and all(0.0 <= min(column) and sum(column) < math.inf
                         for column in columns)):
+            # fromlist sizes a column once; extend would grow it item by item
             for trace, column in zip(self.traces, columns):
-                trace.times.extend(times)
-                trace.values.extend(column)
+                trace.times.fromlist(times)
+                trace.values.fromlist(column)
         else:
             # ``append`` raises at the first bad record, in its own words
             for t, row in zip(times, values):
@@ -286,24 +320,73 @@ def fit_decay_rate(trace: EnergyTrace, window: float = 0.5,
     first ``t_skip`` time units are always dropped (startup transient).
     Returns (rate, log_amplitude): E ~ exp(log_amplitude + rate * t).
     The energy is quadratic in the state, so the state decays at rate/2.
+    Both are the exact least-squares line's, rounded once (see
+    ``_fit_log_linear``).
     """
     if not 0.0 < window <= 1.0:
         raise ValueError(f"window must lie in (0, 1], got {window}")
-    t = np.asarray(trace.times, dtype=float)
-    e = np.asarray(trace.values, dtype=float)
+    if not len(trace):
+        raise NoFitError("no samples")
+    t, e = np.asarray(trace.times, dtype=float), np.asarray(trace.values, dtype=float)
     keep = e > 1e-300
-    t, e = t[keep], e[keep]
-    if t.size == 0:
+    if not keep.any():
         raise NoFitError("all samples excluded (energy below 1e-300)")
-    t_start = max(t_skip, t[0] + (1.0 - window) * (t[-1] - t[0]))
-    sel = t >= t_start
+    first, last = t[keep][[0, -1]]
+    sel = keep & (t >= max(t_skip, first + (1.0 - window) * (last - first)))
     if sel.sum() < 20:
         raise NoFitError(f"need >= 20 samples in window, have {int(sel.sum())}")
     return _fit_log_linear(t[sel], e[sel])
 
 
 def _fit_log_linear(t, values) -> tuple[float, float]:
-    """Least-squares line through (t, ln values): (slope, intercept)."""
-    design = np.vstack([t, np.ones(t.size)]).T
-    (rate, log_amp), *_ = np.linalg.lstsq(design, np.log(values), rcond=None)
-    return float(rate), float(log_amp)
+    """Least-squares line through (t_i, math.log(values_i)): (slope,
+    intercept), needing two distinct times.
+
+    The closed form of the normal equations in exact arithmetic: each
+    column is scaled by one power of two to integers, held as 20-bit
+    digits (``_digits``); the four sums are exact (``_moment``), and each
+    parameter is one correctly rounded int division.
+    """
+    t = np.asarray(t, dtype=float)
+    # a memoryview yields Python floats, with no list of them
+    logs = np.fromiter(map(math.log, memoryview(np.asarray(values, dtype=float))), float, t.size)
+    (a, ts), (b, ys) = _digits(t), _digits(logs)
+    ones = [np.ones(t.size)]
+    n, st, sy = t.size, _moment(ts, ones), _moment(ys, ones)
+    stt, sty = _moment(ts, ts), _moment(ts, ys)
+    den = n * stt - st * st
+    # t_i = T_i / 2**a and y_i = Y_i / 2**b: the slope is scaled by
+    # 2**(a - b), the intercept by 2**-b
+    return (_scaled_ratio(n * sty - st * sy, den, a - b),
+            _scaled_ratio(stt * sy - st * sty, den, -b))
+
+
+def _digits(x) -> tuple[int, list]:
+    """(k, digits): the ints X_i = x_i * 2**k as signed base-2**20 digits,
+    X_i = sum_j digits[j][i] * 2**(20 j), each digit an integer-valued
+    float array. ldexp, trunc and the digit subtractions are exact."""
+    exponents = np.frexp(x)[1]
+    k = 53 - int(exponents.min())
+    bits = int(exponents.max()) + k  # every |X_i| < 2**bits
+    if bits > 1024:
+        raise NoFitError(f"values spanning 2**{bits - 53} or more cannot be fitted exactly")
+    digits = [np.trunc(np.ldexp(x, k - FIT_DIGIT_BITS * j))
+              for j in range(-(-bits // FIT_DIGIT_BITS))]
+    for low, high in zip(digits, digits[1:]):  # in order: high is still a truncation
+        low -= np.ldexp(high, FIT_DIGIT_BITS)
+    return k, digits
+
+
+def _moment(us, vs) -> int:
+    """sum_i U_i V_i, exactly, for the ints U and V with digits ``us`` and
+    ``vs``: a digit product is below 2**40, so a float64 sum of up to
+    ``FIT_CHUNK`` of them is an integer below 2**53, in any order."""
+    return sum(int(np.add.reduce(u[i:i + FIT_CHUNK] * v[i:i + FIT_CHUNK]))
+               << (FIT_DIGIT_BITS * (j + m))
+               for j, u in enumerate(us) for m, v in enumerate(vs)
+               for i in range(0, u.size, FIT_CHUNK))
+
+
+def _scaled_ratio(num: int, den: int, k: int) -> float:
+    """num / den * 2**k, correctly rounded (as int / int is)."""
+    return (num << k) / den if k >= 0 else num / (den << -k)

@@ -29,14 +29,18 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import spectral
-from .energy import EnergyRecorder, EnergyTrace, NoFitError, fit_decay_rate
+from .energy import EnergyRecorder, EnergyTrace, NoFitError, fit_decay_rate, float_column
 from .signals import DisturbanceSpec
 from .systems import EsoLoop, ObserverLoop, SingleFieldLoop
 from .wave_core import LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS, Grid, SystemParams
+
+if TYPE_CHECKING:
+    from array import array
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "serialize_config",
            "run_scenario", "ScenarioResult", "PRESETS", "MODES"]
@@ -300,7 +304,7 @@ class ScenarioResult:
     config: ScenarioConfig
     out_dir: str
     energy_traces: dict[str, EnergyTrace]
-    boundary: dict[str, list[float]]
+    boundary: dict[str, array]
     fitted_rates: dict[str, float]
     abscissae: dict[str, float]
     threshold_failures: list[str]
@@ -329,32 +333,31 @@ class _SnapshotWriter:
 
 
 class _RecordWriter:
-    """``energy_<key>.csv`` of each trace and ``boundary_states.csv``,
-    written as the run goes: each ``write`` adds the records that the
-    traces hold and the files do not, formatting each record's time once
-    for all the files. The files are unbuffered, so a call makes one
-    write per file, and no text outlives the call."""
+    """``energy_<key>.csv`` of each trace and ``boundary_states.csv``, written as
+    the run goes: each ``write`` adds the records the traces hold and the files
+    do not, formatting each record's time once for all the files, and moves the
+    ``pending`` rows to the ``boundary`` columns. Unbuffered: one write a file."""
 
     def __init__(self, stack: contextlib.ExitStack, out: str,
-                 traces: dict[str, EnergyTrace], boundary: dict[str, list[float]]):
-        self.traces, self.boundary = traces, boundary
+                 traces: dict[str, EnergyTrace], boundary: dict[str, array]):
+        self.traces, self.boundary, self.pending = traces, boundary, []
         *self.energy_files, self.boundary_file = [
             stack.enter_context(open(os.path.join(out, name), "wb", buffering=0))
             for name in [*(f"energy_{key}.csv" for key in traces), "boundary_states.csv"]]
         for fh in self.energy_files:
             fh.write(f"{EnergyTrace.CSV_HEADER}\n".encode())
         self.boundary_file.write(b"t,eta,psi\n")
-        self.written = 0
 
     def write(self) -> None:
-        start, end = self.written, len(next(iter(self.traces.values())))
-        t_text = [repr(t) for t in self.boundary["t"][start:end]]
+        start, rows = len(self.boundary["t"]), self.pending
+        t_text = [repr(t) for t, _, _ in rows]
         for fh, trace in zip(self.energy_files, self.traces.values()):
             fh.write(trace.csv_rows(t_text, start).encode())
-        eta, psi = (self.boundary[key][start:end] for key in ("eta", "psi"))
         self.boundary_file.write("".join([f"{t},{e!r},{p!r}\n"
-                                          for t, e, p in zip(t_text, eta, psi)]).encode())
-        self.written = end
+                                          for t, (_, e, p) in zip(t_text, rows)]).encode())
+        for column, values in zip(self.boundary.values(), zip(*rows)):
+            column.fromlist(list(values))
+        rows.clear()
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
@@ -416,7 +419,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     traces = {key: EnergyTrace(space_tag=tag)
               for key, tag in zip(loop.energy_keys, loop.energy_tags)}
     recorder = EnergyRecorder(traces.values(), loop.levels.prev, loop.params, grid)
-    boundary = {"t": [], "eta": [], "psi": []}
+    boundary = {key: float_column() for key in ("t", "eta", "psi")}
 
     with contextlib.ExitStack() as stack:  # closes the output files however the run ends
         writers = {name: stack.enter_context(contextlib.closing(
@@ -428,12 +431,9 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
             if k:
                 loop.step()
             t = loop.t
-            states = loop.boundary_states()
+            eta, psi = states = loop.boundary_states()
             recorder.push(t, loop.levels.curr, loop.etas(states))
-            eta, psi = states
-            boundary["t"].append(t)
-            boundary["eta"].append(eta)
-            boundary["psi"].append(psi)
+            records.pending.append((t, eta, psi))
             if k % config.stride == 0 or k == n_steps:
                 lines = template.replace("T", repr(t))  # once for every field
                 for name, values in loop.fields().items():

@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,8 +246,9 @@ class TestEnergyRecorder:
         recorder.flush()
         expected = [energies(tags, levels[k - 1], levels[k], etas[k], params, grid)
                     for k in range(1, len(levels))]
-        assert [tr.values for tr in traces] == [list(col) for col in zip(*expected)]
-        assert all(tr.times == [k * grid.dt for k in range(1, len(levels))] for tr in traces)
+        assert [list(tr.values) for tr in traces] == [list(col) for col in zip(*expected)]
+        assert all(list(tr.times) == [k * grid.dt for k in range(1, len(levels))]
+                   for tr in traces)
 
 
     def test_valid_blocks_take_no_append(self, grid, params, monkeypatch):
@@ -262,8 +265,8 @@ class TestEnergyRecorder:
         for k in range(1, len(levels)):
             recorder.push(k * grid.dt, levels[k], [0.5])
         recorder.flush()
-        assert traces[0].values == [energy("H1", levels[k - 1, 0], levels[k, 0], 0.5, params,
-                                           grid) for k in range(1, len(levels))]
+        assert list(traces[0].values) == [energy("H1", levels[k - 1, 0], levels[k, 0], 0.5,
+                                                 params, grid) for k in range(1, len(levels))]
 
     @pytest.mark.parametrize("bad", ["nan_level", "inf_level", "repeated_time", "nan_time",
                                      "inf_time", "later_trace"])
@@ -332,7 +335,7 @@ class TestEnergyTrace:
         tr.append(0.0, 1.0)
         with pytest.raises(ValueError, match=f"^{message}$"):
             tr.append(t, value)
-        assert (tr.times, tr.values) == ([0.0], [1.0])
+        assert (list(tr.times), list(tr.values)) == ([0.0], [1.0])
 
     def test_rejects_nan_first_time(self):
         with pytest.raises(ValueError, match="got nan"):
@@ -358,6 +361,17 @@ class TestEnergyTrace:
         back = EnergyTrace.read_csv(path, "Hbb1")
         assert (back.space_tag, back.times, back.values) == ("Hbb1", tr.times, tr.values)
         with pytest.raises(ValueError, match=r"line 2: expected t,E,H1, got '0.0,1.0,Hbb1'"):
+            EnergyTrace.read_csv(path, "H1")
+
+    @pytest.mark.parametrize("text", ["", "t,E\n0.0,1.0,H1\n"], ids=["empty_file", "other_header"])
+    def test_csv_needs_its_header(self, tmp_path, text):
+        """A file without the header line, a 0-byte one too, is malformed at
+        line 1, not an empty trace."""
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        header = text.split("\n")[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 1: expected the header t,E,tag, got {header!r}")):
             EnergyTrace.read_csv(path, "H1")
 
     def test_csv_prints_plain_floats_for_numpy_input(self, tmp_path):
@@ -422,6 +436,53 @@ class TestFitDecayRate:
             tr.append(float(k), 1.0)
         with pytest.raises(NoFitError):
             fit_decay_rate(tr, t_skip=0.0)
+
+    def test_no_samples(self):
+        with pytest.raises(NoFitError, match="^no samples$"):
+            fit_decay_rate(EnergyTrace("H1"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e3, 1e3),
+           st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(-299.0, 299.0)),
+                    min_size=20, max_size=60))
+    def test_exact_least_squares_line(self, t0, steps):
+        """Increasing times and energies spanning many decades: the fitted
+        rate and log amplitude are the exact least-squares line through
+        (t, math.log(E)), in Fractions, rounded once (so within 1 ulp)."""
+        tr = EnergyTrace("H1")
+        t = t0
+        for dt, decade in steps:
+            t += dt
+            tr.append(t, 10.0 ** decade)
+        ts = [Fraction(x) for x in tr.times]
+        ys = [Fraction(math.log(e)) for e in tr.values]
+        t_mean, y_mean = sum(ts) / len(ts), sum(ys) / len(ys)
+        slope = (sum((x - t_mean) * (y - y_mean) for x, y in zip(ts, ys))
+                 / sum((x - t_mean) ** 2 for x in ts))
+        assert fit_decay_rate(tr, window=1.0, t_skip=-math.inf) == (
+            float(slope), float(y_mean - slope * t_mean))
+
+    def test_times_too_wide_to_fit_exactly(self):
+        """Times spanning 600 decades cannot be scaled to integers within
+        float64's range: NoFitError, not a NaN or a warning."""
+        tr = EnergyTrace("H1")
+        for k in range(21):
+            tr.append(10.0 ** (30 * k - 300), 1.0)
+        with pytest.raises(NoFitError, match="cannot be fitted exactly"):
+            fit_decay_rate(tr, window=1.0, t_skip=-math.inf)
+
+    def test_no_lapack(self, monkeypatch):
+        """A fit calls nothing in numpy.linalg, so no LAPACK or BLAS
+        workspace is mapped for it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            monkeypatch.setattr(np.linalg, name, refuse)
+        tr = self.synthetic(lambda t: 3.0 * math.exp(-0.8 * t))
+        rate, log_amp = fit_decay_rate(tr)
+        assert rate == pytest.approx(-0.8, rel=1e-12)
+        assert log_amp == pytest.approx(math.log(3.0), rel=1e-12)
 
     def test_bad_window(self):
         tr = self.synthetic(lambda t: 1.0, T=5.0)

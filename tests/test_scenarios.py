@@ -3,6 +3,8 @@ import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tipwave
 from tipwave import spectral
 from tipwave.cli import main as cli_main
 from tipwave.energy import ENERGY_BLOCK_BYTES
@@ -319,8 +322,8 @@ class TestRunScenario:
                 expected[key].append(value)
         assert set(result.energy_traces) == set(expected)
         for key, trace in result.energy_traces.items():
-            assert trace.times == times
-            assert trace.values == expected[key], key
+            assert list(trace.times) == times
+            assert list(trace.values) == expected[key], key
 
     def test_coarsest_grid_runs(self, tmp_path):
         cfg = parse_config("preset = reproduce_sec4\nn_cells = 3\nhorizon = 0.5\n")
@@ -719,6 +722,42 @@ class TestCli:
             f"report error: {path}, line 1502: times must be finite and strictly "
             f"increasing, got nan\n")
         assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("text", ["", "t,E\n0.0,1.0,H1\n"], ids=["empty_file", "other_header"])
+    def test_report_missing_header(self, tmp_path, capsys, text):
+        """A trace without its header, a 0-byte file too, is malformed:
+        exit 1 with one line naming the file, and no report."""
+        path, header = tmp_path / "energy_u_H1.csv", text.split("\n")[0]
+        path.write_text(text)
+        assert cli_main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"report error: {path}, line 1: expected the header t,E,tag, got {header!r}\n")
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_report_header_only(self, tmp_path, capsys):
+        """A header with no records is a trace with no samples: no fit."""
+        (tmp_path / "energy_u_H1.csv").write_text("t,E,tag\n")
+        assert cli_main(["report", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "u_H1: no fit (no samples)"
+
+    def test_fitted_digits_independent_of_blas_core(self, tmp_path):
+        """sec4 at n_cells = 20 (1,600 steps) fits three rates; its
+        summary.txt has the same bytes whichever OpenBLAS kernel is picked."""
+        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\nn_cells = 20\n")
+        src = os.path.dirname(os.path.dirname(tipwave.__file__))
+        summaries = []
+        for core in (None, "Prescott"):
+            env = {key: value for key, value in os.environ.items()
+                   if key != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = src
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            out = tmp_path / f"out_{core}"
+            subprocess.run([sys.executable, "-m", "tipwave", "simulate", cfg, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            summaries.append((out / "summary.txt").read_bytes())
+        assert summaries[0].count(b"\nfitted energy rate ") == 3
+        assert summaries[0] == summaries[1]
 
     def test_report_tagless_file_name(self, tmp_path, capsys):
         path = tmp_path / "energy_plain.csv"
