@@ -149,6 +149,12 @@ class EnergyTrace:
         return trace
 
 
+def _check_tags(space_tags) -> None:
+    for tag in space_tags:
+        if tag not in SPACE_TAGS:
+            raise ValueError(f"unknown space tag {tag!r}; expected one of {SPACE_TAGS}")
+
+
 def energies(space_tags, prev, curr, etas, params: SystemParams, grid: Grid,
              work=None) -> list:
     """Discrete energies of stacked rows of levels, in one pass.
@@ -163,9 +169,7 @@ def energies(space_tags, prev, curr, etas, params: SystemParams, grid: Grid,
     float arrays of the levels' shape, allocated here when not given;
     every full-size array operation writes into them.
     """
-    for tag in space_tags:
-        if tag not in SPACE_TAGS:
-            raise ValueError(f"unknown space tag {tag!r}; expected one of {SPACE_TAGS}")
+    _check_tags(space_tags)
     shape = prev.shape
     if (curr.shape != shape or len(shape) < 2
             or shape[-2:] != (len(space_tags), grid.n_nodes)):
@@ -265,6 +269,7 @@ class EnergyRecorder:
     def __init__(self, traces, prev, params: SystemParams, grid: Grid):
         self.traces = tuple(traces)
         self.tags = tuple(trace.space_tag for trace in self.traces)
+        _check_tags(self.tags)
         self.params, self.grid = params, grid
         self.size = max(1, ENERGY_BLOCK_BYTES // prev.nbytes)
         # slot 0 holds the level before the block's first record

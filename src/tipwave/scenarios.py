@@ -312,41 +312,36 @@ class ScenarioResult:
     warnings: list[str] = field(default_factory=list)  # summary.txt's warning lines
 
 
-class _SnapshotWriter:
-    """Rows ``t,x,value`` of one field: one ``%`` and one write per record."""
-
-    @staticmethod
-    def template(x) -> str:
-        """``T,<x>,%r`` per node; with a record's ``repr(t)`` for each T, the
-        ``lines`` of its ``write`` (float reprs hold neither T nor %)."""
-        return "".join([f"T,{xj!r},%r\n" for xj in x.tolist()])
-
-    def __init__(self, path):
-        self.fh = open(path, "wb", buffering=0)
-        self.fh.write(b"t,x,value\n")
-
-    def write(self, lines: str, values) -> None:
-        self.fh.write((lines % tuple(values.tolist())).encode())
-
-    def close(self):
-        self.fh.close()
-
-
 class _RecordWriter:
-    """``energy_<key>.csv`` of each trace and ``boundary_states.csv``, written as
-    the run goes: each ``write`` adds the records the traces hold and the files
-    do not, formatting each record's time once for all the files, and moves the
-    ``pending`` rows to the ``boundary`` columns. Unbuffered: one write a file."""
+    """Every CSV a time-domain run streams, written as the run goes:
+    ``snapshots_<name>.csv`` of each field in ``names``, ``energy_<key>.csv``
+    of each trace and ``boundary_states.csv``, each opened on ``stack`` with
+    its header. ``snapshot`` fills the run's template, a ``T,<x>,%r`` line
+    per node, with one ``repr(t)`` in place of each T for every field and
+    one ``%`` per field (float reprs hold neither T nor %). Each ``write``
+    adds the records the traces hold and the files do not, formatting each
+    record's time once for all the files, and moves the ``pending`` rows to
+    the ``boundary`` columns. Unbuffered: one write a file."""
 
-    def __init__(self, stack: contextlib.ExitStack, out: str,
-                 traces: dict[str, EnergyTrace], boundary: dict[str, array]):
-        self.traces, self.boundary, self.pending = traces, boundary, []
-        *self.energy_files, self.boundary_file = [
-            stack.enter_context(open(os.path.join(out, name), "wb", buffering=0))
-            for name in [*(f"energy_{key}.csv" for key in traces), "boundary_states.csv"]]
-        for fh in self.energy_files:
-            fh.write(f"{EnergyTrace.CSV_HEADER}\n".encode())
-        self.boundary_file.write(b"t,eta,psi\n")
+    def __init__(self, stack: contextlib.ExitStack, out: str, names, x,
+                 traces: dict[str, EnergyTrace]):
+        self.traces, self.pending = traces, []
+        self.boundary = {key: float_column() for key in ("t", "eta", "psi")}
+        self.template = "".join([f"T,{xj!r},%r\n" for xj in x.tolist()])
+        files = [*((f"snapshots_{name}.csv", "t,x,value") for name in names),
+                 *((f"energy_{key}.csv", EnergyTrace.CSV_HEADER) for key in traces),
+                 ("boundary_states.csv", "t,eta,psi")]
+        handles = [stack.enter_context(open(os.path.join(out, name), "wb", buffering=0))
+                   for name, _ in files]
+        for fh, (_, header) in zip(handles, files):
+            fh.write(f"{header}\n".encode())
+        self.snapshot_files = handles[:len(names)]
+        *self.energy_files, self.boundary_file = handles[len(names):]
+
+    def snapshot(self, t: float, rows) -> None:
+        lines = self.template.replace("T", repr(t))  # once for every field
+        for fh, values in zip(self.snapshot_files, rows):
+            fh.write((lines % tuple(values.tolist())).encode())
 
     def write(self) -> None:
         start, rows = len(self.boundary["t"]), self.pending
@@ -415,17 +410,12 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     loop = _build_loop(config)
     n_steps = int(round(config.horizon / grid.dt))
 
-    template = _SnapshotWriter.template(grid.nodes())
     traces = {key: EnergyTrace(space_tag=tag)
               for key, tag in zip(loop.energy_keys, loop.energy_tags)}
     recorder = EnergyRecorder(traces.values(), loop.levels.prev, loop.params, grid)
-    boundary = {key: float_column() for key in ("t", "eta", "psi")}
 
     with contextlib.ExitStack() as stack:  # closes the output files however the run ends
-        writers = {name: stack.enter_context(contextlib.closing(
-                       _SnapshotWriter(os.path.join(out, f"snapshots_{name}.csv"))))
-                   for name in loop.fields()}
-        records = _RecordWriter(stack, out, traces, boundary)
+        records = _RecordWriter(stack, out, loop.names, grid.nodes(), traces)
         # record k is the state at t = k*dt: the initial data, then each step's result
         for k in range(n_steps + 1):
             if k:
@@ -435,9 +425,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
             recorder.push(t, loop.levels.curr, loop.etas(states))
             records.pending.append((t, eta, psi))
             if k % config.stride == 0 or k == n_steps:
-                lines = template.replace("T", repr(t))  # once for every field
-                for name, values in loop.fields().items():
-                    writers[name].write(lines, values)
+                records.snapshot(t, loop.fields().values())
             if (k + 1) % RECORD_CHUNK == 0 or k == n_steps:
                 recorder.flush()
                 records.write()
@@ -463,11 +451,11 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
             abscissae.clear()
             warnings.append(f"spectral summary skipped: {exc}")
 
-    failures = _check_thresholds(config, traces, boundary)
-    lines = _summary_lines(config, traces, boundary, fitted, abscissae, warnings, failures)
+    failures = _check_thresholds(config, traces, records.boundary)
+    lines = _summary_lines(config, traces, records.boundary, fitted, abscissae, warnings, failures)
     summary_path = _write_summary(out, config, lines)
     return ScenarioResult(config=config, out_dir=out, energy_traces=traces,
-                          boundary=boundary, fitted_rates=fitted,
+                          boundary=records.boundary, fitted_rates=fitted,
                           abscissae=abscissae, threshold_failures=failures,
                           summary_path=summary_path, warnings=warnings)
 

@@ -30,9 +30,9 @@ near 1e-10 from double-precision cancellation alone, so an absolute raw
 threshold would be meaningless there.
 
 Each CharFamily builds its evaluators once, in pure Python scalars, with
-the gain constants (1 +- g, a +- m, ...) folded in: ``scaled`` gives the
-rescaled value and its magnitude scale (the contour sweep calls it once
-per point), and ``newton_quotient`` gives a Newton step from one
+the gain constants (1 +- g, a +- m, ...) folded in: ``_scaled`` gives
+the rescaled value and its magnitude scale (the contour sweep calls it
+once per point), and ``newton_quotient`` gives a Newton step from one
 exponential shared by value and derivative. Every value has the bits of
 the formulas as written above; no NumPy runs per point.
 
@@ -208,7 +208,6 @@ class CharFamily:
         self.params = params
         self.check_hypotheses()
         self._scaled, self.newton_quotient = _EVALUATORS[tag](params)
-        self._edges = None  # the running compute_spectrum's _EdgeMemo
         p = params
         if tag == "A":
             self._asymptote = 0.5 * math.log(abs(p.m - p.a) / (p.m + p.a))
@@ -360,18 +359,19 @@ def _newton(family: CharFamily, start: complex) -> tuple[complex, bool]:
         return complex(start), False
 
 
-def refine_root(family: CharFamily, seed: complex, n: int | None = None) -> Eigenvalue:
+def refine_root(family: CharFamily, seed: complex, n: int | None = None, *,
+                edges: _EdgeMemo | None = None) -> Eigenvalue:
     """Newton-refine one asymptotic seed; ``n`` defaults to the seed's branch.
 
     If Newton drifts to a different branch (further than pi/2 from the
     seed), the strip around the seed is re-searched by the argument
-    principle and the nearest located zero is used instead. A root that
-    still fails the residual tolerance is returned flagged.
+    principle, through the contour memo ``edges``, and the nearest zero
+    found is used instead. A root that fails the tolerance is flagged.
     """
     seed = complex(seed)
     z, ok = _newton(family, seed)
     if not ok or abs(z - seed) > math.pi / 2:
-        relocated = _relocate_near(family, seed)
+        relocated = _relocate_near(family, seed, edges)
         if relocated is not None:
             z, ok = relocated, True
     return _eigenvalue(family, z, seed, ok, family.branch_index(seed) if n is None else n)
@@ -391,11 +391,11 @@ def _eigenvalue(family: CharFamily, z: complex, seed: complex | None = None,
                       residual=res, converged=ok and res <= RESIDUAL_TOL)
 
 
-def _relocate_near(family: CharFamily, seed: complex) -> complex | None:
+def _relocate_near(family: CharFamily, seed: complex, edges: _EdgeMemo | None) -> complex | None:
     xlo = min(family.sweep_left_edge(), seed.real - 2.0)
     box = (xlo, 0.5, seed.imag - math.pi / 2, seed.imag + math.pi / 2)
     try:
-        roots = _sweep_box(family, *box, edges=family._edges)
+        roots = _sweep_box(family, *box, edges=edges)
     except (ContourError, RecursionError):
         return None
     if not roots:
@@ -617,32 +617,31 @@ def compute_spectrum(family: CharFamily, n_max: int = 100) -> Spectrum:
     can hold two, such as the extra real roots of strip 0); if one holds
     none, ContourError names it, since the enumeration missed a root.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     n_low = min(N_LOW, n_max)
     offset = family.branch_offset()
     edge_im = (n_low + (0.74 if offset == 0.0 else offset + 0.5)) * math.pi
     # the sweep below and every relocation sweep of refine_root share one
     # edge memo, which is freed before the roots are mirrored and deduped
-    family._edges = _EdgeMemo()
-    try:
-        swept = _sweep_box(family, family.sweep_left_edge(), 0.5, -1e-4, edge_im,
-                           edges=family._edges)
-        # Abb's origin zero is spurious: its eigenfunction vanishes identically
-        swept = [_eigenvalue(family, z) for z in swept
-                 if not (abs(z) < SPURIOUS_RADIUS and family.tag == "Abb")]
+    edges = _EdgeMemo()
+    swept = _sweep_box(family, family.sweep_left_edge(), 0.5, -1e-4, edge_im, edges=edges)
+    # Abb's origin zero is spurious: its eigenfunction vanishes identically
+    swept = [_eigenvalue(family, z) for z in swept
+             if not (abs(z) < SPURIOUS_RADIUS and family.tag == "Abb")]
 
-        # seeds below the swept box's top edge (all n < n_low) are skipped
-        ladder = []
-        n_top = n_max + 1 if offset < 0 else n_max
-        for n in range(n_low, n_top + 1):
-            seed = family.seed(n)
-            if seed.imag <= edge_im:
-                continue
-            eig = refine_root(family, seed, n)
-            if family.branch_index(eig.refined) != eig.n:  # Newton moved to another branch
-                eig = _eigenvalue(family, eig.refined, seed, eig.converged)
-            ladder.append(eig)
-    finally:
-        family._edges = None
+    # seeds below the swept box's top edge (all n < n_low) are skipped
+    ladder = []
+    n_top = n_max + 1 if offset < 0 else n_max
+    for n in range(n_low, n_top + 1):
+        seed = family.seed(n)
+        if seed.imag <= edge_im:
+            continue
+        eig = refine_root(family, seed, n, edges=edges)
+        if family.branch_index(eig.refined) != eig.n:  # Newton moved to another branch
+            eig = _eigenvalue(family, eig.refined, seed, eig.converged)
+        ladder.append(eig)
+    del edges
 
     # conjugate closure, then dedupe: a swept root's mirror is seeded from
     # its own branch, a ladder root's mirror from the conjugate seed, and

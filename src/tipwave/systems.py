@@ -20,7 +20,8 @@ Each loop samples the few boundary values its control laws read once
 per step and keeps the last three samples. The control evaluated at
 step n uses samples up to t_n only (one-step explicit lag), and returns
 0 until it has enough samples to difference. Time derivatives are
-backward differences of the samples; q_tt(1) comes from differencing
+backward differences of the samples, O(dt) at t_n, so ``ObserverLoop``
+and ``EsoLoop`` are first order in dt; q_tt(1) comes from differencing
 the pinned q(1) samples, never from a one-sided spatial second
 derivative. The boundary slopes are one-sided second-order differences
 over three nodes, exact on quadratics. Each sample reads its level's

@@ -16,8 +16,9 @@ relation hold simultaneously:
 * pinned trace          u(1, t) = value(t)
 
 The tip-mass closure uses a centered second difference in time for the
-boundary acceleration; the Robin closure uses a centered first
-difference, which keeps the whole scheme second order.
+boundary acceleration, the Robin closure a centered first difference:
+second order for exact inputs (the open plant); the closed loops of
+``systems`` feed backward-differenced controls and are first order in dt.
 
 Each row is closed at both ends by its own pair of boundary kinds:
 LEFT_DIRICHLET_ZERO or LEFT_ROBIN at x = 0, RIGHT_TIP_MASS or
@@ -192,6 +193,11 @@ class StepPlan:
             raise StructuralError(f"field has {levels.n_nodes} nodes, grid expects {grid.n_nodes}")
         if levels.curr.ndim != 2 or not 0 < k == len(right_kinds) <= len(levels.curr):
             raise StructuralError(f"cannot step {k} rows of levels of shape {levels.curr.shape}")
+        for i, (left, right) in enumerate(zip(left_kinds, right_kinds)):
+            if left not in (LEFT_DIRICHLET_ZERO, LEFT_ROBIN):
+                raise StructuralError(f"row {i}: unknown left boundary kind {left!r}")
+            if right not in (RIGHT_TIP_MASS, RIGHT_DIRICHLET_VALUE):
+                raise StructuralError(f"row {i}: unknown right boundary kind {right!r}")
         r, dx, dt = grid.r, grid.dx, grid.dt
         gamma, beta, m = params.gamma, params.beta, params.m
         self.levels = levels

@@ -222,6 +222,13 @@ class TestEnergyRecorder:
         assert ENERGY_BLOCK_BYTES == 192 * 1024
         assert sizes == [81, 5, 1]
 
+    def test_unknown_tag_rejected_on_construction(self, grid, params):
+        """A trace in an unknown space fails when the recorder is built,
+        with the message a flush would give, not at the first flush."""
+        traces = [EnergyTrace("H1"), EnergyTrace("Hx"), EnergyTrace("H2")]
+        with pytest.raises(ValueError, match=r"^unknown space tag 'Hx'; expected one of \("):
+            EnergyRecorder(traces, np.zeros((3, grid.n_nodes)), params, grid)
+
     def test_buffers_aligned_for_their_passes(self, grid, params):
         """The sum buffer starts on a 64-byte boundary, and the slope
         buffer's element 1, where its central differences start."""

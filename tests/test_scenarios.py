@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -22,7 +23,7 @@ from tipwave.scenarios import (
     RECORD_CHUNK,
     ScenarioConfig,
     _build_loop,
-    _SnapshotWriter,
+    _RecordWriter,
     parse_config,
     run_scenario,
     serialize_config,
@@ -450,12 +451,11 @@ class TestSnapshotWriter:
             snapshots.append((k * grid.dt, values))
         out = tmp_path_factory.mktemp("snap")
         write_snapshots_per_node(out / "expected.csv", grid.nodes(), snapshots)
-        template = _SnapshotWriter.template(grid.nodes())
-        writer = _SnapshotWriter(out / "actual.csv")
-        for t, values in snapshots:
-            writer.write(template.replace("T", repr(t)), values)
-        writer.close()
-        assert (out / "actual.csv").read_bytes() == (out / "expected.csv").read_bytes()
+        with contextlib.ExitStack() as stack:
+            writer = _RecordWriter(stack, str(out), ["u"], grid.nodes(), {})
+            for t, values in snapshots:
+                writer.snapshot(t, [values])
+        assert (out / "snapshots_u.csv").read_bytes() == (out / "expected.csv").read_bytes()
 
 
 # sha256 of every artifact: the CSVs were recorded before the loops were

@@ -371,8 +371,8 @@ def assert_same_as_oracle(family, n_max):
 
 def lands_on_neighbour(refine):
     """refine_root, except that Newton for branch 15 starts from branch 14's seed."""
-    def patched(family, seed, n=None):
-        return refine(family, family.seed(14), n) if n == 15 else refine(family, seed, n)
+    def patched(family, seed, n=None, **kw):
+        return refine(family, family.seed(14) if n == 15 else seed, n, **kw)
     return patched
 
 
@@ -464,13 +464,13 @@ class TestSweep:
 # edge sits at 0.74 of the gap on every ladder, so it is the oracle of the
 # integer (offset 0) ladders only.
 
-def oracle_refine_root(family, seed, n=None):
+def oracle_refine_root(family, seed, n=None, *, edges=None):
     seed = complex(seed)
     if n is None:
         n = family.branch_index(seed)
     z, ok = spectral._newton(family, seed)
     if not ok or abs(z - seed) > math.pi / 2:
-        relocated = spectral._relocate_near(family, seed)
+        relocated = spectral._relocate_near(family, seed, edges)
         if relocated is not None:
             z, ok = relocated, True
         elif not ok:
@@ -503,25 +503,23 @@ def oracle_compute_spectrum(family, n_max=100):
     roots = []
 
     edge_im = (n_low + 0.74) * math.pi
-    family._edges = spectral._EdgeMemo()
-    try:
-        swept = spectral._sweep_box(family, family.sweep_left_edge(), 0.5, -1e-4, edge_im,
-                                    edges=family._edges)
-        for z in swept:
-            if abs(z) < spectral.SPURIOUS_RADIUS and family.tag == "Abb":
-                continue  # spurious origin zero: eigenfunction vanishes identically
-            roots.append((z, family.normalized_residual(z), True, None, None))
+    edges = spectral._EdgeMemo()
+    swept = spectral._sweep_box(family, family.sweep_left_edge(), 0.5, -1e-4, edge_im,
+                                edges=edges)
+    for z in swept:
+        if abs(z) < spectral.SPURIOUS_RADIUS and family.tag == "Abb":
+            continue  # spurious origin zero: eigenfunction vanishes identically
+        roots.append((z, family.normalized_residual(z), True, None, None))
 
-        # seeds below the swept box's top edge (all n < n_low) are skipped
-        n_top = n_max + 1 if family.branch_offset() < 0 else n_max
-        for n in range(n_low, n_top + 1):
-            seed = family.seed(n)
-            if seed.imag <= edge_im:
-                continue
-            eig = oracle_refine_root(family, seed, n)
-            roots.append((eig.refined, eig.residual, eig.converged, seed, eig))
-    finally:
-        family._edges = None
+    # seeds below the swept box's top edge (all n < n_low) are skipped
+    n_top = n_max + 1 if family.branch_offset() < 0 else n_max
+    for n in range(n_low, n_top + 1):
+        seed = family.seed(n)
+        if seed.imag <= edge_im:
+            continue
+        eig = oracle_refine_root(family, seed, n, edges=edges)
+        roots.append((eig.refined, eig.residual, eig.converged, seed, eig))
+    del edges
 
     # conjugate closure, then dedupe
     mirrored = []
@@ -557,8 +555,8 @@ def assert_same_as_oracle_records(family, n_max):
 def reindexed(refine):
     """refine_root, except that branch 15's root is labelled branch 16, so
     the enumeration must move it back to its own branch."""
-    def patched(family, seed, n=None):
-        return refine(family, seed, 16) if n == 15 else refine(family, seed, n)
+    def patched(family, seed, n=None, **kw):
+        return refine(family, seed, 16, **kw) if n == 15 else refine(family, seed, n, **kw)
     return patched
 
 
@@ -776,6 +774,32 @@ class TestSpectrum:
                            match=r"^family A2: no root on 2 of the branches "
                                  r"\|n\| <= 100: -15, 15$"):
             compute_spectrum(fam, n_max=100)
+
+    @pytest.mark.parametrize("n_max", [-1, -5])
+    def test_negative_n_max(self, n_max, monkeypatch):
+        """A negative n_max is rejected in the config rule's words before
+        any contour work."""
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the box was swept")
+        monkeypatch.setattr(spectral, "_sweep_box", no_sweep)
+        with pytest.raises(ValueError, match=f"^n_max must be >= 0, got {n_max}$"):
+            compute_spectrum(CharFamily("A", SystemParams()), n_max=n_max)
+
+    @pytest.mark.parametrize("tag", ["A2", "A", "Abb"])
+    def test_family_holds_no_run_state(self, tag, monkeypatch):
+        """compute_spectrum keeps its contour memo to itself: during every
+        refine_root the family's attributes are those it had before."""
+        fam = CharFamily(tag, SystemParams())
+        before, seen = dict(vars(fam)), []
+        refine = spectral.refine_root
+
+        def watched(family, seed, n=None, **kw):
+            seen.append(dict(vars(family)))
+            return refine(family, seed, n, **kw)
+        monkeypatch.setattr(spectral, "refine_root", watched)
+        compute_spectrum(fam, n_max=20)
+        assert seen and all(attrs == before for attrs in seen)
+        assert vars(fam) == before
 
     @pytest.mark.parametrize("kw,n_max", [
         ({"gamma": 0.998}, 40), ({"gamma": 0.999}, 40), ({"gamma": 0.9995}, 40),

@@ -613,6 +613,39 @@ def test_rows_of_another_length_name_the_field(params, make, message):
         make(Grid(10), params, 10)
 
 
+def test_unknown_boundary_kinds_name_the_row(grid, params):
+    """A boundary kind outside the two of its end is a StructuralError that
+    names the row and the kind, for a plan built by hand or by a loop."""
+    rows = FieldHistory(np.zeros((2, grid.n_nodes)), np.zeros((2, grid.n_nodes)))
+    with pytest.raises(StructuralError, match="^row 1: unknown left boundary kind 2$"):
+        StepPlan(rows, grid, params, [LEFT_ROBIN, 2], [RIGHT_TIP_MASS] * 2)
+    with pytest.raises(StructuralError, match="^row 0: unknown right boundary kind 5$"):
+        StepPlan(rows, grid, params, [LEFT_ROBIN] * 2, [5, RIGHT_DIRICHLET_VALUE])
+    x = grid.nodes()
+    with pytest.raises(StructuralError, match="^row 0: unknown left boundary kind 2$"):
+        SingleFieldLoop(grid, params, 0 * x, 0 * x, 2, 5)
+    with pytest.raises(StructuralError, match="^row 0: unknown right boundary kind 5$"):
+        SingleFieldLoop(grid, params, 0 * x, 0 * x, LEFT_DIRICHLET_ZERO, 5)
+
+
+def test_open_plant_second_order_in_time_and_space(params):
+    """The open plant (pinned end, tip mass, f = d = 0) from sec4's u0:
+    u(1, t = 1) converges at order 2 as dx and dt halve together."""
+    tips = []
+    for n in (100, 200, 400, 800):
+        grid = Grid(n_cells=n, r=0.5)
+        x = grid.nodes()
+        loop = SingleFieldLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
+                               LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
+        for _ in range(2 * n):
+            loop.step()
+        assert loop.t == pytest.approx(1.0)
+        tips.append(loop.fields()["u"][-1])
+    gaps = np.abs(np.diff(tips))
+    orders = np.log2(gaps[:-1] / gaps[1:])
+    assert np.all(orders >= 1.8), orders
+
+
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda loop: pickle.loads(pickle.dumps(loop))],
                          ids=["deepcopy", "pickle"])
 def test_copied_loop_steps_like_original(grid, params, clone):
