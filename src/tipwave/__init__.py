@@ -17,7 +17,6 @@ from .spectral import (
     CharFamily,
     Eigenvalue,
     Spectrum,
-    combined_abscissa,
     compute_spectrum,
     count_zeros_in_box,
     refine_root,
@@ -30,7 +29,8 @@ __version__ = "0.1.0"
 
 
 def default_backend_name() -> str:
-    """Name of the stepping implementation; there is only the NumPy stepper."""
+    """Name of the stepping implementation; there is only the NumPy stepper.
+    ``perfbench/worker.py`` records it with each benchmark run."""
     return "python"
 
 
@@ -47,7 +47,6 @@ __all__ = [
     "CharFamily",
     "Eigenvalue",
     "Spectrum",
-    "combined_abscissa",
     "compute_spectrum",
     "count_zeros_in_box",
     "refine_root",

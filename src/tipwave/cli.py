@@ -5,12 +5,13 @@
     tipwave report OUTDIR
 
 ``spectrum`` appends ``mode``, ``family`` and ``n_max`` overrides and
-runs ``simulate``'s path. Exit codes: 0 success, 1 config error (also an
-unwritable --out, with one ``output error:`` line; a spectrum whose
-contour sweep fails or leaves a branch without a root, with one
-``spectral error:`` line; for report, a malformed trace), 2 numerical
-blow-up, 3 configured acceptance threshold failed. A time-domain run whose
-spectral summary is skipped still exits 0, with a ``warning:`` line on stderr.
+runs ``simulate``'s path. Exit codes: 0 success, 1 usage or config
+error (also a config that is not UTF-8; an unwritable --out, with one
+``output error:`` line; a spectrum whose contour sweep fails or leaves a
+branch without a root, with one ``spectral error:`` line; for report, a
+malformed trace), 2 numerical blow-up, 3 configured acceptance threshold
+failed. A time-domain run whose spectral summary is skipped still exits
+0, with a ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def _read(path: str) -> str:
 def _cmd_simulate(args) -> int:
     try:
         config = parse_config(_read(args.config), overrides=args.override)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     printed = config.warnings
@@ -106,8 +107,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as 2 means a blow-up (subparsers share the class)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tipwave",
         description="Simulation and spectral analysis of a boundary-stabilized "
                     "wave equation with tip mass.")

@@ -60,8 +60,7 @@ from .wave_core import Grid, SystemParams
 if TYPE_CHECKING:
     from array import array
 
-__all__ = ["EnergyTrace", "EnergyRecorder", "NoFitError", "energy", "energies",
-           "fit_decay_rate"]
+__all__ = ["EnergyTrace", "EnergyRecorder", "NoFitError", "energies", "fit_decay_rate"]
 
 SPACE_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
 ENERGY_BLOCK_BYTES = 192 * 1024
@@ -121,16 +120,11 @@ class EnergyTrace:
         return "".join([f"{t},{v!r},{tag}\n"
                         for t, v in zip(t_text, self.values[start:start + len(t_text)])])
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"{self.CSV_HEADER}\n")
-            fh.write(self.csv_rows([repr(t) for t in self.times]))
-
     @classmethod
     def read_csv(cls, path, space_tag: str) -> EnergyTrace:
-        """Read back a trace that ``write_csv`` wrote; a missing header (an
-        empty file too) or a malformed line raises ValueError naming the
-        file and the line number."""
+        """Read back a run's ``energy_<row>_<tag>.csv``, which its writer
+        ``scenarios._RecordWriter`` wrote; a missing header (an empty file
+        too) or a malformed line raises ValueError naming the file and line."""
         trace = cls(space_tag)
         with open(path, newline="") as fh:
             header = fh.readline().rstrip("\n")
@@ -235,12 +229,6 @@ def energies(space_tags, prev, curr, etas, params: SystemParams, grid: Grid,
             total += params.beta * f0 * f0
         out.append(total)
     return np.reshape(out, totals.shape).tolist()
-
-
-def energy(space_tag: str, prev, curr, eta: float,
-           params: SystemParams, grid: Grid) -> float:
-    """Discrete energy of one field's two completed levels (see ``energies``)."""
-    return energies((space_tag,), prev[None], curr[None], (eta,), params, grid)[0]
 
 
 def _aligned_empty(shape, lead: int = 0):

@@ -119,6 +119,9 @@ class ScenarioConfig:
                 violations.append(f"{f.name} must be finite, got {value!r}")
         if violations:
             raise ConfigError(violations)
+        for f in dataclasses.fields(self):
+            if f.type == "tuple[float, ...]" and not getattr(self, f.name):
+                violations.append(f"{f.name} needs at least one coefficient, got ()")
         if self.mode == "":
             violations.append("mode is required (or give a preset)")
         elif self.mode not in MODES:
@@ -374,7 +377,7 @@ def _run_spectrum(config: ScenarioConfig, out: str) -> ScenarioResult:
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"spectrum_{config.family}.csv")
     spectrum.write_csv(path)
-    abscissa = spectrum.abscissa()
+    abscissa = spectral.spectral_abscissa(spectrum)
     worst = max(e.residual for e in spectrum.eigenvalues)
     lines = [f"mode = spectrum", f"family = {config.family}",
              f"n_max = {config.n_max}",
@@ -443,7 +446,8 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
         try:
             fams = [spectral.CharFamily(tag, loop.params) for tag in loop.families]
             for f in fams:
-                abscissae[f.tag] = spectral.compute_spectrum(f, n_max=40).abscissa()
+                abscissae[f.tag] = spectral.spectral_abscissa(
+                    spectral.compute_spectrum(f, n_max=40))
             abscissae["combined"] = max(abscissae.values())
         except spectral.HypothesisError:
             pass  # counterexample configs may violate the hypotheses

@@ -85,8 +85,6 @@ __all__ = [
     "count_zeros_in_box",
     "compute_spectrum",
     "spectral_abscissa",
-    "combined_abscissa",
-    "riesz_defect",
 ]
 
 FAMILY_TAGS = ("A2", "A", "Abb")
@@ -315,9 +313,6 @@ class Spectrum:
     family: CharFamily
     n_max: int
     eigenvalues: list[Eigenvalue] = field(default_factory=list)
-
-    def abscissa(self) -> float:
-        return spectral_abscissa(self)
 
     def write_csv(self, path) -> None:
         """One row per eigenvalue, every float in ``repr``.
@@ -709,42 +704,3 @@ def spectral_abscissa(spectrum: Spectrum) -> float:
         raise ValueError("no converged eigenvalues")
     return max(vals)
 
-
-def combined_abscissa(spectra) -> float:
-    """Abscissa of a block-triangular loop: the union of its block spectra."""
-    return max(spectral_abscissa(s) for s in spectra)
-
-
-def riesz_defect(family: CharFamily, eig: Eigenvalue, panels: int = 1024) -> float:
-    """L2 distance between the scaled trace vector of one eigenfunction
-    and its large-n limit profile.
-
-    Implemented for the observer-error family (A2), the one whose limit
-    vector is explicit: the scaled 4-vector
-
-        (f'/L^2, f/L, b f(0)/L^2, -f'(1)/L^3)
-
-    converges to (limit pair, 0, 0) at rate O(1/n).
-    """
-    if family.tag != "A2":
-        raise ValueError("riesz_defect is defined for the A2 family only")
-    if panels < 512:
-        raise ValueError(f"need >= 512 quadrature panels, got {panels}")
-    p = family.params
-    lam = eig.refined
-    x = np.linspace(0.0, 1.0, panels + 1)
-    f, fp = family.eigenfunction(lam, x)
-    comp1 = fp / lam ** 2
-    comp2 = f / lam
-    comp3 = p.beta * f[0] / lam ** 2
-    comp4 = -fp[-1] / lam ** 3
-
-    ratio_pow = np.exp(family.asymptote_real() * x)  # |(g-1)/(g+1)|^{x/2}
-    theta = (eig.n + family.branch_offset()) * math.pi * x
-    osc = np.exp(1j * theta)
-    lim1 = (1 + p.gamma) * ratio_pow * osc - (1 - p.gamma) * osc.conjugate() / ratio_pow
-    lim2 = (1 + p.gamma) * ratio_pow * osc + (1 - p.gamma) * osc.conjugate() / ratio_pow
-
-    integrand = np.abs(comp1 - lim1) ** 2 + np.abs(comp2 - lim2) ** 2
-    total = float(np.trapezoid(integrand, x)) + abs(comp3) ** 2 + abs(comp4) ** 2
-    return math.sqrt(total)

@@ -16,10 +16,15 @@ from tipwave.energy import (
     NoFitError,
     _fit_log_linear,
     energies,
-    energy,
 )
+from tipwave.scenarios import parse_config, run_scenario
 
 ALL_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
+
+
+def energy(space_tag, prev, curr, eta, params, grid):
+    """Discrete energy of one field's two levels: ``energies`` on a one-row stack."""
+    return energies((space_tag,), prev[None], curr[None], (eta,), params, grid)[0]
 
 
 def thirteen_pass_energies(space_tags, prev, curr, etas, params, grid):
@@ -348,27 +353,25 @@ class TestEnergyTrace:
         with pytest.raises(ValueError, match="got nan"):
             EnergyTrace("H1").append(float("nan"), 1.0)
 
-    def test_csv_roundtrip(self, tmp_path):
+    def test_csv_roundtrip(self):
         tr = EnergyTrace("Hbb")
         for k in range(5):
             tr.append(0.1 * k, math.exp(-k))
-        path = tmp_path / "trace.csv"
-        tr.write_csv(path)
-        rows = path.read_text().splitlines()
-        assert rows[0] == "t,E,tag"
-        t0, e0, tag = rows[1].split(",")
+        rows = tr.csv_rows([repr(t) for t in tr.times]).splitlines()
+        assert EnergyTrace.CSV_HEADER == "t,E,tag"
+        t0, e0, tag = rows[0].split(",")
         assert float(t0) == 0.0 and float(e0) == 1.0 and tag == "Hbb"
 
     def test_csv_read_back(self, tmp_path):
-        tr = EnergyTrace("Hbb1")
-        for k in range(5):
-            tr.append(0.1 * k, math.exp(-k))
-        path = tmp_path / "trace.csv"
-        tr.write_csv(path)
-        back = EnergyTrace.read_csv(path, "Hbb1")
-        assert (back.space_tag, back.times, back.values) == ("Hbb1", tr.times, tr.values)
-        with pytest.raises(ValueError, match=r"line 2: expected t,E,H1, got '0.0,1.0,Hbb1'"):
-            EnergyTrace.read_csv(path, "H1")
+        """A run's trace file reads back as the trace the run recorded."""
+        cfg = parse_config("preset = reproduce_sec4\nhorizon = 0.5\nspectral_summary = false\n")
+        tr = run_scenario(cfg, out_dir=str(tmp_path)).energy_traces["u_H1"]
+        path = tmp_path / "energy_u_H1.csv"
+        back = EnergyTrace.read_csv(path, "H1")
+        assert (back.space_tag, back.times, back.values) == ("H1", tr.times, tr.values)
+        with pytest.raises(ValueError, match=re.escape(
+                f"line 2: expected t,E,Hbb1, got '0.0,{tr.values[0]!r},H1'")):
+            EnergyTrace.read_csv(path, "Hbb1")
 
     @pytest.mark.parametrize("text", ["", "t,E\n0.0,1.0,H1\n"], ids=["empty_file", "other_header"])
     def test_csv_needs_its_header(self, tmp_path, text):
@@ -381,15 +384,13 @@ class TestEnergyTrace:
                 f"{path}, line 1: expected the header t,E,tag, got {header!r}")):
             EnergyTrace.read_csv(path, "H1")
 
-    def test_csv_prints_plain_floats_for_numpy_input(self, tmp_path):
+    def test_csv_prints_plain_floats_for_numpy_input(self):
         tr = EnergyTrace("H1")
         for k in range(3):
             tr.append(np.float64(0.1) * k, np.float64(1.5) ** -k)
-        path = tmp_path / "trace.csv"
-        tr.write_csv(path)
-        text = path.read_text()
+        text = tr.csv_rows([repr(t) for t in tr.times])
         assert "np.float64(" not in text
-        assert text.splitlines()[2] == "0.1,0.6666666666666666,H1"
+        assert text.splitlines()[1] == "0.1,0.6666666666666666,H1"
 
 
 class TestFitDecayRate:

@@ -113,8 +113,9 @@ class TestParse:
         ({"mode": "eso_loop", "horizon": math.inf}, "horizon must be finite, got inf"),
         ({"mode": "spectrum", "n_max": -3}, "n_max must be >= 0, got -3"),
         ({"mode": "eso_loop", "n_cells": "100"}, "n_cells must be int, got '100'"),
+        ({"mode": "eso_loop", "uhat0": ()}, "uhat0 needs at least one coefficient, got ()"),
     ], ids=["spectrum_hypothesis", "unknown_mode", "zero_stride", "no_mode",
-            "infinite_horizon", "negative_n_max", "n_cells_as_text"])
+            "infinite_horizon", "negative_n_max", "n_cells_as_text", "unused_empty_profile"])
     def test_config_built_in_code_is_checked(self, kwargs, message):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(**kwargs)
@@ -543,6 +544,41 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "mode = warp\n")
         assert cli_main(["simulate", cfg]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "X", "scenario.cfg"],
+        ["spectrum", "--n-max", "abc", "scenario.cfg"],
+        [],
+    ], ids=["unknown_family", "non_integer_n_max", "no_subcommand"])
+    def test_usage_error_exit_code(self, argv, capsys):
+        """argparse's own usage exit, 2, is the CLI's blow-up code."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tipwave") and "error: " in err
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["spectrum", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tipwave spectrum")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "scenario.cfg"
+        path.write_bytes(b"\xffpreset = reproduce_sec4\n")
+        out = tmp_path / "out"
+        assert cli_main(["simulate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_empty_profile_is_config_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\n")
+        out = tmp_path / "out"
+        assert cli_main(["simulate", cfg, "--override", "u0=", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: u0 needs at least one coefficient, got ()\n"
+        assert not out.exists()
 
     def test_blow_up_exit_code(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "mode = open_plant\nhorizon = 2\n"
