@@ -9,9 +9,11 @@ runs ``simulate``'s path. Exit codes: 0 success, 1 usage or config
 error (also a config that is not UTF-8; an unwritable --out, with one
 ``output error:`` line; a spectrum whose contour sweep fails or leaves a
 branch without a root, with one ``spectral error:`` line; for report, a
-malformed trace), 2 numerical blow-up, 3 configured acceptance threshold
-failed. A time-domain run whose spectral summary is skipped still exits
-0, with a ``warning:`` line on stderr.
+malformed trace or one that is not UTF-8, with one ``report error:``
+line naming the file and line, and an unwritable report.txt, with one
+``output error:`` line), 2 numerical blow-up, 3 configured acceptance
+threshold failed. A time-domain run whose spectral summary is skipped
+still exits 0, with a ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -99,10 +101,14 @@ def _cmd_report(args) -> int:
         except NoFitError as exc:
             lines.append(f"{name}: no fit ({exc})")
     report_path = os.path.join(args.out_dir, "report.txt")
-    with open(report_path, "w", newline="") as fh:
-        for line in lines:
-            print(line)
-            fh.write(line + "\n")
+    try:
+        with open(report_path, "w", newline="") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
+    for line in lines:
+        print(line)
     print(f"report written to {report_path}")
     return 0
 

@@ -124,22 +124,23 @@ class EnergyTrace:
     def read_csv(cls, path, space_tag: str) -> EnergyTrace:
         """Read back a run's ``energy_<row>_<tag>.csv``, which its writer
         ``scenarios._RecordWriter`` wrote; a missing header (an empty file
-        too) or a malformed line raises ValueError naming the file and line."""
+        too), a line that is not UTF-8 or a malformed line raises ValueError
+        naming the file and line."""
         trace = cls(space_tag)
-        with open(path, newline="") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != cls.CSV_HEADER:
-                raise ValueError(f"{path}, line 1: expected the header {cls.CSV_HEADER}, "
-                                 f"got {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                text = line.rstrip("\n")
-                fields = text.split(",")
-                try:
+        lineno = 1
+        with open(path, "rb") as fh:
+            try:
+                header = fh.readline().decode("utf-8").rstrip("\n")
+                if header != cls.CSV_HEADER:
+                    raise ValueError(f"expected the header {cls.CSV_HEADER}, got {header!r}")
+                for lineno, line in enumerate(fh, start=2):
+                    text = line.decode("utf-8").rstrip("\n")
+                    fields = text.split(",")
                     if fields[2:] != [space_tag]:
                         raise ValueError(f"expected t,E,{space_tag}, got {text!r}")
                     trace.append(float(fields[0]), float(fields[1]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
         return trace
 
 

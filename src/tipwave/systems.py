@@ -25,7 +25,7 @@ and ``EsoLoop`` are first order in dt; q_tt(1) comes from differencing
 the pinned q(1) samples, never from a one-sided spatial second
 derivative. The boundary slopes are one-sided second-order differences
 over three nodes, exact on quadratics. Each sample reads its level's
-edge nodes through the plan, which closes the next step from the same
+edge nodes through the plan, and the loop hands the step the rows it
 read, and the history is transposed once per sample for every law that
 reads it.
 """
@@ -126,9 +126,10 @@ class _StackedLoop:
     plant's measured slope u_x(0). The last three samples are kept,
     enough for a backward second difference, and ``_series`` holds them
     transposed: the history of each sampled quantity, oldest first, in
-    sample order. The back-step and every
-    step take a loop's boundary inputs from ``_inputs()`` and write the
-    rows that follow from the stepped ones with ``_couple(level)``.
+    sample order. The back-step and every step take a loop's boundary
+    inputs from ``_inputs()`` and write the rows that follow from the
+    stepped ones with ``_couple(level)``. ``_edges`` holds the edge rows
+    the loop read of its previous and current levels, for the next step.
     """
 
     names: tuple[str, ...]
@@ -150,11 +151,12 @@ class _StackedLoop:
         self.levels = FieldHistory(curr, curr)
         self.plan = StepPlan(self.levels, grid, params, self.left_kinds, self.right_kinds)
         self._history: deque[tuple[float, ...]] = deque(maxlen=3)
-        self._sample()
+        curr_edges = self._sample()
         self.step_index = 0
         # the controls are 0 in warm-up, so these are the first step's inputs at t = 0
         self.plan.backstep(self._initial_rows("velocity", velocities), *self._inputs())
         self._couple(self.levels.prev)
+        self._edges = (self.plan.read_edges(self.levels.prev), curr_edges)
 
     def _initial_rows(self, kind: str, rows) -> NDArray[np.float64]:
         """The stepped rows' initial positions or velocities, stacked."""
@@ -174,14 +176,15 @@ class _StackedLoop:
         """Current level of each stepped field (views: copy to keep)."""
         return dict(zip(self.names, self.levels.curr))
 
-    def _sample(self) -> None:
-        # each row's u(1) and u_x(1), then the plant's u_x(0)
+    def _sample(self) -> list[list[float]]:
+        # each row's u(1) and u_x(1), then the plant's u_x(0); returns the edge rows read
         two_dx = self.plan.two_dx
         rows = self.plan.read_edges(self.levels.curr)
         first = rows[0]
         self._push((*[row[-1] for row in rows],
                     *[(3.0 * row[-1] - 4.0 * row[-2] + row[-3]) / two_dx for row in rows],
                     (-3.0 * first[0] + 4.0 * first[1] - first[2]) / two_dx))
+        return rows
 
     def _push(self, sample: tuple[float, ...]) -> None:
         """Keep ``sample`` as the latest boundary sample."""
@@ -207,7 +210,7 @@ class _StackedLoop:
         the new level, promote it and sample its boundaries. The guard is
         one ``np.vdot`` (which, unlike ``np.dot``, overflows without a
         warning); only a level it does not clear is searched row by row."""
-        self.plan.step(*self._inputs())
+        self.plan.step(*self._inputs(), *self._edges)
         self._couple(self.levels.new)
         line = self.plan.views[id(self.levels.new)][0]
         if not np.vdot(line, line) <= _GUARD_SQUARES:
@@ -217,7 +220,7 @@ class _StackedLoop:
                     raise BlowUpError(name, self.step_index + 1, self.t, peak)
         self.step_index += 1
         self.levels.rotate()
-        self._sample()
+        self._edges = (self._edges[1], self._sample())
 
 
 class SingleFieldLoop(_StackedLoop):

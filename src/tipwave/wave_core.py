@@ -29,10 +29,10 @@ call overhead, so a loop builds one ``StepPlan`` for its levels when it
 is constructed and steps through it: the plan holds the closures'
 constants, the interior update's scratch lines and views of the level
 buffers, and re-derives none of them per step. It also back-steps the
-first level, so it is the only code that writes a loop's levels. The
-closures read only the few nodes at each row's ends, and so do the
-loop's boundary samples: the plan keeps each level's edge nodes, read
-once by whichever of the two needs them first.
+first level. The closures read only the few nodes at each row's ends,
+and so do the loop's boundary samples: ``read_edges`` reads them, and a
+step closes its rows from the rows its caller has read of the current
+and the previous level, so each level is read once.
 """
 
 from __future__ import annotations
@@ -178,9 +178,9 @@ class StepPlan:
     level buffers with its ``[1:-1]``, ``[2:]`` and ``[:-2]`` views (the
     whole line is the blow-up guard's, in the loop that steps through
     the plan). The views are keyed by buffer, so they follow
-    ``FieldHistory.rotate``, and so are the edge rows of ``read_edges``,
-    from which the closures and the loop's boundary samples read the
-    rows' end nodes. Every expression keeps the operand order of the
+    ``FieldHistory.rotate``. The plan keeps no values of the levels: a
+    step closes its rows from the edge rows of ``read_edges`` that its
+    caller passes in. Every expression keeps the operand order of the
     closures it implements; the constants are left-to-right prefixes of
     them, so a planned step or back-step gives the same bits as the
     closures written out in full.
@@ -216,7 +216,6 @@ class StepPlan:
         # one-sided slopes read
         starts = np.arange(k)[:, None] * n
         self.edge_index = starts + [0, 1, 2, n - 3, n - 2, n - 1]
-        self.edge_rows: dict[int, list[list[float]]] = {}
         self.scratch = (np.empty(k * n - 2), np.empty(k * n - 2))
         self._cut_views()
 
@@ -231,47 +230,34 @@ class StepPlan:
 
     def __setstate__(self, state) -> None:
         """A copied or unpickled plan cuts its views from its own levels:
-        copied views would not alias the copied buffers. It keeps no edge
-        rows, whose keys name the original buffers."""
+        copied views would not alias the copied buffers."""
         self.__dict__.update(state)
         self._cut_views()
-        self.edge_rows = {}
 
     def read_edges(self, level: NDArray) -> list[list[float]]:
         """The edge nodes 0, 1, 2, n-3, n-2 and n-1 of each planned row of
-        ``level``, one of the three level buffers, as floats.
+        ``level`` as floats, in one ``take``."""
+        return level.take(self.edge_index).tolist()
 
-        The plan keeps them, keyed by buffer, and a step closes its rows
-        from the kept rows of the current and the previous level, reading
-        a level here only when none are kept for it. A plan's own writes
-        drop the written level's rows; after writing a level by other
-        means, read it again.
-        """
-        rows = self.edge_rows[id(level)] = level.take(self.edge_index).tolist()
-        return rows
-
-    def step(self, exts: Sequence[float], right_inputs: Sequence[float]) -> None:
+    def step(self, exts: Sequence[float], right_inputs: Sequence[float],
+             prev_edges: list[list[float]], curr_edges: list[list[float]]) -> None:
         """Fill the new level of the planned rows: row i is closed at x = 0
         with Robin input ``exts[i]`` and at x = 1 with tip input or pinned
-        value ``right_inputs[i]``. Later rows are left untouched."""
-        levels, views, edges = self.levels, self.views, self.edge_rows
-        prev, curr, new = levels.prev, levels.curr, levels.new
-        prev_id, curr_id, new_id = id(prev), id(curr), id(new)
-        _, c_mid, c_right, c_left = views[curr_id]
+        value ``right_inputs[i]``, from the ``read_edges`` rows of the
+        previous and the current level. Later rows are left untouched."""
+        levels, views, new = self.levels, self.views, self.levels.new
+        _, c_mid, c_right, c_left = views[id(levels.curr)]
         twice, lap = self.scratch
         # 2 u^n - u^{n-1} + r^2 (u_{j+1} - 2 u_j + u_{j-1}), with 2 u_j formed once
         np.multiply(2.0, c_mid, out=twice)
         np.subtract(c_right, twice, out=lap)
         np.add(lap, c_left, out=lap)
         np.multiply(self.r2, lap, out=lap)
-        np.subtract(twice, views[prev_id][1], out=twice)
-        np.add(twice, lap, out=views[new_id][1])
+        np.subtract(twice, views[id(levels.prev)][1], out=twice)
+        np.add(twice, lap, out=views[id(new)][1])
         r2, gamma_r, two_dx_beta, two_dx = self.r2, self.gamma_r, self.two_dx_beta, self.two_dx
         robin_denom, dt2, dx, tip_mass = self.robin_denom, self.dt2, self.dx, self.tip_mass
-        edges.pop(new_id, None)
-        rows = zip(edges.get(curr_id) or self.read_edges(curr),
-                   edges.get(prev_id) or self.read_edges(prev),
-                   self.left_kinds, exts, self.right_kinds, right_inputs)
+        rows = zip(curr_edges, prev_edges, self.left_kinds, exts, self.right_kinds, right_inputs)
         for i, ((c0, c1, _, _, cm, cn), (p0, _, _, _, _, pn),
                 left, ext, right, s) in enumerate(rows):
             if left == LEFT_ROBIN:
@@ -297,7 +283,6 @@ class StepPlan:
         if w.shape != p.shape:
             raise StructuralError(f"initial velocities {w.shape} must be {p.shape}")
         dx, dt, gamma, beta = self.dx, self.dt, self.gamma, self.beta
-        self.edge_rows.pop(id(self.levels.prev), None)
         prev = self.levels.prev[:len(p)]
         # the end nodes are closed below
         prev[:, 1:-1] = (p[:, 1:-1] - dt * w[:, 1:-1]

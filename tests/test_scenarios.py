@@ -770,6 +770,26 @@ class TestCli:
             f"report error: {path}, line 1: expected the header t,E,tag, got {header!r}\n")
         assert not (tmp_path / "report.txt").exists()
 
+    def test_report_trace_not_utf8(self, tmp_path, capsys):
+        """A byte that is not UTF-8 is a malformed line, whatever the
+        locale: exit 1 with one line naming the file and line, and no report."""
+        path = tmp_path / "energy_u_H1.csv"
+        path.write_bytes(b"t,E,tag\n0.0,1.0,H1\n\xff\n")
+        assert cli_main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"report error: {path}, line 3: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_report_unwritable_report(self, tmp_path, capsys):
+        """A report.txt that cannot be written is one output error, exit 1."""
+        (tmp_path / "energy_u_H1.csv").write_text("t,E,tag\n0.0,1.0,H1\n")
+        (tmp_path / "report.txt").mkdir()
+        assert cli_main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and str(tmp_path / "report.txt") in err
+        assert err.count("\n") == 1
+
     def test_report_header_only(self, tmp_path, capsys):
         """A header with no records is a trace with no samples: no fit."""
         (tmp_path / "energy_u_H1.csv").write_text("t,E,tag\n")

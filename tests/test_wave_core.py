@@ -438,7 +438,8 @@ class TestStackedStep:
         exts, rins = data.draw(inputs), data.draw(inputs)
 
         stacked = FieldHistory(prev, curr)
-        StepPlan(stacked, grid, params, lefts, rights).step(exts, rins)
+        plan = StepPlan(stacked, grid, params, lefts, rights)
+        plan.step(exts, rins, plan.read_edges(stacked.prev), plan.read_edges(stacked.curr))
         composed = FieldHistory(prev, curr)
         composed_step(composed, grid, params, lefts, exts, rights, rins)
         np.testing.assert_array_equal(stacked.new, composed.new)
@@ -455,7 +456,8 @@ class TestStackedStep:
             ext, rin = rng.uniform(-3, 3, 2)
 
             fused = FieldHistory(prev[None, :], curr[None, :])
-            StepPlan(fused, grid, params, [left], [right]).step([ext], [rin])
+            plan = StepPlan(fused, grid, params, [left], [right])
+            plan.step([ext], [rin], plan.read_edges(fused.prev), plan.read_edges(fused.curr))
             composed = FieldHistory(prev[None, :], curr[None, :])
             composed_step(composed, grid, params, [left], [ext], [right], [rin])
             np.testing.assert_array_equal(fused.new, composed.new)
@@ -463,10 +465,9 @@ class TestStackedStep:
     @pytest.mark.parametrize("left,right", BC_CASES)
     def test_steps_on_its_own_across_rotations(self, left, right):
         """A plan driven without a loop, through a back-step, steps and hand
-        rotations, and one hand write that is read again, fills every new
-        level as the composed closures do: it reads each level it keeps no
-        edge rows for, and drops the rows of each level it writes, the
-        back-stepped one included."""
+        rotations, and one hand write, fills every new level as the
+        composed closures do, from the edge rows read of the previous and
+        the current level before each step."""
         grid = Grid(n_cells=37, r=0.8)
         params = SystemParams(m=3.0, alpha=1.7, a=2.4, beta=0.9, gamma=2.1)
         rng = np.random.default_rng(7)
@@ -476,12 +477,11 @@ class TestStackedStep:
         rows = rng.uniform(-2, 2, (2, grid.n_nodes))
         levels = FieldHistory(rows, rows)
         plan = StepPlan(levels, grid, params, lefts, rights)
-        plan.read_edges(levels.prev)  # rows the back-step must drop
         plan.backstep(rng.uniform(-2, 2, (2, grid.n_nodes)), *rng.uniform(-3, 3, (2, 2)))
         twin = FieldHistory(levels.prev, levels.curr)
         for k in range(7):
             exts, inputs = rng.uniform(-3, 3, (2, 2))
-            plan.step(exts, inputs)
+            plan.step(exts, inputs, plan.read_edges(levels.prev), plan.read_edges(levels.curr))
             composed_step(twin, grid, params, lefts, exts, rights, inputs)
             assert levels.new.tobytes() == twin.new.tobytes()
             levels.rotate()
@@ -489,7 +489,6 @@ class TestStackedStep:
             if k == 3:
                 for level in (levels.curr, twin.curr):
                     level[:, [0, 1, -2, -1]] += 0.5
-                plan.read_edges(levels.curr)
 
     def test_one_stepper_named_python(self):
         """The benchmark records this name with every run."""
@@ -505,8 +504,8 @@ class TestStackedStep:
     def test_leaves_unstepped_rows_alone(self, grid, params):
         levels = FieldHistory(np.ones((3, grid.n_nodes)), np.ones((3, grid.n_nodes)))
         levels.new[:] = 7.0
-        StepPlan(levels, grid, params, [LEFT_ROBIN] * 2, [RIGHT_TIP_MASS] * 2).step(
-            [0.0] * 2, [0.0] * 2)
+        plan = StepPlan(levels, grid, params, [LEFT_ROBIN] * 2, [RIGHT_TIP_MASS] * 2)
+        plan.step([0.0] * 2, [0.0] * 2, plan.read_edges(levels.prev), plan.read_edges(levels.curr))
         assert (levels.new[2] == 7.0).all() and not (levels.new[:2] == 7.0).any()
 
 
