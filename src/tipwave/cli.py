@@ -78,7 +78,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    paths = sorted(glob.glob(os.path.join(args.out_dir, "energy_*.csv")))
+    paths = sorted(glob.glob(os.path.join(glob.escape(args.out_dir), "energy_*.csv")))
     if not paths:
         print(f"no energy traces found in {args.out_dir}", file=sys.stderr)
         return 1

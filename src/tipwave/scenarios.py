@@ -413,8 +413,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     loop = _build_loop(config)
     n_steps = int(round(config.horizon / grid.dt))
 
-    traces = {key: EnergyTrace(space_tag=tag)
-              for key, tag in zip(loop.energy_keys, loop.energy_tags)}
+    traces = {f"{name}_{tag}": EnergyTrace(space_tag=tag) for name, tag in loop.energy_rows}
     recorder = EnergyRecorder(traces.values(), loop.levels.prev, loop.params, grid)
 
     with contextlib.ExitStack() as stack:  # closes the output files however the run ends

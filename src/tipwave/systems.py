@@ -1,12 +1,14 @@
 """Coupled closed-loop systems and their boundary control laws.
 
 Three drivers share one interface (``step()``, ``t``, ``fields()``,
-``energies()``, ``etas(states)``, ``boundary_states()``) and one
-stepper: each stores its fields as rows of one stacked array per time
-level, closed by its ``left_kinds`` and ``right_kinds``, and holds the
-``DisturbanceSpec`` it runs under, so ``step()`` takes no inputs. Each
-writes its levels only through the ``wave_core.StepPlan`` it builds once
-from its grid, params and kinds, with the inputs of its ``_inputs()``.
+``boundary_states()``, ``etas(states)``) and one stepper: each stores
+its fields as rows of one stacked array per time level, closed by its
+``left_kinds`` and ``right_kinds``, and holds the ``DisturbanceSpec`` it
+runs under, so ``step()`` takes no inputs. Each writes its levels only
+through the ``wave_core.StepPlan`` it builds once from its grid, params
+and kinds, with the inputs of its ``_inputs()``. No loop measures its
+energies: an ``energy.EnergyRecorder`` takes each level with its rows'
+``etas(boundary_states())``, in the spaces of ``energy_rows``.
 
 * ``SingleFieldLoop``  one wave field with any boundary pair (open
   plant, or either error system of the estimator analysis);
@@ -37,7 +39,6 @@ from collections import deque
 import numpy as np
 from numpy.typing import NDArray
 
-from .energy import energies as field_energies
 from .signals import DisturbanceSpec, eval_d, eval_f
 from .wave_core import (
     LEFT_DIRICHLET_ZERO,
@@ -68,7 +69,8 @@ NO_DISTURBANCE = DisturbanceSpec()
 
 
 class BlowUpError(RuntimeError):
-    """A field value exceeded the blow-up guard."""
+    """A field value exceeded the blow-up guard at level ``step_index``,
+    whose time is ``t`` = step_index * dt."""
 
     def __init__(self, field_name: str, step_index: int, t: float, value: float):
         self.field_name = field_name
@@ -136,11 +138,6 @@ class _StackedLoop:
     energy_rows: tuple[tuple[str, str], ...]
     families: tuple[str, ...]
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls.energy_keys = tuple(f"{name}_{tag}" for name, tag in cls.energy_rows)
-        cls.energy_tags = tuple(tag for _, tag in cls.energy_rows)
-
     def __init__(self, grid: Grid, params: SystemParams, spec: DisturbanceSpec,
                  positions, velocities):
         self.grid = grid
@@ -191,17 +188,6 @@ class _StackedLoop:
         self._history.append(sample)
         self._series = list(zip(*self._history))
 
-    def energies(self) -> dict[str, float]:
-        """Energy of each of ``energy_rows`` in its space, keyed "<row>_<tag>".
-
-        ``etas(boundary_states())`` gives each row's boundary-dynamics
-        state, as an ``energy.EnergyRecorder`` takes it with each level.
-        """
-        return dict(zip(self.energy_keys,
-                        field_energies(self.energy_tags, self.levels.prev, self.levels.curr,
-                                       self.etas(self.boundary_states()),
-                                       self.params, self.grid)))
-
     def _couple(self, level: NDArray[np.float64]) -> None:
         """Write the rows of ``level`` that follow from its stepped rows."""
 
@@ -217,7 +203,8 @@ class _StackedLoop:
             for name, row in zip(self.names, self.levels.new):
                 peak = float(np.max(np.abs(row)))
                 if not peak <= BLOWUP_LIMIT:
-                    raise BlowUpError(name, self.step_index + 1, self.t, peak)
+                    raise BlowUpError(name, self.step_index + 1,
+                                      (self.step_index + 1) * self.plan.dt, peak)
         self.step_index += 1
         self.levels.rotate()
         self._edges = (self._edges[1], self._sample())
@@ -249,12 +236,6 @@ class SingleFieldLoop(_StackedLoop):
         """(eta, eta) with eta = m * u_t(1), the plant's tip momentum."""
         eta = self.params.m * _rate(self._series[0], self.plan.dt)
         return eta, eta
-
-    def energy(self, space_tag: str) -> float:
-        """Energy of u in any space, with the tip momentum as its boundary
-        state (the spaces without one ignore it)."""
-        return field_energies((space_tag,), self.levels.prev, self.levels.curr,
-                              (self.boundary_states()[0],), self.params, self.grid)[0]
 
     def etas(self, states: tuple[float, float]) -> tuple[float]:
         return (states[0],)

@@ -18,7 +18,7 @@ from tipwave import (
     SingleFieldLoop,
     SystemParams,
 )
-from tipwave.energy import EnergyTrace, fit_decay_rate
+from tipwave.energy import EnergyRecorder, EnergyTrace, energies, fit_decay_rate
 from tipwave.scenarios import parse_config, run_scenario
 from tipwave.spectral import (
     CharFamily,
@@ -66,26 +66,28 @@ def spectra100():
 
 
 def drive_eso(grid, params, spec, horizon, sample_every=1):
-    """ESO loop from the cubic profiles under f = sin(u(1, t)) and spec's d."""
+    """ESO loop from the cubic profiles under f = sin(u(1, t)) and spec's d,
+    its energies recorded every step as a run records them and kept every
+    ``sample_every`` steps."""
     x = grid.nodes()
     loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3, 0 * x,
                    0 * x, 0 * x, spec)
-    rec = {"t": [0.0], "Eu": [], "Ev": [], "Eq": [], "eta": [], "psi": []}
-    e = loop.energies()
-    rec["Eu"].append(e["u_H1"]); rec["Ev"].append(e["v_Hbb1"]); rec["Eq"].append(e["q_Hbb1"])
-    eta, psi = loop.boundary_states()
-    rec["eta"].append(eta); rec["psi"].append(psi)
-    n_steps = int(round(horizon / grid.dt))
-    for k in range(n_steps):
-        loop.step()
-        if (k + 1) % sample_every == 0:
-            e = loop.energies()
-            eta, psi = loop.boundary_states()
-            rec["t"].append(loop.t)
-            rec["Eu"].append(e["u_H1"]); rec["Ev"].append(e["v_Hbb1"])
-            rec["Eq"].append(e["q_Hbb1"])
-            rec["eta"].append(eta); rec["psi"].append(psi)
-    return {k: np.asarray(v) for k, v in rec.items()}
+    traces = [EnergyTrace(tag) for _, tag in loop.energy_rows]
+    recorder = EnergyRecorder(traces, loop.levels.prev, params, grid)
+    states = []
+    for k in range(int(round(horizon / grid.dt)) + 1):
+        if k:
+            loop.step()
+        eta_psi = loop.boundary_states()
+        recorder.push(loop.t, loop.levels.curr, loop.etas(eta_psi))
+        if k % sample_every == 0:
+            states.append(eta_psi)
+    recorder.flush()
+    rec = {key: np.asarray(trace.values)[::sample_every]
+           for key, trace in zip(("Eu", "Ev", "Eq"), traces)}
+    rec["t"] = np.asarray(traces[0].times)[::sample_every]
+    rec["eta"], rec["psi"] = np.asarray(states).T
+    return rec
 
 
 # ----------------------------------------------------------------------
@@ -102,10 +104,13 @@ def test_criterion_1_conservation():
         x = grid.nodes()
         loop = SingleFieldLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
-        e0 = loop.energy("H1")
+        e0, = energies(("H1",), loop.levels.prev, loop.levels.curr,
+                       loop.etas(loop.boundary_states()), params, grid)
         for _ in range(int(round(10.0 / grid.dt))):
             loop.step()
-        drift[n_cells] = abs(loop.energy("H1") - e0) / e0
+        e1, = energies(("H1",), loop.levels.prev, loop.levels.curr,
+                       loop.etas(loop.boundary_states()), params, grid)
+        drift[n_cells] = abs(e1 - e0) / e0
     elapsed = time.perf_counter() - t0
     ratio = drift[100] / drift[200]
     report(1, "conservation", [
@@ -148,11 +153,14 @@ def test_criterion_3_spectrum_vs_time_domain(spectra100):
     x = grid.nodes()
     t0 = time.perf_counter()
     loop = ObserverLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3, 0 * x)
-    trace = EnergyTrace("H1")
-    trace.append(0.0, loop.energies()["u_H1"])
-    for _ in range(int(round(80.0 / grid.dt))):
-        loop.step()
-        trace.append(loop.t, loop.energies()["u_H1"])
+    traces = [EnergyTrace(tag) for _, tag in loop.energy_rows]
+    recorder = EnergyRecorder(traces, loop.levels.prev, params, grid)
+    for k in range(int(round(80.0 / grid.dt)) + 1):
+        if k:
+            loop.step()
+        recorder.push(loop.t, loop.levels.curr, loop.etas(loop.boundary_states()))
+    recorder.flush()
+    trace = traces[0]  # u_H1
     elapsed = time.perf_counter() - t0
     rate, _ = fit_decay_rate(trace, window=0.5, t_skip=2.0)
     predicted = max(spectral_abscissa(spectra100[tag]["spectrum"])
@@ -175,12 +183,15 @@ def test_criterion_4_boundary_slope_decay_lemma(spectra100):
                            LEFT_ROBIN, RIGHT_DIRICHLET_VALUE)
     times, slopes = [], []
     energy_trace = EnergyTrace("Hbb")
+    # the first record is the first step's level, measured against the initial one
+    recorder = EnergyRecorder([energy_trace], loop.levels.curr, params, grid)
     for _ in range(int(round(8.0 / grid.dt))):
         loop.step()
         times.append(loop.t)
         slopes.append(slope_right(loop.fields()["u"], grid.dx))
         if loop.t <= 6.5:  # past that the trace sits on the dispersion floor
-            energy_trace.append(loop.t, loop.energy("Hbb"))
+            recorder.push(loop.t, loop.levels.curr, loop.etas(loop.boundary_states()))
+    recorder.flush()
     spectrum = spectra100["Abb"]["spectrum"]
     predicted = spectral_abscissa(spectrum)
     # the two slowest oscillating branches beat against each other; a

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import tipwave
 from tipwave import spectral
 from tipwave.cli import main as cli_main
-from tipwave.energy import ENERGY_BLOCK_BYTES
+from tipwave.energy import ENERGY_BLOCK_BYTES, energies
 from tipwave.scenarios import (
     ConfigError,
     PRESETS,
@@ -315,13 +315,16 @@ class TestRunScenario:
         n_steps = 3 * block + block // 2
         cfg = parse_config(text + f"horizon = {n_steps * loop.grid.dt!r}\n")
         result = run_scenario(cfg, out_dir=str(tmp_path / mode))
-        times, expected = [], {key: [] for key in loop.energy_keys}
+        tags = [tag for _, tag in loop.energy_rows]
+        times, expected = [], {f"{name}_{tag}": [] for name, tag in loop.energy_rows}
         for k in range(n_steps + 1):
             if k:
                 loop.step()
             times.append(k * loop.grid.dt)
-            for key, value in loop.energies().items():
-                expected[key].append(value)
+            values = energies(tags, loop.levels.prev, loop.levels.curr,
+                              loop.etas(loop.boundary_states()), loop.params, loop.grid)
+            for column, value in zip(expected.values(), values):
+                column.append(value)
         assert set(result.energy_traces) == set(expected)
         for key, trace in result.energy_traces.items():
             assert list(trace.times) == times
@@ -795,6 +798,17 @@ class TestCli:
         (tmp_path / "energy_u_H1.csv").write_text("t,E,tag\n")
         assert cli_main(["report", str(tmp_path)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "u_H1: no fit (no samples)"
+
+    def test_report_dir_name_with_glob_metacharacter(self, tmp_path, capsys):
+        """A directory named run[1] is searched for its own traces, not
+        read as a glob pattern matching run1."""
+        out = tmp_path / "run[1]"
+        out.mkdir()
+        rows = [f"{0.01 * k!r},{math.exp(-0.02 * k)!r},H1" for k in range(3000)]
+        (out / "energy_u_H1.csv").write_text("t,E,tag\n" + "\n".join(rows) + "\n")
+        assert cli_main(["report", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("u_H1: fitted energy rate = ")
+        assert (out / "report.txt").read_text().startswith("u_H1: fitted energy rate = ")
 
     def test_fitted_digits_independent_of_blas_core(self, tmp_path):
         """sec4 at n_cells = 20 (1,600 steps) fits three rates; its

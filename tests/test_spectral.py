@@ -985,3 +985,49 @@ class TestRieszDefect:
         eig = [e for e in spectra["A2"].eigenvalues if e.n == 10][0]
         with pytest.raises(ValueError):
             riesz_defect(spectra["A2"].family, eig, panels=256)
+
+
+def gram_condition(spectrum, k: int, panels: int = 4096) -> float:
+    """Condition number of the Gram matrix of the unit state vectors of
+    the eigenvalues with |n| <= k, in the family's energy space.
+
+    Each eigenvalue lam with eigenfunction f gives the state (f, g = lam f)
+    with its boundary terms, as ``energy`` defines the spaces' norms:
+
+        A2   (f', g, sqrt(beta) f(0), eta / sqrt(m)),     eta = m lam f(1)
+        A    (f', g, eta / sqrt(m + alpha a)),            eta = m lam f(1) + a f'(1)
+        Abb  (f', g, sqrt(beta) f(0))
+
+    The integrals are Simpson sums on ``panels`` panels. The vectors form
+    a Riesz basis when the condition numbers stay bounded as k grows.
+    """
+    family, p = spectrum.family, spectrum.family.params
+    lams = [e.refined for e in spectrum.eigenvalues if abs(e.n) <= k]
+    x = np.linspace(0.0, 1.0, panels + 1)
+    f, fp = (np.array(part) for part in zip(*(family.eigenfunction(lam, x) for lam in lams)))
+    g = np.array(lams)[:, None] * f
+    weights = np.full(panels + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    weights /= 3 * panels
+    eta = p.m * g[:, -1]
+    if family.tag == "A2":
+        ends = [math.sqrt(p.beta) * f[:, 0], eta / math.sqrt(p.m)]
+    elif family.tag == "A":
+        ends = [(eta + p.a * fp[:, -1]) / math.sqrt(p.m + p.alpha * p.a)]
+    else:
+        ends = [math.sqrt(p.beta) * f[:, 0]]
+    fields, ends = np.hstack([fp, g]), np.array(ends).T
+    gram = (fields * np.tile(weights, 2)) @ fields.conj().T + ends @ ends.conj().T
+    scale = 1.0 / np.sqrt(gram.diagonal().real)
+    return float(np.linalg.cond(scale[:, None] * gram * scale))
+
+
+class TestRieszBasis:
+    @pytest.mark.parametrize("tag", ["A2", "A", "Abb"])
+    def test_gram_condition_levels_off(self, spectra, tag):
+        """The eigenvectors' Gram condition number grows ever more slowly
+        with the number of branches: bounded, as a Riesz basis's is."""
+        c25, c50, c100 = (gram_condition(spectra[tag], k) for k in (25, 50, 100))
+        assert c100 / c50 <= 1.05
+        assert c100 - c50 <= 0.6 * (c50 - c25)

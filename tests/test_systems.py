@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tipwave import DisturbanceSpec, EsoLoop, Grid, ObserverLoop, SingleFieldLoop, SystemParams
+from tipwave.energy import EnergyRecorder, EnergyTrace, energies
 from tipwave.signals import D_KINDS, F_KINDS, eval_d, eval_f
 from tipwave.systems import (
     _GUARD_SQUARES,
@@ -186,22 +187,29 @@ class TestObserverLoop:
         unit = DisturbanceSpec(d_kind="constant", constant=1.0)
         loop = ObserverLoop(grid, params, x, 0 * x,
                             -np.ones_like(x) / params.beta, 0 * x, unit)
-        e0 = loop.energies()["u_H1"]
+        tags = [tag for _, tag in loop.energy_rows]
+        e0 = energies(tags, loop.levels.prev, loop.levels.curr,
+                      loop.etas(loop.boundary_states()), params, grid)[0]  # u_H1
         for _ in range(int(round(20.0 / grid.dt))):
             loop.step()
         np.testing.assert_allclose(loop.fields()["u"], x, atol=1e-10)
         np.testing.assert_allclose(loop.fields()["uhat"], -1.0 / params.beta, atol=1e-10)
-        e1 = loop.energies()["u_H1"]
+        e1 = energies(tags, loop.levels.prev, loop.levels.curr,
+                      loop.etas(loop.boundary_states()), params, grid)[0]
         assert abs(e1 - e0) <= 0.05 * e0
 
     def test_error_energy_decays(self, grid, params):
         x = grid.nodes()
         loop = ObserverLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
                             -2 * x ** 3, 0 * x)
-        e0 = loop.energies()["err_H2"]
+        tags = [tag for _, tag in loop.energy_rows]
+        e0 = energies(tags, loop.levels.prev, loop.levels.curr,
+                      loop.etas(loop.boundary_states()), params, grid)[2]  # err_H2
         for _ in range(int(round(30.0 / grid.dt))):
             loop.step()
-        assert loop.energies()["err_H2"] < 0.5 * e0
+        e1 = energies(tags, loop.levels.prev, loop.levels.curr,
+                      loop.etas(loop.boundary_states()), params, grid)[2]
+        assert e1 < 0.5 * e0
 
 
 class TestErrorSystemDissipation:
@@ -211,14 +219,15 @@ class TestErrorSystemDissipation:
         x = grid.nodes()
         loop = SingleFieldLoop(grid, params, np.sin(np.pi * x) + 0.3 * x ** 2,
                                np.zeros_like(x), LEFT_ROBIN, RIGHT_TIP_MASS)
-        prev_e = loop.energy("H2")
-        worst = 0.0
-        for _ in range(int(round(5.0 / grid.dt))):
-            loop.step()
-            e = loop.energy("H2")
-            worst = max(worst, e - prev_e)
-            prev_e = e
-        return worst, grid.dx
+        trace = EnergyTrace("H2")
+        recorder = EnergyRecorder([trace], loop.levels.prev, params, grid)
+        for k in range(int(round(5.0 / grid.dt)) + 1):
+            if k:
+                loop.step()
+            recorder.push(loop.t, loop.levels.curr, loop.etas(loop.boundary_states()))
+        recorder.flush()
+        e = trace.values
+        return max(0.0, *(now - before for before, now in zip(e, e[1:]))), grid.dx
 
     def test_h2_energy_nonincreasing_up_to_dx2(self, params):
         """Homogeneous Robin + tip-mass system: H2 energy only dissipates;
@@ -282,10 +291,13 @@ class TestEsoLoop:
         x = grid.nodes()
         loop = SingleFieldLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
-        e0 = loop.energy("H1")
+        e0, = energies(("H1",), loop.levels.prev, loop.levels.curr,
+                       loop.etas(loop.boundary_states()), params, grid)
         for _ in range(int(round(10.0 / grid.dt))):
             loop.step()
-        assert abs(loop.energy("H1") - e0) / e0 < 1e-3
+        e1, = energies(("H1",), loop.levels.prev, loop.levels.curr,
+                       loop.etas(loop.boundary_states()), params, grid)
+        assert abs(e1 - e0) / e0 < 1e-3
 
 
 @pytest.mark.parametrize("make", [
@@ -443,7 +455,8 @@ def oracle_finish_step(self):
         for name, row in zip(self.names, new):
             peak = float(np.max(np.abs(row)))
             if not peak <= BLOWUP_LIMIT:
-                raise BlowUpError(name, self.step_index + 1, self.t, peak)
+                raise BlowUpError(name, self.step_index + 1,
+                                  (self.step_index + 1) * self.plan.dt, peak)
     self.step_index += 1
     self.levels.rotate()
     self._sample()
@@ -709,6 +722,20 @@ class TestBlowUpGuard:
                 loop.step()
         assert err.value.step_index >= 1
         assert err.value.value > 1e12
+
+    def test_blow_up_time_is_offending_level(self, grid, params):
+        """The error's t is that of the level that blew up, step_index * dt,
+        not that of the level the step started from."""
+        x = grid.nodes()
+        loop = EsoLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x, -2 * x ** 3, 0 * x,
+                       0 * x, 0 * x,
+                       DisturbanceSpec(d_kind="exp_decay", amplitude=1e9, rate=-40.0))
+        with pytest.raises(BlowUpError) as err:
+            for _ in range(2000):
+                loop.step()
+        assert err.value.step_index > 1
+        assert err.value.t == err.value.step_index * grid.dt
+        assert f"at step {err.value.step_index} (t={err.value.t:.6g})" in str(err.value)
 
     def test_names_first_bad_field_in_row_order(self, grid, params):
         x = grid.nodes()
