@@ -404,6 +404,7 @@ def _relocate_near(family: CharFamily, seed: complex, edges: _EdgeMemo | None) -
 
 _MAX_CONTOUR_INSERTS = 200_000  # refinement midpoints allowed per contour
 _MIN_CONTOUR_MAG = 1e-9
+_AXIS_BAND = 0.2  # the nominal sample spacing: an edge this near the real axis checks f/f'
 
 
 class _EdgeMemo(dict):
@@ -420,14 +421,25 @@ class _EdgeMemo(dict):
     padded = False
 
 
-def _edge_phase(scaled, z0: complex, z1: complex, budget: int) -> tuple[float, int] | None:
+def _reach(quotient, z: complex) -> float:
+    """|f/f'| at z, about the distance to the nearest zero (inf where f' = 0)."""
+    q = quotient(z)
+    return math.inf if q is None else abs(q)
+
+
+def _edge_phase(scaled, z0: complex, z1: complex, budget: int,
+                quotient=None) -> tuple[float, int] | None:
     """(phase change, refinement inserts) of the scaled function along z0 -> z1.
 
     The edge starts from max(16, |edge| / 0.2) evenly spaced samples; a
     midpoint is inserted wherever one step turns the phase by more than
-    1.4. Returns None when a sample lies within _MIN_CONTOUR_MAG
-    (relative) of a zero or the ratio of two neighbours leaves the float
-    range, and raises ContourError when the inserts reach ``budget``.
+    1.4. Two zeros near the edge within one step turn it by about 2 pi,
+    which reads as no turn at all; so with ``quotient``, the family's
+    Newton quotient f/f', a midpoint is also inserted wherever a step is
+    longer than 1.4 |f/f'| at either end. Returns None when a sample lies
+    within _MIN_CONTOUR_MAG (relative) of a zero or the ratio of two
+    neighbours leaves the float range, and raises ContourError when the
+    inserts reach ``budget``.
     """
     phase = cmath.phase
     dz = z1 - z0
@@ -440,6 +452,8 @@ def _edge_phase(scaled, z0: complex, z1: complex, budget: int) -> tuple[float, i
         if abs(value) / scale < _MIN_CONTOUR_MAG:
             return None
         vals.append(value)
+    reach = [_reach(quotient, z0 + dz * t) for t in pts] if quotient else None
+    length = abs(dz)
     total = 0.0
     inserts = 0
     i = 0
@@ -448,7 +462,8 @@ def _edge_phase(scaled, z0: complex, z1: complex, budget: int) -> tuple[float, i
             dphi = phase(vals[i + 1] / vals[i])
         except (OverflowError, ZeroDivisionError):
             return None  # a ratio out of float range: too close to a zero to track
-        if abs(dphi) > 1.4:
+        if abs(dphi) > 1.4 or (reach and (pts[i + 1] - pts[i]) * length
+                               > 1.4 * min(reach[i], reach[i + 1])):
             inserts += 1
             if inserts >= budget:
                 raise ContourError("contour refinement budget exhausted")
@@ -459,6 +474,8 @@ def _edge_phase(scaled, z0: complex, z1: complex, budget: int) -> tuple[float, i
                 return None
             pts.insert(i + 1, tm)
             vals.insert(i + 1, value)
+            if reach:
+                reach.insert(i + 1, _reach(quotient, z))
             continue
         total += dphi
         i += 1
@@ -473,7 +490,10 @@ def _winding(family: CharFamily, xlo, xhi, ylo, yhi, edges: _EdgeMemo) -> float:
     again. The initial samples are not capped, so an edge costs in
     proportion to its length; _MAX_CONTOUR_INSERTS caps only the
     refinement midpoints, summed over the contour's four edges whether
-    sampled now or read from the memo.
+    sampled now or read from the memo. A horizontal edge within
+    _AXIS_BAND of the real axis, such as the sweep's bottom edge 1e-4
+    below it, passes next to the real zeros, where two of them can fall
+    within one step: it also refines by the Newton quotient.
     """
     corners = [complex(xlo, ylo), complex(xhi, ylo), complex(xhi, yhi),
                complex(xlo, yhi), complex(xlo, ylo)]
@@ -487,7 +507,9 @@ def _winding(family: CharFamily, xlo, xhi, ylo, yhi, edges: _EdgeMemo) -> float:
             if work is not None:
                 work = (-work[0], work[1])
         else:
-            work = edges[z0, z1] = _edge_phase(family._scaled, z0, z1, budget)
+            near_axis = z0.imag == z1.imag and abs(z0.imag) < _AXIS_BAND
+            work = edges[z0, z1] = _edge_phase(family._scaled, z0, z1, budget,
+                                               family.newton_quotient if near_axis else None)
         if work is None:
             raise ContourError(f"zero too close to contour on {z0} -> {z1}")
         budget -= work[1]

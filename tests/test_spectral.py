@@ -6,7 +6,7 @@ from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tipwave import EsoLoop, ObserverLoop, SingleFieldLoop, SystemParams
@@ -281,6 +281,9 @@ def oracle_winding(family, xlo, xhi, ylo, yhi) -> float:
         dz = z1 - z0
         n0 = max(16, int(abs(dz) / 0.2))
         pts = np.linspace(0.0, 1.0, n0 + 1).tolist()
+        # a horizontal edge near the real axis also steps no further than
+        # 1.4 |f/f'| from either end
+        near_axis = z0.imag == z1.imag and abs(z0.imag) < 0.2
         vals = []
         for t in pts:
             z = z0 + dz * t
@@ -291,7 +294,10 @@ def oracle_winding(family, xlo, xhi, ylo, yhi) -> float:
         i = 0
         while i < len(vals) - 1:
             dphi = phase(vals[i + 1] / vals[i])
-            if abs(dphi) > 1.4:
+            ends = (z0 + dz * pts[i], z0 + dz * pts[i + 1])
+            quotients = [family.newton_quotient(z) for z in ends] if near_axis else []
+            if abs(dphi) > 1.4 or any(q is not None and (pts[i + 1] - pts[i]) * abs(dz)
+                                      > 1.4 * abs(q) for q in quotients):
                 budget -= 1
                 if budget <= 0:
                     raise ContourError("contour refinement budget exhausted")
@@ -378,6 +384,8 @@ def lands_on_neighbour(refine):
 class TestSweep:
     @given(st.sampled_from(["A2", "A", "Abb"]), SWEEP_GAINS, SWEEP_GAINS, SWEEP_GAINS,
            SWEEP_GAINS, SWEEP_GAINS, st.integers(0, 40))
+    # two real roots 0.13 apart, 1e-4 above the bottom edge of the sweep box
+    @example("A", 6.75, 4.875, 0.5, 1.0, 2.0, 2)
     @settings(max_examples=100, deadline=None)
     def test_same_bits_as_counting_every_box(self, tag, m, alpha, a, beta, gamma, n_max):
         """Subtraction and the edge memo leave every root, residual, flag
