@@ -140,7 +140,11 @@ class ScenarioConfig:
             violations.append(f"n_max must be >= 0, got {self.n_max}")
         # the rest is checked by the objects the run builds from the config
         params = _build(self.params, violations)
-        _build(self.grid, violations)
+        grid = _build(self.grid, violations)
+        if (grid is not None and self.mode in MODES and self.mode != "spectrum"
+                and self.horizon > 0 and round(self.horizon / grid.dt) < 1):
+            violations.append(f"horizon {self.horizon!r} is under half a step (dt = "
+                              f"{grid.dt!r}): the run would take no step")
         _build(self.disturbance, violations)
         if params is not None and self.mode == "spectrum" and self.family in spectral.FAMILY_TAGS:
             _build(lambda: spectral.CharFamily(self.family, params), violations)
@@ -298,8 +302,15 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 
 def _poly_on_grid(coeffs, grid: Grid):
+    """The profile at the grid's nodes by Horner's rule, with the operand
+    order of ``numpy.polynomial.polynomial.polyval``, so the same bits,
+    and without importing ``numpy.polynomial``."""
     x = grid.nodes()
-    return np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
+    c = np.asarray(coeffs, dtype=float).tolist()
+    value = c[-1] + x * 0
+    for coeff in reversed(c[:-1]):
+        value = coeff + value * x
+    return value
 
 
 @dataclass

@@ -148,7 +148,7 @@ class TestEnergy:
         assert block == single
         assert all(type(e) is float for row in block for e in row)
 
-    @given(k=st.integers(1, 8), rows=st.integers(1, 3), n=st.sampled_from([10, 37, 100]),
+    @given(k=st.integers(1, 8), rows=st.integers(1, 3), n=st.sampled_from([3, 4, 5, 10, 37, 100]),
            data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_thirteen_pass_formula(self, k, rows, n, data):
@@ -262,6 +262,28 @@ class TestEnergyRecorder:
         assert all(list(tr.times) == [k * grid.dt for k in range(1, len(levels))]
                    for tr in traces)
 
+
+    def test_full_blocks_take_no_energies_call(self, grid, params, monkeypatch):
+        """A full block runs the pass the recorder cut once; only the last,
+        partial block goes through ``energies``, with the same passes."""
+        import tipwave.energy as energy_module
+
+        rng = np.random.default_rng(13)
+        tags = ("H1", "H2", "Hbb1")
+        levels = rng.normal(size=(2 * 81 + 11, 3, grid.n_nodes))
+        expected = [energies(tags, levels[k - 1], levels[k], (0.5, -1.0, 0.0), params, grid)
+                    for k in range(1, len(levels))]
+        traces = [EnergyTrace(tag) for tag in tags]
+        recorder = EnergyRecorder(traces, levels[0], params, grid)
+        calls = []
+        monkeypatch.setattr(energy_module, "energies",
+                            lambda *args, **kwargs: calls.append(args) or energies(*args, **kwargs))
+        for k in range(1, len(levels)):
+            recorder.push(k * grid.dt, levels[k], (0.5, -1.0, 0.0))
+        assert not calls and len(traces[0]) == 2 * 81
+        recorder.flush()
+        assert len(calls) == 1
+        assert [list(tr.values) for tr in traces] == [list(col) for col in zip(*expected)]
 
     def test_valid_blocks_take_no_append(self, grid, params, monkeypatch):
         """A block that passes its one check reaches the traces by extending

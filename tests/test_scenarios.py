@@ -23,6 +23,7 @@ from tipwave.scenarios import (
     RECORD_CHUNK,
     ScenarioConfig,
     _build_loop,
+    _poly_on_grid,
     _RecordWriter,
     parse_config,
     run_scenario,
@@ -114,8 +115,11 @@ class TestParse:
         ({"mode": "spectrum", "n_max": -3}, "n_max must be >= 0, got -3"),
         ({"mode": "eso_loop", "n_cells": "100"}, "n_cells must be int, got '100'"),
         ({"mode": "eso_loop", "uhat0": ()}, "uhat0 needs at least one coefficient, got ()"),
+        ({"mode": "open_plant", "horizon": 0.002},
+         "horizon 0.002 is under half a step (dt = 0.005): the run would take no step"),
     ], ids=["spectrum_hypothesis", "unknown_mode", "zero_stride", "no_mode",
-            "infinite_horizon", "negative_n_max", "n_cells_as_text", "unused_empty_profile"])
+            "infinite_horizon", "negative_n_max", "n_cells_as_text", "unused_empty_profile",
+            "horizon_under_half_a_step"])
     def test_config_built_in_code_is_checked(self, kwargs, message):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(**kwargs)
@@ -131,6 +135,18 @@ class TestParse:
         with pytest.raises(ConfigError) as err:
             parse_config("preset = reproduce_sec4\nhorizon = inf\n")
         assert err.value.violations == ["horizon must be finite, got inf"]
+
+    @pytest.mark.parametrize("horizon", ["0.001", "0.0025"])
+    def test_horizon_under_half_a_step_from_text(self, horizon):
+        """A time-domain run takes round(horizon / dt) steps, so a horizon
+        that rounds to no step is an error, 0.0025 = dt/2 too (round half
+        to even), while a spectrum config ignores its horizon."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"preset = reproduce_sec4\nhorizon = {horizon}\n")
+        assert err.value.violations == [
+            f"horizon {horizon} is under half a step (dt = 0.005): the run would take no step"]
+        assert parse_config("preset = reproduce_sec4\nhorizon = 0.0026\n").horizon == 0.0026
+        assert parse_config(f"mode = spectrum\nhorizon = {horizon}\n").mode == "spectrum"
 
     @pytest.mark.parametrize("line,message", [
         ("threshold_plant_energy_ratio = nan",
@@ -185,6 +201,37 @@ class TestParse:
                 f"n_cells = {n_cells}\nstride = {stride}\n")
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+PROFILE_COEFF = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)))
+
+
+class TestProfiles:
+    @given(coeffs=st.lists(PROFILE_COEFF, min_size=1, max_size=8),
+           n_cells=st.sampled_from([3, 100, 1600]))
+    @settings(max_examples=200, deadline=None)
+    def test_horner_has_polyval_bytes(self, coeffs, n_cells):
+        """A profile has the bytes of numpy.polynomial's polyval, -0.0
+        coefficients and subnormal products too."""
+        grid = Grid(n_cells=n_cells, r=0.5)
+        expected = np.polynomial.polynomial.polyval(grid.nodes(), np.asarray(coeffs, float))
+        assert _poly_on_grid(coeffs, grid).tobytes() == expected.tobytes()
+
+    def test_run_imports_no_numpy_polynomial(self, tmp_path):
+        """A simulate run evaluates its profiles without loading
+        numpy.polynomial, whose import costs milliseconds and memory."""
+        cfg = tmp_path / "sec4.cfg"
+        cfg.write_text("preset = reproduce_sec4\nhorizon = 0.05\n")
+        code = ("import sys\nfrom tipwave.cli import main\n"
+                "status = main(['simulate', sys.argv[1], '--out', sys.argv[2]])\n"
+                "print(status, 'numpy.polynomial' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tipwave.__file__))}
+        result = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+                                env=env, check=True, capture_output=True, text=True)
+        assert result.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.fixture(scope="module")

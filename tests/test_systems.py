@@ -711,6 +711,28 @@ def test_copied_loop_steps_like_original(grid, params, clone):
     assert list(twin._history) == list(loop._history)
 
 
+@pytest.mark.parametrize("n_cells", [100, 1600])
+def test_interior_stores_start_aligned(params, n_cells):
+    """Every pass of the interior update stores from a 64-byte boundary:
+    each level buffer's line from its element 1, and both scratch lines,
+    after construction and as the buffers rotate, in a loop of each class
+    and a SingleFieldLoop of each boundary pair."""
+    grid = Grid(n_cells=n_cells, r=0.5)
+    z = np.sin(grid.nodes())
+    loops = [*(SingleFieldLoop(grid, params, z, z, left, right)
+               for left in (LEFT_DIRICHLET_ZERO, LEFT_ROBIN)
+               for right in (RIGHT_TIP_MASS, RIGHT_DIRICHLET_VALUE)),
+             ObserverLoop(grid, params, z, z, z, z), EsoLoop(grid, params, z, z, z, z, z, z)]
+    for loop in loops:
+        for _ in range(2):
+            levels = (loop.levels.prev, loop.levels.curr, loop.levels.new)
+            offsets = [level.reshape(-1)[1:].ctypes.data % 64 for level in levels]
+            offsets += [line.ctypes.data % 64 for line in loop.plan.scratch]
+            assert offsets == [0] * 5, (type(loop).__name__, loop.left_kinds, loop.right_kinds)
+            for _ in range(3):
+                loop.step()
+
+
 class TestBlowUpGuard:
     def test_blow_up_reports_step_index(self, grid, params):
         x = grid.nodes()
