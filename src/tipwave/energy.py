@@ -41,10 +41,11 @@ partial block goes through ``energies``). The one-sided differences
 take their end columns in pairs, (0, N), (1, N-1) and (2, N-2), so both
 ends cost five small operations, not ten; the far end's difference
 comes out negated, which is exact and squares alike. On a 2-core
-AVX-512 Xeon with NumPy 2.4.6 this took one ``energies`` call at
-3 x 1601 nodes from 89 to 68 us, and a level of the recorder's 5-level
-block at that size from 39 to 28 us; at 81 levels of 3 x 101 nodes a
-level costs about 3 us either way.
+AVX-512 Xeon with NumPy 2.4.6 a level of the recorder's 5-level block
+at 3 x 1601 nodes took about 26 us, against 28 us when each block was
+an ``energies`` call; a single-level ``energies`` call there takes
+about 51 us as before (cutting the views costs what the paired columns
+save), and a level of an 81-level block at 3 x 101 nodes about 2.7 us.
 
 An ``EnergyTrace`` keeps its records in two float64 columns
 (``array('d')``), which the recorder fills a block at a time.

@@ -203,10 +203,10 @@ class StepPlan:
     blow-up guard's, in the loop that steps through the plan). The views
     are keyed by buffer, so they follow ``FieldHistory.rotate``. The plan
     keeps no values of the levels: a step closes its rows from the edge
-    rows of ``read_edges`` that its caller passes in. Every expression keeps the operand order of the
-    closures it implements; the constants are left-to-right prefixes of
-    them, so a planned step or back-step gives the same bits as the
-    closures written out in full.
+    rows of ``read_edges`` that its caller passes in. Every expression
+    keeps the operand order of the closures it implements; the constants
+    are left-to-right prefixes of them, so a planned step or back-step
+    gives the same bits as the closures written out in full.
     """
 
     def __init__(self, levels: FieldHistory, grid: Grid, params: SystemParams,

@@ -148,8 +148,8 @@ class TestEnergy:
         assert block == single
         assert all(type(e) is float for row in block for e in row)
 
-    @given(k=st.integers(1, 8), rows=st.integers(1, 3), n=st.sampled_from([3, 4, 5, 10, 37, 100]),
-           data=st.data())
+    @given(k=st.integers(1, 8), rows=st.integers(1, 3),
+           n=st.sampled_from([3, 4, 5, 10, 37, 100]), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_thirteen_pass_formula(self, k, rows, n, data):
         """Every energy has the bits of the three-buffer, 13-pass formula,
@@ -261,7 +261,6 @@ class TestEnergyRecorder:
         assert [list(tr.values) for tr in traces] == [list(col) for col in zip(*expected)]
         assert all(list(tr.times) == [k * grid.dt for k in range(1, len(levels))]
                    for tr in traces)
-
 
     def test_full_blocks_take_no_energies_call(self, grid, params, monkeypatch):
         """A full block runs the pass the recorder cut once; only the last,
