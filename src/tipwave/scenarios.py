@@ -48,7 +48,9 @@ __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "serialize_config",
 MODES = ("open_plant", "observer_loop", "eso_loop", "spectrum")
 
 _EARLY_WINDOW = 2.0  # time units used as the "startup" reference for boundedness
-RECORD_CHUNK = 256  # records per write of the per-record CSVs, each after a flush of the energies
+# least records per write of the per-record CSVs; a run writes them every
+# chunk, the least multiple of its energy recorder's block that holds this many
+RECORD_CHUNK = 256
 
 
 class ConfigError(ValueError):
@@ -141,10 +143,18 @@ class ScenarioConfig:
         # the rest is checked by the objects the run builds from the config
         params = _build(self.params, violations)
         grid = _build(self.grid, violations)
-        if (grid is not None and self.mode in MODES and self.mode != "spectrum"
-                and self.horizon > 0 and round(self.horizon / grid.dt) < 1):
-            violations.append(f"horizon {self.horizon!r} is under half a step (dt = "
-                              f"{grid.dt!r}): the run would take no step")
+        if grid is not None and self.mode in MODES and self.mode != "spectrum":
+            if self.horizon > 0 and round(self.horizon / grid.dt) < 1:
+                violations.append(f"horizon {self.horizon!r} is under half a step (dt = "
+                                  f"{grid.dt!r}): the run would take no step")
+            # finite coefficients can still overflow on the nodes; that is
+            # reported here, not warned about while it happens
+            with np.errstate(all="ignore"):
+                for f in dataclasses.fields(self):
+                    coeffs = getattr(self, f.name)
+                    if (f.type == "tuple[float, ...]" and coeffs
+                            and not np.isfinite(_poly_on_grid(coeffs, grid)).all()):
+                        violations.append(f"{f.name} = {coeffs!r} is not finite on the grid")
         _build(self.disturbance, violations)
         if params is not None and self.mode == "spectrum" and self.family in spectral.FAMILY_TAGS:
             _build(lambda: spectral.CharFamily(self.family, params), violations)
@@ -426,6 +436,8 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
 
     traces = {f"{name}_{tag}": EnergyTrace(space_tag=tag) for name, tag in loop.energy_rows}
     recorder = EnergyRecorder(traces.values(), loop.levels.prev, loop.params, grid)
+    # a whole number of blocks a chunk, so that only the run's last block is partial
+    chunk = -(-RECORD_CHUNK // recorder.size) * recorder.size
 
     with contextlib.ExitStack() as stack:  # closes the output files however the run ends
         records = _RecordWriter(stack, out, loop.names, grid.nodes(), traces)
@@ -439,7 +451,7 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
             records.pending.append((t, eta, psi))
             if k % config.stride == 0 or k == n_steps:
                 records.snapshot(t, loop.fields().values())
-            if (k + 1) % RECORD_CHUNK == 0 or k == n_steps:
+            if (k + 1) % chunk == 0 or k == n_steps:
                 recorder.flush()
                 records.write()
 

@@ -62,6 +62,16 @@ complex +, - and *, abs, the real division, the Re L > 300 guard)
 commutes exactly with conjugation in IEEE arithmetic. Only signed zeros
 can break the symmetry of the value, on the real axis, and mirrors
 exist only for Im L > 1e-9; a hypothesis test pins both facts.
+
+The same symmetry makes the CSV cheap: ``Spectrum.write_csv`` formats
+each conjugate pair once, and the upper row reuses its lower twin's
+texts with two signs stripped. Each root is one ``Eigenvalue``, a
+slotted, unfrozen record, which is about half the cost of a frozen one
+to build.
+
+An edge long enough to need more than _MAX_CONTOUR_INSERTS samples
+raises ContourError before it is sampled. Family A's box reaches out
+to Re L ~ 1 / (a - m), so that is what happens as m approaches a.
 """
 
 from __future__ import annotations
@@ -295,9 +305,14 @@ class CharFamily:
         return f, fp
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Eigenvalue:
-    """One refined eigenvalue with its seed and normalized residual."""
+    """One refined eigenvalue with its seed and normalized residual.
+
+    A plain slotted record: it compares and prints by its fields, and it
+    is neither frozen nor hashable, which makes it about twice as cheap to
+    build as a frozen one (a spectrum builds one per root).
+    """
 
     n: int
     seed: complex
@@ -315,22 +330,55 @@ class Spectrum:
     eigenvalues: list[Eigenvalue] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        """One row per eigenvalue, every float in ``repr``.
+        """One row per eigenvalue, every float in ``repr``, written row by row.
 
         A family's seeds share one real part (the ladder asymptote), so
         seed_re is formatted only when it differs from the previous row's;
         zeros are formatted every time, since 0.0 == -0.0 but the two
         print differently (NaN differs from everything, itself included).
+
+        A conjugate pair is formatted once. A lower-half row (Im seed < 0,
+        Im refined < 0) waits on a stack, the row nearest the axis on top,
+        with the text its twin's line would end in. A row with Im seed > 0,
+        Im refined > 0, Re refined != 0 and residual != 0 first drops the
+        waiting rows whose twin would lie below it (rows come by rising Im,
+        so those twins never come); if the top row then holds its
+        conjugate seed, its conjugate refined value and its residual, the
+        row ends in that text, which is the top row's four value texts
+        with the leading '-' of seed_im and refined_im stripped. The text
+        is exact: nonzero floats that compare equal have the same bits,
+        repr(-y) is '-' + repr(y) for y > 0, == rejects NaN, and the
+        guards keep +-0.0 (equal, yet printed apart) out of the reused
+        columns. Rows pair by value, so a half-offset ladder, whose lower
+        half lists one row more, pairs too. Only the rows still waiting for
+        a twin are held.
         """
         with open(path, "w", newline="") as fh:
             fh.write("n,seed_re,seed_im,refined_re,refined_im,residual\n")
             last, seed_re = None, ""
+            waiting, tails = [], []  # lower-half rows, and their twins' line endings
             for e in self.eigenvalues:
                 x = e.seed.real
                 if x != last or x == 0.0:
                     last, seed_re = x, repr(x)
-                fh.write(f"{e.n},{seed_re},{e.seed.imag!r},"
-                         f"{e.refined.real!r},{e.refined.imag!r},{e.residual!r}\n")
+                s, z, r = e.seed, e.refined, e.residual
+                if s.imag > 0 and z.imag > 0 and z.real != 0 and r != 0:
+                    while waiting and -waiting[-1].refined.imag < z.imag:
+                        waiting.pop()
+                        tails.pop()
+                    if waiting:
+                        w = waiting[-1]
+                        if w.refined == z.conjugate() and w.seed == s.conjugate() \
+                                and w.residual == r:
+                            waiting.pop()
+                            fh.write(f"{e.n},{seed_re}{tails.pop()}")
+                            continue
+                seed_im, res_text = repr(s.imag), repr(r)
+                re_text, im_text = repr(z.real), repr(z.imag)
+                if s.imag < 0 and z.imag < 0:
+                    waiting.append(e)
+                    tails.append(f",{seed_im[1:]},{re_text},{im_text[1:]},{res_text}\n")
+                fh.write(f"{e.n},{seed_re},{seed_im},{re_text},{im_text},{res_text}\n")
 
 
 # ----------------------------------------------------------------------
@@ -402,9 +450,13 @@ def _relocate_near(family: CharFamily, seed: complex, edges: _EdgeMemo | None) -
 # Argument-principle machinery
 # ----------------------------------------------------------------------
 
-_MAX_CONTOUR_INSERTS = 200_000  # refinement midpoints allowed per contour
+_MAX_CONTOUR_INSERTS = 200_000  # refinement midpoints per contour, and initial samples per edge
 _MIN_CONTOUR_MAG = 1e-9
 _AXIS_BAND = 0.2  # the nominal sample spacing: an edge this near the real axis checks f/f'
+
+
+class _LongEdge(ContourError):
+    """An edge that would need more than _MAX_CONTOUR_INSERTS initial samples."""
 
 
 class _EdgeMemo(dict):
@@ -439,10 +491,14 @@ def _edge_phase(scaled, z0: complex, z1: complex, budget: int,
     longer than 1.4 |f/f'| at either end. Returns None when a sample lies
     within _MIN_CONTOUR_MAG (relative) of a zero or the ratio of two
     neighbours leaves the float range, and raises ContourError when the
-    inserts reach ``budget``.
+    inserts reach ``budget``, or, before any sample is taken, when the edge
+    would start from more than _MAX_CONTOUR_INSERTS samples.
     """
     phase = cmath.phase
     dz = z1 - z0
+    if not abs(dz) / 0.2 < _MAX_CONTOUR_INSERTS:  # an infinite or NaN length too
+        raise _LongEdge(f"contour edge {z0} -> {z1} needs more than "
+                        f"{_MAX_CONTOUR_INSERTS} samples")
     n0 = max(16, int(abs(dz) / 0.2))
     pts = np.linspace(0.0, 1.0, n0 + 1).tolist()
     vals: list[complex] = []
@@ -487,13 +543,13 @@ def _winding(family: CharFamily, xlo, xhi, ylo, yhi, edges: _EdgeMemo) -> float:
     around the rectangle, by adaptive phase tracking (``_edge_phase``).
 
     An edge already in ``edges``, in either direction, is not sampled
-    again. The initial samples are not capped, so an edge costs in
-    proportion to its length; _MAX_CONTOUR_INSERTS caps only the
-    refinement midpoints, summed over the contour's four edges whether
-    sampled now or read from the memo. A horizontal edge within
-    _AXIS_BAND of the real axis, such as the sweep's bottom edge 1e-4
-    below it, passes next to the real zeros, where two of them can fall
-    within one step: it also refines by the Newton quotient.
+    again. An edge costs in proportion to its length. _MAX_CONTOUR_INSERTS
+    caps an edge's initial samples, and the refinement midpoints summed
+    over the contour's four edges, whether sampled now or read from the
+    memo. A horizontal edge within _AXIS_BAND of the real axis, such as
+    the sweep's bottom edge 1e-4 below it, passes next to the real zeros,
+    where two of them can fall within one step: it also refines by the
+    Newton quotient.
     """
     corners = [complex(xlo, ylo), complex(xhi, ylo), complex(xhi, yhi),
                complex(xlo, yhi), complex(xlo, ylo)]
@@ -527,7 +583,8 @@ def count_zeros_in_box(family: CharFamily, corner_lo: complex,
     outward a few times before giving up. A sweep passes its ``edges``
     memo, so that edges it has sampled before are reused, and reads
     ``edges.padded`` afterwards to learn whether the count is the box's
-    own or includes a margin around it.
+    own or includes a margin around it. An edge too long to sample is not
+    nudged, since that only lengthens it.
     """
     xlo, xhi = sorted((corner_lo.real, corner_hi.real))
     ylo, yhi = sorted((corner_lo.imag, corner_hi.imag))
@@ -537,6 +594,8 @@ def count_zeros_in_box(family: CharFamily, corner_lo: complex,
     for attempt in range(4):
         try:
             cnt = _winding(family, xlo - pad, xhi + pad, ylo - pad, yhi + pad, edges)
+        except _LongEdge:
+            raise
         except ContourError:
             pad = (pad + 1e-3) * 1.7
             continue

@@ -117,9 +117,11 @@ class TestParse:
         ({"mode": "eso_loop", "uhat0": ()}, "uhat0 needs at least one coefficient, got ()"),
         ({"mode": "open_plant", "horizon": 0.002},
          "horizon 0.002 is under half a step (dt = 0.005): the run would take no step"),
+        ({"mode": "eso_loop", "u0": (1e308, 1e308)},
+         "u0 = (1e+308, 1e+308) is not finite on the grid"),
     ], ids=["spectrum_hypothesis", "unknown_mode", "zero_stride", "no_mode",
             "infinite_horizon", "negative_n_max", "n_cells_as_text", "unused_empty_profile",
-            "horizon_under_half_a_step"])
+            "horizon_under_half_a_step", "overflowing_profile"])
     def test_config_built_in_code_is_checked(self, kwargs, message):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(**kwargs)
@@ -147,6 +149,23 @@ class TestParse:
             f"horizon {horizon} is under half a step (dt = 0.005): the run would take no step"]
         assert parse_config("preset = reproduce_sec4\nhorizon = 0.0026\n").horizon == 0.0026
         assert parse_config(f"mode = spectrum\nhorizon = {horizon}\n").mode == "spectrum"
+
+    @pytest.mark.parametrize("mode", ["open_plant", "observer_loop", "eso_loop"])
+    def test_profile_overflowing_on_grid_from_text(self, mode):
+        """Finite coefficients whose sum overflows on the nodes (1e308 + 1e308
+        at x = 1) are a config error of every time-domain mode, each profile
+        named, raised without a warning, while a spectrum config never
+        evaluates its profiles."""
+        lines = f"preset = reproduce_sec4\nmode = {mode}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as err:
+                parse_config(lines, ["u0=1e308 1e308", "ut0=0 1e308 1e308"])
+        assert err.value.violations == [
+            "u0 = (1e+308, 1e+308) is not finite on the grid",
+            "ut0 = (0.0, 1e+308, 1e+308) is not finite on the grid"]
+        assert parse_config("mode = spectrum\nu0 = 1e308 1e308\n").u0 == (1e308, 1e308)
+        assert parse_config(lines, ["u0=1e308 -1e308"]).u0 == (1e308, -1e308)
 
     @pytest.mark.parametrize("line,message", [
         ("threshold_plant_energy_ratio = nan",
@@ -426,21 +445,46 @@ class TestRunScenario:
         assert len(rows) % cfg.grid().n_nodes == 0
 
     def test_records_written_before_blow_up(self, tmp_path):
-        """The energy traces and boundary states go out every RECORD_CHUNK
+        """The energy traces and boundary states go out every chunk of
+        records, here 4 of the energy recorder's 81-level blocks at 3 x 101
+        nodes, the least multiple of a block of at least RECORD_CHUNK
         records, so a run that blows up leaves every record of its written
         chunks, byte for byte those of a run that stops there."""
+        block = ENERGY_BLOCK_BYTES // (3 * 101 * 8)
+        chunk = -(-RECORD_CHUNK // block) * block
+        assert (block, chunk) == (81, 324)
         text = ("mode = eso_loop\nd_kind = table\nd_table = 0:0 2:0 3:1e17\n"
                 "spectral_summary = false\n")
         with pytest.raises(BlowUpError) as err:
             run_scenario(parse_config(text + "horizon = 4\n"), out_dir=str(tmp_path / "blown"))
-        assert RECORD_CHUNK < err.value.step_index < 2 * RECORD_CHUNK
-        short = parse_config(text + f"horizon = {(RECORD_CHUNK - 1) * 0.005!r}\n")
+        assert chunk < err.value.step_index < 2 * chunk
+        short = parse_config(text + f"horizon = {(chunk - 1) * 0.005!r}\n")
         run_scenario(short, out_dir=str(tmp_path / "short"))
         for name in ("energy_u_H1.csv", "energy_v_Hbb1.csv", "energy_q_Hbb1.csv",
                      "boundary_states.csv"):
             blown = (tmp_path / "blown" / name).read_bytes()
-            assert blown.count(b"\n") == 1 + RECORD_CHUNK
+            assert blown.count(b"\n") == 1 + chunk
             assert blown == (tmp_path / "short" / name).read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        "preset = reproduce_sec4\nhorizon = 10\n",
+        "preset = counterexample_sec3\nn_cells = 1600\nstride = 320\nhorizon = 0.2\n",
+    ], ids=["sec4", "observer_n1600"])
+    def test_only_the_last_energy_block_is_partial(self, tmp_path, monkeypatch, text):
+        """The record CSVs go out at whole energy blocks (81 levels at 3 x 101
+        nodes, 5 at 3 x 1601), so the recorder measures every block but the
+        run's last through its one pass, and calls ``energies`` at most once."""
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return energies(*args, **kwargs)
+
+        monkeypatch.setattr(tipwave.energy, "energies", counted)
+        cfg = parse_config(text + "spectral_summary = false\n")
+        result = run_scenario(cfg, out_dir=str(tmp_path / "out"))
+        assert len(result.boundary["t"]) == 1 + round(cfg.horizon / cfg.grid().dt)
+        assert calls[0] <= 1
 
     def test_summary_prints_plain_floats(self, short_run):
         assert "np.float64" not in open(short_run.summary_path).read()
@@ -690,6 +734,36 @@ class TestCli:
         assert capsys.readouterr().err == \
             "spectral error: could not separate contour from zeros\n"
         assert not (tmp_path / "out").exists()
+
+    def test_spectrum_edge_too_long_to_sample(self, tmp_path, capsys):
+        """At m = a + 1e-9 family A's sweep box reaches Re L = -1e9, whose
+        bottom edge would take 5e9 samples: the sweep stops before sampling
+        it, with one line and exit 1, and a time-domain run skips its
+        spectral summary with a warning."""
+        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\n")
+        code = cli_main(["spectrum", "--family", "A", cfg, "--out", str(tmp_path / "out"),
+                         "--override", "m=2.000000001"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spectral error: contour edge (-99999991") and err.count("\n") == 1
+        assert err.endswith(" needs more than 200000 samples\n")
+        assert not (tmp_path / "out").exists()
+        code = cli_main(["simulate", cfg, "--out", str(tmp_path / "run"),
+                         "--override", "m=2.000000001", "--override", "horizon=0.2"])
+        assert code == 0
+        assert capsys.readouterr().err == f"warning: spectral summary skipped: {err[16:]}"
+
+    def test_profile_overflowing_on_grid(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["simulate", cfg, "--override", "u0=1e308 1e308",
+                             "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "config error: u0 = (1e+308, 1e+308) is not finite on the grid\n"
+        assert not out.exists()
 
     def test_spectrum_missing_branch(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "refine_root", lands_on_neighbour(spectral.refine_root))

@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import io
 import math
 import re
 import time
@@ -265,6 +267,38 @@ class TestCounting:
         assert count_zeros_in_box(fam, complex(0.0, 5e-324), complex(3.0, 1.0),
                                   edges=edges) == 0
         assert edges.padded
+
+    @pytest.mark.parametrize("z0", [complex(-5e4, -1e-4), complex(-math.inf, -1e-4),
+                                    complex(math.nan, -1e-4)], ids=["5e4", "inf", "nan"])
+    def test_edge_too_long_raises_before_sampling(self, z0):
+        """An edge of length 5e4 would start from 250,001 samples, past
+        _MAX_CONTOUR_INSERTS: it raises before any sample, as does an edge
+        of infinite or NaN length. One of length 3.9e4 is sampled."""
+        calls = [0]
+
+        def constant(z):
+            calls[0] += 1
+            return 1 + 0j, 1.0
+
+        with pytest.raises(ContourError, match="^contour edge .* needs more than 200000 "
+                                               "samples$"):
+            spectral._edge_phase(constant, z0, complex(0.5, -1e-4), 10)
+        assert calls[0] == 0
+        assert spectral._edge_phase(constant, -3.9e4 + 0j, 0.5 + 0j, 10) == (0.0, 0)
+        assert calls[0] == int(39000.5 / 0.2) + 1
+
+    @pytest.mark.parametrize("m", [2.00002, 2.000000001])
+    def test_sweep_edge_too_long_is_contour_error(self, m):
+        """Family A's sweep box reaches its trailing real zero, at Re L
+        about 1 / (a - m): -5e4 at m = a + 2e-5, -1e9 at m = a + 1e-9. Its
+        bottom edge is not sampled, nor nudged outward: the enumeration
+        stops at once with the edge's ContourError."""
+        fam = CharFamily("A", SystemParams(m=m))
+        assert fam.sweep_left_edge() < -4e4
+        start = time.perf_counter()
+        with pytest.raises(ContourError, match="needs more than 200000 samples$"):
+            compute_spectrum(fam, n_max=5)
+        assert time.perf_counter() - start < 1.0
 
 
 # The sweep as it was before each split's second half was counted by
@@ -663,7 +697,68 @@ def csv_spectrum(seed_column):
                              n_max=len(eigenvalues), eigenvalues=eigenvalues)
 
 
+class CountedFloat(float):
+    """A float that counts its ``repr`` calls in ``CountedFloat.reprs``."""
+
+    reprs = 0
+
+    def __repr__(self):
+        CountedFloat.reprs += 1
+        return float.__repr__(self)
+
+
+SPECIAL = [0.0, -0.0, NAN, INF, -INF, 5e-324, -5e-324, 1.0, -0.8047189562170501]
+csv_floats = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True))
+
+
+@st.composite
+def csv_rows(draw):
+    """(n, seed, refined, residual) rows: conjugate pairs, near-twins that
+    differ from a pair only in the seed or only in the residual, and
+    unpaired rows, with +-0.0, NaN and infinities anywhere. The rows come
+    either lower half first, as a spectrum lists them, or in any order."""
+    lower, upper = [], []
+    for kind in draw(st.lists(st.sampled_from(["pair", "seed", "residual", "single"]),
+                              max_size=12)):
+        seed = complex(draw(csv_floats), draw(csv_floats))
+        refined = complex(draw(csv_floats), draw(csv_floats))
+        residual = draw(csv_floats)
+        if kind == "single":
+            upper.append((seed, refined, residual))
+            continue
+        lower.append((seed.conjugate(), refined.conjugate(), residual))
+        if kind == "seed":
+            seed = complex(draw(csv_floats), seed.imag) if draw(st.booleans()) \
+                else complex(seed.real, draw(csv_floats))
+        elif kind == "residual":
+            residual = draw(csv_floats)
+        upper.append((seed, refined, residual))
+    rows = lower + upper
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return [(k - len(lower), *row) for k, row in enumerate(rows)]
+
+
+def rows_spectrum(rows, residual=float):
+    eigenvalues = [spectral.Eigenvalue(n=n, seed=seed, refined=refined,
+                                       residual=residual(res), converged=n % 2 == 0)
+                   for n, seed, refined, res in rows]
+    return spectral.Spectrum(family=CharFamily("A", SystemParams()),
+                             n_max=len(eigenvalues), eigenvalues=eigenvalues)
+
+
+def assert_csv_as_oracle(spec, folder):
+    spec.write_csv(folder / "got.csv")
+    oracle_write_csv(spec, folder / "want.csv")
+    assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+
 class TestCsv:
+    """Every row's bytes are the oracle's, with each run of one seed_re
+    value formatted once and each conjugate pair formatted once: a row
+    reuses the texts of an earlier row that holds its conjugate seed and
+    refined value and its residual."""
+
     def test_same_bytes_as_one_repr_per_float(self, tmp_path):
         spec = csv_spectrum(SEED_COLUMN)
         spec.write_csv(tmp_path / "got.csv")
@@ -683,6 +778,129 @@ class TestCsv:
         spec.write_csv(folder / "got.csv")
         oracle_write_csv(spec, folder / "want.csv")
         assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+    @given(csv_rows())
+    @example([(-1, complex(-0.5, -3.0), complex(-0.25, -3.5), 1e-13),
+              (0, complex(-0.5, 0.0), complex(-0.25, 0.0), 1e-13),
+              (1, complex(-0.5, 3.0), complex(-0.25, 3.5), 1e-13)])
+    @example([(-1, complex(-0.5, -3.0), complex(-0.0, -3.5), 1e-13),
+              (1, complex(0.5, 3.0), complex(0.0, 3.5), 1e-13)])
+    @example([(-1, complex(-0.5, -3.0), complex(-0.25, -3.5), -0.0),
+              (1, complex(-0.5, 3.0), complex(-0.25, 3.5), 0.0)])
+    @example([(-1, complex(-0.5, -3.0), complex(-0.25, -3.5), NAN),
+              (1, complex(-0.5, 3.0), complex(-0.25, 3.5), NAN)])
+    @example([(-1, complex(-0.5, -0.0), complex(-0.25, -3.5), 1e-13),
+              (1, complex(-0.5, 0.0), complex(-0.25, 3.5), 1e-13)])
+    @example([(-1, complex(-0.5, -3.0), complex(-0.25, -3.5), 1e-13),
+              (1, complex(-0.5, 3.0), complex(-0.25, 3.5), 2e-13)])
+    @example([(-1, complex(-0.5, -3.0), complex(-0.25, -3.5), 1e-13),
+              (1, complex(-0.5, 3.5), complex(-0.25, 3.5), 1e-13)])
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_on_pairs_and_near_twins(self, tmp_path_factory, rows):
+        """Hand-built rows. The examples are a pair around a real row,
+        refined real parts of +-0.0, residuals of +-0.0, one NaN residual
+        object in both rows (which matches, as the same object), seeds with
+        imaginary part +-0.0, and near-twins in the residual or the seed."""
+        assert_csv_as_oracle(rows_spectrum(rows), tmp_path_factory.mktemp("csv"))
+
+    def test_pair_formatted_once(self, tmp_path):
+        """Two pairs, one by value across an unpaired real row, share their
+        texts; a near-twin with another residual and a pair listed upper
+        row first are formatted in full."""
+        rows = [(-2, complex(-0.5, -6.0), complex(-0.2, -6.1), 3e-13),
+                (-1, complex(-0.5, -3.0), complex(-0.1, -3.2), 1e-13),
+                (-1, complex(-0.5, -1.0), complex(-0.3, -1.1), 4e-13),
+                (0, complex(-0.5, 0.0), complex(-0.4, 0.0), 2e-13),
+                (1, complex(-0.5, 3.0), complex(-0.1, 3.2), 1e-13),
+                (1, complex(-0.5, 1.0), complex(-0.3, 1.1), 5e-13),
+                (2, complex(-0.5, 6.0), complex(-0.2, 6.1), 3e-13),
+                (3, complex(-0.5, 9.0), complex(-0.6, 9.1), 6e-13),
+                (-3, complex(-0.5, -9.0), complex(-0.6, -9.1), 6e-13)]
+        spec = rows_spectrum(rows, CountedFloat)
+        CountedFloat.reprs = 0
+        assert_csv_as_oracle(spec, tmp_path)
+        # the oracle formats all 9 residuals, the writer all but 2
+        assert CountedFloat.reprs == 9 + 7
+
+    @pytest.mark.parametrize("tag,params", [
+        ("A2", SystemParams()),
+        ("A", SystemParams()),
+        ("Abb", SystemParams()),
+        ("A2", SystemParams(gamma=0.5)),
+        ("Abb", SystemParams(gamma=0.5)),
+        ("A", SystemParams(m=1.0)),
+        ("A", SystemParams(m=3.0)),
+    ], ids=["A2", "A", "Abb", "A2_half_offset", "Abb_half_offset", "A_m_below_a",
+            "A_m_above_a"])
+    def test_real_spectra(self, tmp_path, tag, params):
+        """Every root above the real axis whose mirror is listed reuses the
+        mirror's texts, on integer and half-offset ladders alike (their
+        mirror of branch n is -n - 2 offset, so the top row of one has none),
+        and the bytes are the oracle's. Branch 0's pair on the A2 ladder has
+        a real seed, so it is formatted in full."""
+        spec = compute_spectrum(CharFamily(tag, params), n_max=60)
+        assert_csv_as_oracle(spec, tmp_path)
+        mirrors = {(e.seed.conjugate(), e.refined.conjugate(), e.residual)
+                   for e in spec.eigenvalues if e.seed.imag < 0}
+        paired = sum((e.seed, e.refined, e.residual) in mirrors for e in spec.eigenvalues
+                     if e.seed.imag > 0 and e.refined.imag > 0)
+        assert paired >= 59
+        counted = rows_spectrum([(e.n, e.seed, e.refined, e.residual)
+                                 for e in spec.eigenvalues], CountedFloat)
+        CountedFloat.reprs = 0
+        counted.write_csv(tmp_path / "counted.csv")
+        assert CountedFloat.reprs == len(spec.eigenvalues) - paired
+        assert (tmp_path / "counted.csv").read_bytes() == (tmp_path / "got.csv").read_bytes()
+
+    def test_streams_row_by_row(self, tmp_path, monkeypatch, spectra):
+        """One write per row, through the buffered file, not one joined text."""
+        writes = []
+
+        class Recording(io.TextIOWrapper):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        def recording_open(path, mode, newline):
+            return Recording(open(path, mode.replace("w", "wb")), newline=newline)
+
+        monkeypatch.setattr(spectral, "open", recording_open, raising=False)
+        spec = spectra["A"]
+        spec.write_csv(tmp_path / "got.csv")
+        assert len(writes) == 1 + len(spec.eigenvalues)
+        assert all(text.count("\n") == 1 for text in writes)
+        monkeypatch.undo()
+        oracle_write_csv(spec, tmp_path / "want.csv")
+        assert "".join(writes).encode() == (tmp_path / "want.csv").read_bytes()
+
+
+@dataclasses.dataclass(frozen=True)
+class Eigenvalue:  # noqa: F811 -- the frozen record as it was, kept as the oracle
+    n: int
+    seed: complex
+    refined: complex
+    residual: float
+    converged: bool = True
+
+
+class TestEigenvalueRecord:
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from([0j, -0j, 1 - 2j, NAN * 1j]),
+                              st.sampled_from([0j, complex(-0.0, 0.0), 1 - 2j]),
+                              st.sampled_from([0.0, -0.0, 1e-13, NAN]), st.booleans()),
+                    min_size=2, max_size=2))
+    def test_equality_and_repr_as_frozen_record(self, fields):
+        """The slotted record compares and prints as the frozen one did."""
+        got = [spectral.Eigenvalue(*f) for f in fields]
+        want = [Eigenvalue(*f) for f in fields]
+        assert [repr(e) for e in got] == [repr(e) for e in want]
+        assert (got[0] == got[1]) == (want[0] == want[1])
+        assert got[0] == got[0] and got[0] != want[0]
+
+    def test_fields_and_default(self):
+        assert [f.name for f in dataclasses.fields(spectral.Eigenvalue)] == \
+            [f.name for f in dataclasses.fields(Eigenvalue)]
+        assert spectral.Eigenvalue(0, 0j, 0j, 0.0).converged is True
+        assert not hasattr(spectral.Eigenvalue(0, 0j, 0j, 0.0), "__dict__")
 
 
 class TestEigenfunctions:
