@@ -40,12 +40,16 @@ ring and work buffers and measures each full block through it, and
 partial block goes through ``energies``). The one-sided differences
 take their end columns in pairs, (0, N), (1, N-1) and (2, N-2), so both
 ends cost five small operations, not ten; the far end's difference
-comes out negated, which is exact and squares alike. On a 2-core
-AVX-512 Xeon with NumPy 2.4.6 a level of the recorder's 5-level block
-at 3 x 1601 nodes took about 26 us, against 28 us when each block was
-an ``energies`` call; a single-level ``energies`` call there takes
-about 51 us as before (cutting the views costs what the paired columns
-save), and a level of an 81-level block at 3 x 101 nodes about 2.7 us.
+comes out negated, which is exact and squares alike. The boundary terms
+are added a row's column of levels at a time, a few array operations a
+row whatever the block's length. On a 2-core AVX-512 Xeon with NumPy
+2.4.6 a level of the recorder's 5-level block at 3 x 1601 nodes took
+about 26 us, against 28 us when each block was an ``energies`` call,
+and a level of an 81-level block at 3 x 101 nodes about 2.2 us, against
+2.8 us when the boundary terms were added record by record in Python
+floats. On one level those array operations cost more than the floats
+did: a single-level ``energies`` call at 3 x 1601 nodes takes about
+10 us longer, and a run makes at most one ``energies`` call.
 
 An ``EnergyTrace`` keeps its records in two float64 columns
 (``array('d')``), which the recorder fills a block at a time.
@@ -178,14 +182,15 @@ def energies(space_tags, prev, curr, etas, params: SystemParams, grid: Grid,
     float arrays of the levels' shape, allocated here when not given;
     every full-size array operation writes into them.
     """
-    return _EnergyPass(space_tags, prev, curr, work, params, grid)(etas)
+    return _EnergyPass(space_tags, prev, curr, work, params, grid)(etas).tolist()
 
 
 class _EnergyPass:
     """The passes of ``energies`` over fixed levels and work buffers, with
     the arguments checked and every view the passes use cut once, so that
-    a call runs only the passes and the per-record tail. Each call
-    measures whatever the levels then hold.
+    a call runs only the passes and the boundary terms, a few operations
+    per row. Each call measures whatever the levels then hold and returns
+    the energies as an array of shape (..., rows).
     """
 
     def __init__(self, space_tags, prev, curr, work, params: SystemParams, grid: Grid):
@@ -205,7 +210,7 @@ class _EnergyPass:
         self.prev, self.curr, self.s, self.fp = prev, curr, s, fp
         self.params, self.dx, self.dt = params, grid.dx, grid.dt
         self.shape = s.shape[:-1]
-        self.tags = tuple(space_tags) * (math.prod(self.shape) // len(space_tags))
+        self.tags = tuple(space_tags)
         sf, fpf = s.reshape(-1), fp.reshape(-1)
         self.s0 = sf[::n + 1]  # column 0 of every row, as one line
         # central differences over all rows as one line, whose row ends the
@@ -225,7 +230,7 @@ class _EnergyPass:
         second.flags.writeable = third.flags.writeable = False
         self.ends = s[..., 0::n], second, third, fp[..., 0::n]
 
-    def __call__(self, etas) -> list:
+    def __call__(self, etas) -> np.ndarray:
         eta_values = np.asarray(etas, dtype=float)
         if eta_values.shape != self.shape:
             raise ValueError(f"etas must have shape {self.shape}, got {eta_values.shape}")
@@ -235,7 +240,7 @@ class _EnergyPass:
         # 2*dx, bit for bit, since halving is exact (a subnormal s rounds, but
         # there f' squares to 0 either way)
         np.add(curr, prev, out=s)
-        s0s = self.s0.tolist()
+        f0 = np.multiply(0.5, self.s0).reshape(self.shape)
         right, left, mid = self.central
         np.subtract(right, left, out=mid)
         np.divide(mid, scale, out=mid)
@@ -261,22 +266,20 @@ class _EnergyPass:
         np.multiply(dx, pairs, out=pairs)
         np.multiply(pairs, 0.5, out=pairs)
         totals = np.add.reduce(self.body, axis=-1)
+        # the boundary terms, a column of rows at a time, in the operand
+        # order of total += beta * f0 * f0 + eta * eta / m
         params = self.params
-        out = []
-        for tag, eta, total, s0 in zip(self.tags, eta_values.ravel().tolist(),
-                                       totals.ravel().tolist(), s0s):
+        for i, tag in enumerate(self.tags):
+            total, eta = totals[..., i], eta_values[..., i]
             if tag == "H1":
                 total += eta * eta / params.m
             elif tag == "H2":
-                f0 = 0.5 * s0
-                total += params.beta * f0 * f0 + eta * eta / params.m
+                total += params.beta * f0[..., i] * f0[..., i] + eta * eta / params.m
             elif tag == "H":
                 total += eta * eta / (params.m + params.alpha * params.a)
             elif tag == "Hbb1":
-                f0 = 0.5 * s0
-                total += params.beta * f0 * f0
-            out.append(total)
-        return np.reshape(out, self.shape).tolist()
+                total += params.beta * f0[..., i] * f0[..., i]
+        return totals
 
 
 class EnergyRecorder:
@@ -326,23 +329,22 @@ class EnergyRecorder:
         if n == self.size:
             values = self.block(self.etas)
         else:
-            values = energies(self.tags, self.ring[:n], self.ring[1:n + 1], self.etas,
-                              self.params, self.grid, work=[buf[:n] for buf in self.work])
-        times, columns = self.times, [list(column) for column in zip(*values)]
-        # a NaN that min passes over makes the sum NaN; a sum that overflows
-        # only sends a valid block down the record-by-record path
+            values = np.array(energies(self.tags, self.ring[:n], self.ring[1:n + 1], self.etas,
+                                       self.params, self.grid,
+                                       work=[buf[:n] for buf in self.work]))
+        times = self.times
+        # NumPy's min and max propagate a NaN, so the value check misses none
         if (all(map(operator.lt, times, times[1:])) and times[-1] < math.inf
                 and all((trace.times[-1] if trace.times else -math.inf) < times[0]
                         for trace in self.traces)
-                and all(0.0 <= min(column) and sum(column) < math.inf
-                        for column in columns)):
+                and 0.0 <= values.min() and values.max() < math.inf):
             # fromlist sizes a column once; extend would grow it item by item
-            for trace, column in zip(self.traces, columns):
+            for trace, column in zip(self.traces, values.T.tolist()):
                 trace.times.fromlist(times)
                 trace.values.fromlist(column)
         else:
             # ``append`` raises at the first bad record, in its own words
-            for t, row in zip(times, values):
+            for t, row in zip(times, values.tolist()):
                 for trace, value in zip(self.traces, row):
                     trace.append(t, value)
         self.ring[0] = self.ring[n]

@@ -430,8 +430,7 @@ def _build_loop(config: ScenarioConfig):
 
 
 def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
-    grid = config.grid()
-    loop = _build_loop(config)
+    grid, loop = config.grid(), _build_loop(config)
     n_steps = int(round(config.horizon / grid.dt))
 
     traces = {f"{name}_{tag}": EnergyTrace(space_tag=tag) for name, tag in loop.energy_rows}
@@ -441,14 +440,15 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
 
     with contextlib.ExitStack() as stack:  # closes the output files however the run ends
         records = _RecordWriter(stack, out, loop.names, grid.nodes(), traces)
-        # record k is the state at t = k*dt: the initial data, then each step's result
+        step, states_now, etas, levels = loop.step, loop.boundary_states, loop.etas, loop.levels
+        push, pending, dt = recorder.push, records.pending.append, grid.dt
         for k in range(n_steps + 1):
             if k:
-                loop.step()
-            t = loop.t
-            eta, psi = states = loop.boundary_states()
-            recorder.push(t, loop.levels.curr, loop.etas(states))
-            records.pending.append((t, eta, psi))
+                step()
+            t = k * dt  # record k's state: the initial data, then each step's result
+            eta, psi = states = states_now()
+            push(t, levels.curr, etas(states))
+            pending((t, eta, psi))
             if k % config.stride == 0 or k == n_steps:
                 records.snapshot(t, loop.fields().values())
             if (k + 1) % chunk == 0 or k == n_steps:

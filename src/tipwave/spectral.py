@@ -580,7 +580,8 @@ def count_zeros_in_box(family: CharFamily, corner_lo: complex,
     """Number of characteristic zeros inside an axis-aligned rectangle.
 
     If a zero sits (numerically) on the contour the box is nudged
-    outward a few times before giving up. A sweep passes its ``edges``
+    outward a few times before giving up; the error then names the last
+    attempt's cause. A sweep passes its ``edges``
     memo, so that edges it has sampled before are reused, and reads
     ``edges.padded`` afterwards to learn whether the count is the box's
     own or includes a margin around it. An edge too long to sample is not
@@ -596,7 +597,8 @@ def count_zeros_in_box(family: CharFamily, corner_lo: complex,
             cnt = _winding(family, xlo - pad, xhi + pad, ylo - pad, yhi + pad, edges)
         except _LongEdge:
             raise
-        except ContourError:
+        except ContourError as exc:
+            reason = exc
             pad = (pad + 1e-3) * 1.7
             continue
         n = round(cnt)
@@ -604,7 +606,7 @@ def count_zeros_in_box(family: CharFamily, corner_lo: complex,
             raise ContourError(f"winding {cnt} too far from an integer")
         edges.padded = pad > 0.0
         return n
-    raise ContourError("could not separate contour from zeros")
+    raise ContourError(f"could not separate contour from zeros: {reason}")
 
 
 def _split(xlo, xhi, ylo, yhi):

@@ -27,9 +27,11 @@ and ``EsoLoop`` are first order in dt; q_tt(1) comes from differencing
 the pinned q(1) samples, never from a one-sided spatial second
 derivative. The boundary slopes are one-sided second-order differences
 over three nodes, exact on quadratics. Each sample reads its level's
-edge nodes through the plan, and the loop hands the step the rows it
-read, and the history is transposed once per sample for every law that
-reads it.
+edge nodes through the plan and is built in one pass over the rows
+read, which the loop then hands the next step. The control laws take
+each quantity's history, so a closed loop transposes its samples once a
+step for its inputs; the tip states difference the last two samples
+where they are kept.
 """
 
 from __future__ import annotations
@@ -106,12 +108,13 @@ def control_eso(v1, vx1, q1, qx1, dt: float, params: SystemParams) -> float:
             - params.a * ((vx1[-1] - vx1[-2]) / dt - (qx1[-1] - qx1[-2]) / dt))
 
 
-def _rate(samples, dt: float) -> float:
-    """Backward first difference of a sample history; 0.0 while it holds
-    a single sample."""
-    if len(samples) < 2:
-        return 0.0
-    return (samples[-1] - samples[-2]) / dt
+def _rates(history, dt: float, i: int, j: int) -> tuple[float, float]:
+    """Backward first differences of entries ``i`` and ``j`` of the last two
+    boundary samples; 0.0 each while ``history`` holds a single sample."""
+    if len(history) < 2:
+        return 0.0, 0.0
+    before, last = history[-2], history[-1]
+    return (last[i] - before[i]) / dt, (last[j] - before[j]) / dt
 
 
 class _StackedLoop:
@@ -126,9 +129,8 @@ class _StackedLoop:
     after every step the loop samples the stepped rows' boundaries: each
     row's tip value u(1), then each row's tip slope u_x(1), then the
     plant's measured slope u_x(0). The last three samples are kept,
-    enough for a backward second difference, and ``_series`` holds them
-    transposed: the history of each sampled quantity, oldest first, in
-    sample order. The back-step and every step take a loop's boundary
+    enough for a backward second difference, oldest first, in
+    ``_history``. The back-step and every step take a loop's boundary
     inputs from ``_inputs()`` and write the rows that follow from the
     stepped ones with ``_couple(level)``. ``_edges`` holds the edge rows
     the loop read of its previous and current levels, for the next step.
@@ -175,18 +177,21 @@ class _StackedLoop:
 
     def _sample(self) -> list[list[float]]:
         # each row's u(1) and u_x(1), then the plant's u_x(0); returns the edge rows read
-        two_dx = self.plan.two_dx
-        rows = self.plan.read_edges(self.levels.curr)
-        first = rows[0]
-        self._push((*[row[-1] for row in rows],
-                    *[(3.0 * row[-1] - 4.0 * row[-2] + row[-3]) / two_dx for row in rows],
-                    (-3.0 * first[0] + 4.0 * first[1] - first[2]) / two_dx))
+        plan = self.plan
+        two_dx = plan.two_dx
+        rows = plan.read_edges(self.levels.curr)
+        tips, slopes = [], []
+        for _, _, _, a, b, c in rows:
+            tips.append(c)
+            slopes.append((3.0 * c - 4.0 * b + a) / two_dx)
+        c0, c1, c2 = rows[0][:3]
+        slopes.append((-3.0 * c0 + 4.0 * c1 - c2) / two_dx)
+        self._push(tuple(tips + slopes))
         return rows
 
     def _push(self, sample: tuple[float, ...]) -> None:
         """Keep ``sample`` as the latest boundary sample."""
         self._history.append(sample)
-        self._series = list(zip(*self._history))
 
     def _couple(self, level: NDArray[np.float64]) -> None:
         """Write the rows of ``level`` that follow from its stepped rows."""
@@ -196,18 +201,22 @@ class _StackedLoop:
         the new level, promote it and sample its boundaries. The guard is
         one ``np.vdot`` (which, unlike ``np.dot``, overflows without a
         warning); only a level it does not clear is searched row by row."""
-        self.plan.step(*self._inputs(), *self._edges)
-        self._couple(self.levels.new)
-        line = self.plan.views[id(self.levels.new)][0]
+        plan, levels = self.plan, self.levels
+        prev_edges, curr_edges = self._edges
+        plan.step(*self._inputs(), prev_edges, curr_edges)
+        new = levels.new
+        self._couple(new)
+        line = plan.views[id(new)][0]
         if not np.vdot(line, line) <= _GUARD_SQUARES:
-            for name, row in zip(self.names, self.levels.new):
+            for name, row in zip(self.names, new):
                 peak = float(np.max(np.abs(row)))
                 if not peak <= BLOWUP_LIMIT:
                     raise BlowUpError(name, self.step_index + 1,
-                                      (self.step_index + 1) * self.plan.dt, peak)
+                                      (self.step_index + 1) * plan.dt, peak)
         self.step_index += 1
-        self.levels.rotate()
-        self._edges = (self._edges[1], self._sample())
+        # FieldHistory.rotate, written out: one call fewer a step
+        levels.prev, levels.curr, levels.new = levels.curr, new, levels.prev
+        self._edges = (curr_edges, self._sample())
 
 
 class SingleFieldLoop(_StackedLoop):
@@ -230,11 +239,13 @@ class SingleFieldLoop(_StackedLoop):
         super().__init__(grid, params, spec, (position,), (velocity,))
 
     def _inputs(self) -> tuple[tuple[float], tuple[float]]:
-        return (0.0,), (eval_f(self.spec, self._history[-1][0]) + eval_d(self.spec, self.t),)
+        t = self.step_index * self.plan.dt
+        return (0.0,), (eval_f(self.spec, self._history[-1][0]) + eval_d(self.spec, t),)
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, eta) with eta = m * u_t(1), the plant's tip momentum."""
-        eta = self.params.m * _rate(self._series[0], self.plan.dt)
+        u_rate, _ = _rates(self._history, self.plan.dt, 0, 0)
+        eta = self.params.m * u_rate
         return eta, eta
 
     def etas(self, states: tuple[float, float]) -> tuple[float]:
@@ -262,9 +273,10 @@ class ObserverLoop(_StackedLoop):
         self._couple(self.levels.curr)
 
     def _inputs(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        u1, uhat1, _, uhatx1, ux0 = self._series
-        control = control_observer(uhat1, uhatx1, self.plan.dt, self.params)
-        disturbance = eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.t)
+        dt = self.plan.dt
+        u1, uhat1, _, uhatx1, ux0 = zip(*self._history)
+        control = control_observer(uhat1, uhatx1, dt, self.params)
+        disturbance = eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.step_index * dt)
         return (0.0, ux0[-1]), (control + disturbance, control)
 
     def _couple(self, level: NDArray[np.float64]) -> None:
@@ -273,17 +285,16 @@ class ObserverLoop(_StackedLoop):
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi) = boundary-dynamics states of plant and observer."""
-        p, dt = self.params, self.plan.dt
-        u1, uhat1, _, uhatx1, _ = self._series
-        shared = p.a * uhatx1[-1]
-        eta = p.m * _rate(u1, dt) + shared
-        psi = p.m * _rate(uhat1, dt) + shared
+        p, history = self.params, self._history
+        u_rate, uhat_rate = _rates(history, self.plan.dt, 0, 1)
+        shared = p.a * history[-1][3]
+        eta = p.m * u_rate + shared
+        psi = p.m * uhat_rate + shared
         return eta, psi
 
     def etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
-        dt = self.plan.dt
-        u1, uhat1 = self._series[:2]
-        return (*states, self.params.m * (_rate(uhat1, dt) - _rate(u1, dt)))
+        u_rate, uhat_rate = _rates(self._history, self.plan.dt, 0, 1)
+        return (*states, self.params.m * (uhat_rate - u_rate))
 
 
 class EsoLoop(_StackedLoop):
@@ -303,26 +314,33 @@ class EsoLoop(_StackedLoop):
 
     def __init__(self, grid: Grid, params: SystemParams,
                  u0, ut0, v0, vt0, q0, qt0, spec: DisturbanceSpec = NO_DISTURBANCE):
+        n = grid.n_nodes
+        # flat positions of the u, v and q tips in a level's stepped line
+        self._tips = (n - 1, 2 * n - 1, 3 * n - 1)
         super().__init__(grid, params, spec, (u0, v0, q0), (ut0, vt0, qt0))
 
     def _inputs(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-        u1, v1, q1, _, vx1, qx1, ux0 = self._series
-        control = control_eso(v1, vx1, q1, qx1, self.plan.dt, self.params)
-        tip = control + eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.t)
+        dt = self.plan.dt
+        u1, v1, q1, _, vx1, qx1, ux0 = zip(*self._history)
+        control = control_eso(v1, vx1, q1, qx1, dt, self.params)
+        tip = control + eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.step_index * dt)
         # q's pinned tip is a placeholder here, set from the closed u, v rows
         return (0.0, ux0[-1], 0.0), (tip, control, 0.0)
 
     def _couple(self, level: NDArray[np.float64]) -> None:
         """Pin q's tip to the mismatch v - u of the closed rows."""
-        level[2, -1] = level[1, -1] - level[0, -1]
+        line = self.plan.views[id(level)][0]
+        u, v, q = self._tips
+        line[q] = line[v] - line[u]
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi): tip-dynamics states of the closed loop."""
-        p, dt = self.params, self.plan.dt
-        u1, _, q1, _, vx1, qx1, _ = self._series
-        slope_gap = p.a * (vx1[-1] - qx1[-1])
-        eta = p.m * _rate(u1, dt) + slope_gap
-        psi = eta - p.m * _rate(q1, dt)
+        p, history = self.params, self._history
+        u_rate, q_rate = _rates(history, self.plan.dt, 0, 2)
+        last = history[-1]
+        slope_gap = p.a * (last[4] - last[5])
+        eta = p.m * u_rate + slope_gap
+        psi = eta - p.m * q_rate
         return eta, psi
 
     def etas(self, states: tuple[float, float]) -> tuple[float, float, float]:

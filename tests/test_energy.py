@@ -173,6 +173,29 @@ class TestEnergy:
             assert [[e.hex() for e in row] for row in got] == \
                 [[e.hex() for e in row] for row in expected]
 
+    @given(rows=st.integers(1, 3), n=st.sampled_from([3, 4, 5, 10, 37, 100]),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_recorder_block_matches_thirteen_pass_formula(self, rows, n, data):
+        """A recorder's full block, measured by the pass it cut once over its
+        ring, has the bits of the 13-pass formula too, down to levels whose
+        squares are subnormal or vanish."""
+        tags = data.draw(st.lists(st.sampled_from(SPACE_TAGS), min_size=rows, max_size=rows))
+        lo_exp = data.draw(st.floats(-200.0, 6.0))
+        hi_exp = data.draw(st.floats(lo_exp, 6.0))
+        zero_share = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        grid, params = Grid(n_cells=n, r=0.5), SystemParams()
+        recorder = EnergyRecorder([EnergyTrace(tag) for tag in tags], np.zeros((rows, n + 1)),
+                                  params, grid)
+        levels = log_uniform(rng, recorder.ring.shape, lo_exp, hi_exp, zero_share)
+        recorder.ring[...] = levels
+        etas = log_uniform(rng, (recorder.size, rows), lo_exp, hi_exp, zero_share).tolist()
+        expected = thirteen_pass_energies(tags, levels[:-1], levels[1:], etas, params, grid)
+        got = np.asarray(recorder.block(etas)).tolist()
+        assert [[e.hex() for e in row] for row in got] == \
+            [[e.hex() for e in row] for row in expected]
+
     def test_rejects_mismatched_work_and_etas(self, grid, params):
         level = np.zeros((3, grid.n_nodes))
         tags = ("H1", "H2", "Hbb1")

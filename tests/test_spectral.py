@@ -323,7 +323,7 @@ def oracle_winding(family, xlo, xhi, ylo, yhi) -> float:
             z = z0 + dz * t
             value, scale = scaled(z)
             if abs(value) / scale < 1e-9:
-                raise ContourError(f"zero too close to contour at {z}")
+                raise ContourError(f"zero too close to contour on {z0} -> {z1}")
             vals.append(value)
         i = 0
         while i < len(vals) - 1:
@@ -339,7 +339,7 @@ def oracle_winding(family, xlo, xhi, ylo, yhi) -> float:
                 z = z0 + dz * tm
                 value, scale = scaled(z)
                 if abs(value) / scale < 1e-9:
-                    raise ContourError(f"zero too close to contour at {z}")
+                    raise ContourError(f"zero too close to contour on {z0} -> {z1}")
                 pts.insert(i + 1, tm)
                 vals.insert(i + 1, value)
                 continue
@@ -355,14 +355,15 @@ def oracle_count_zeros_in_box(family, corner_lo, corner_hi) -> int:
     for attempt in range(4):
         try:
             cnt = oracle_winding(family, xlo - pad, xhi + pad, ylo - pad, yhi + pad)
-        except ContourError:
+        except ContourError as exc:
+            reason = exc
             pad = (pad + 1e-3) * 1.7
             continue
         n = round(cnt)
         if abs(cnt - n) >= 0.25:
             raise ContourError(f"winding {cnt} too far from an integer")
         return n
-    raise ContourError("could not separate contour from zeros")
+    raise ContourError(f"could not separate contour from zeros: {reason}")
 
 
 def oracle_sweep_box(family, xlo, xhi, ylo, yhi, depth=0, **_):

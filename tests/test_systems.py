@@ -390,6 +390,74 @@ def test_one_edge_read_per_level(grid, params, make, monkeypatch):
     assert len(reads) == n_steps + 2
 
 
+# The boundary bookkeeping as the loops wrote it over the transposed sample
+# history: ``_rate``, ``control_observer`` and ``control_eso`` kept verbatim
+# as the byte oracle of ``boundary_states``, ``etas`` and ``_inputs``.
+
+def oracle_rate(samples, dt):
+    if len(samples) < 2:
+        return 0.0
+    return (samples[-1] - samples[-2]) / dt
+
+
+def oracle_control_observer(uhat1, uhatx1, dt, params):
+    if len(uhat1) < 2:
+        return 0.0
+    return (-params.alpha * ((uhat1[-1] - uhat1[-2]) / dt)
+            - params.a * ((uhatx1[-1] - uhatx1[-2]) / dt))
+
+
+def oracle_control_eso(v1, vx1, q1, qx1, dt, params):
+    if len(v1) < 3 or len(q1) < 3:
+        return 0.0
+    return (qx1[-1] + params.m * ((q1[-1] - 2.0 * q1[-2] + q1[-3]) / (dt * dt))
+            - params.alpha * ((v1[-1] - v1[-2]) / dt - (q1[-1] - q1[-2]) / dt)
+            - params.a * ((vx1[-1] - vx1[-2]) / dt - (qx1[-1] - qx1[-2]) / dt))
+
+
+def oracle_bookkeeping(loop):
+    """(boundary states, etas, inputs) of ``loop``, from its sample history."""
+    series = list(zip(*loop._history))
+    p, spec, dt = loop.params, loop.spec, loop.plan.dt
+    t = loop.step_index * dt
+    if isinstance(loop, EsoLoop):
+        u1, v1, q1, _, vx1, qx1, ux0 = series
+        slope_gap = p.a * (vx1[-1] - qx1[-1])
+        eta = p.m * oracle_rate(u1, dt) + slope_gap
+        control = oracle_control_eso(v1, vx1, q1, qx1, dt, p)
+        tip = control + eval_f(spec, u1[-1]) + eval_d(spec, t)
+        return ((eta, eta - p.m * oracle_rate(q1, dt)), (eta, 0.0, 0.0),
+                ((0.0, ux0[-1], 0.0), (tip, control, 0.0)))
+    if isinstance(loop, ObserverLoop):
+        u1, uhat1, _, uhatx1, ux0 = series
+        shared = p.a * uhatx1[-1]
+        states = (p.m * oracle_rate(u1, dt) + shared, p.m * oracle_rate(uhat1, dt) + shared)
+        control = oracle_control_observer(uhat1, uhatx1, dt, p)
+        disturbance = eval_f(spec, u1[-1]) + eval_d(spec, t)
+        return (states, (*states, p.m * (oracle_rate(uhat1, dt) - oracle_rate(u1, dt))),
+                ((0.0, ux0[-1]), (control + disturbance, control)))
+    eta = p.m * oracle_rate(series[0], dt)
+    return (eta, eta), (eta,), ((0.0,), (eval_f(spec, series[0][-1]) + eval_d(spec, t),))
+
+
+def nested_hex(values):
+    return [nested_hex(v) for v in values] if isinstance(values, tuple) else values.hex()
+
+
+@LOOP_CASES
+def test_boundary_bookkeeping_matches_oracle(grid, params, make):
+    """Each loop's ``boundary_states()``, ``etas`` of them and ``_inputs()``
+    equal the oracle's, bit for bit: on construction, through the warm-up
+    steps whose controls are 0 and after each of 40 steps."""
+    loop = make(grid, params, grid.nodes())
+    for step in range(41):
+        if step:
+            loop.step()
+        states = loop.boundary_states()
+        got = (states, loop.etas(states), loop._inputs())
+        assert nested_hex(got) == nested_hex(oracle_bookkeeping(loop))
+
+
 # ----------------------------------------------------------------------
 # The loops' construction and steps as they were written before the plan
 # made every level: ``second_order_backstep``, ``_tip_input``, the stacked
