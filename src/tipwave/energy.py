@@ -42,14 +42,16 @@ take their end columns in pairs, (0, N), (1, N-1) and (2, N-2), so both
 ends cost five small operations, not ten; the far end's difference
 comes out negated, which is exact and squares alike. The boundary terms
 are added a row's column of levels at a time, a few array operations a
-row whatever the block's length. On a 2-core AVX-512 Xeon with NumPy
-2.4.6 a level of the recorder's 5-level block at 3 x 1601 nodes took
-about 26 us, against 28 us when each block was an ``energies`` call,
-and a level of an 81-level block at 3 x 101 nodes about 2.2 us, against
-2.8 us when the boundary terms were added record by record in Python
-floats. On one level those array operations cost more than the floats
-did: a single-level ``energies`` call at 3 x 1601 nodes takes about
-10 us longer, and a run makes at most one ``energies`` call.
+row whatever the block's length, and f(0) is taken only for tags that
+read it. Every factor is a 0-d array, as a ufunc call with a Python
+float operand costs more for the same bits. On a 2-core AVX-512 Xeon
+with NumPy 2.4.6 a level of the recorder's 5-level block at 3 x 1601
+nodes took about 24 us, against 25 us when the boundary terms were
+added record by record in Python floats, and a level of an 81-level
+block at 3 x 101 nodes about 1.95 us, against 2.7 us. On one level
+those array operations cost more than the floats did: a single-level
+``energies`` call at 3 x 1601 nodes takes about 12 us longer, and a run
+makes at most one ``energies`` call.
 
 An ``EnergyTrace`` keeps its records in two float64 columns
 (``array('d')``), which the recorder fills a block at a time.
@@ -190,7 +192,8 @@ class _EnergyPass:
     the arguments checked and every view the passes use cut once, so that
     a call runs only the passes and the boundary terms, a few operations
     per row. Each call measures whatever the levels then hold and returns
-    the energies as an array of shape (..., rows).
+    the energies as an array of shape (..., rows), a buffer of the pass
+    that the next call overwrites.
     """
 
     def __init__(self, space_tags, prev, curr, work, params: SystemParams, grid: Grid):
@@ -229,56 +232,70 @@ class _EnergyPass:
                                     (*lead, (n - 2 * j) * item)) for j in (1, 2))
         second.flags.writeable = third.flags.writeable = False
         self.ends = s[..., 0::n], second, third, fp[..., 0::n]
+        # the factors as 0-d arrays: a ufunc call with a Python float operand
+        # costs more, for the same bits
+        self.factors = tuple(np.array(c) for c in (0.5, -3.0, 4.0, 4.0 * grid.dx,
+                                                   grid.dt, grid.dx))
+        # the totals and f(0) have fixed buffers, so each boundary term's
+        # columns are cut here once: the row, its total and f(0), then beta
+        # and the mass, None where the tag has no f(0) or no eta term
+        p = params
+        kinds = {"H1": (None, p.m), "H2": (p.beta, p.m),
+                 "H": (None, p.m + p.alpha * p.a), "Hbb1": (p.beta, None)}
+        self.totals, f0 = np.empty(self.shape), np.empty(self.shape)
+        self.terms = tuple((i, self.totals[..., i], f0[..., i],
+                            *(None if c is None else np.array(c) for c in kinds[tag]))
+                           for i, tag in enumerate(self.tags) if tag in kinds)
+        # f(0) as one line, taken only when some term reads it
+        self.f0 = f0.reshape(-1) if any(term[3] is not None for term in self.terms) else None
 
     def __call__(self, etas) -> np.ndarray:
         eta_values = np.asarray(etas, dtype=float)
         if eta_values.shape != self.shape:
             raise ValueError(f"etas must have shape {self.shape}, got {eta_values.shape}")
-        prev, curr, s, fp, dx = self.prev, self.curr, self.s, self.fp, self.dx
-        scale = 4.0 * dx
+        prev, curr, s, fp = self.prev, self.curr, self.s, self.fp
+        half, minus_three, four, scale, dt, dx = self.factors
         # s = 2f; a difference of s over 4*dx is the same difference of f over
         # 2*dx, bit for bit, since halving is exact (a subnormal s rounds, but
         # there f' squares to 0 either way)
-        np.add(curr, prev, out=s)
-        f0 = np.multiply(0.5, self.s0).reshape(self.shape)
+        np.add(curr, prev, s)
+        if self.f0 is not None:
+            np.multiply(half, self.s0, self.f0)
         right, left, mid = self.central
-        np.subtract(right, left, out=mid)
-        np.divide(mid, scale, out=mid)
+        np.subtract(right, left, mid)
+        np.divide(mid, scale, mid)
         # both ends' one-sided differences at once, the far end's negated:
         # that is exact, as rounding is symmetric, and it squares alike. The
         # end columns of s are scratch once the first product has read them
         end, second, third, slope = self.ends
-        np.multiply(-3.0, end, out=slope)
-        np.add(slope, np.multiply(4.0, second, out=end), out=slope)
-        np.subtract(slope, third, out=slope)
-        np.divide(slope, scale, out=slope)
+        np.multiply(minus_three, end, slope)
+        np.add(slope, np.multiply(four, second, end), slope)
+        np.subtract(slope, third, slope)
+        np.divide(slope, scale, slope)
         # s is spent: g goes into its buffer
         g = s
-        np.subtract(curr, prev, out=g)
-        np.divide(g, self.dt, out=g)
+        np.subtract(curr, prev, g)
+        np.divide(g, dt, g)
         # integrand fp*fp + g*g in g; np.trapezoid's (dx * (y[1:] + y[:-1])) / 2.0
         # in fp[1:], halving by * 0.5, which rounds as / 2.0 does
-        np.multiply(fp, fp, out=fp)
-        np.multiply(g, g, out=g)
-        np.add(fp, g, out=g)
+        np.multiply(fp, fp, fp)
+        np.multiply(g, g, g)
+        np.add(fp, g, g)
         right, left, pairs = self.pairs
-        np.add(right, left, out=pairs)
-        np.multiply(dx, pairs, out=pairs)
-        np.multiply(pairs, 0.5, out=pairs)
-        totals = np.add.reduce(self.body, axis=-1)
+        np.add(right, left, pairs)
+        np.multiply(dx, pairs, pairs)
+        np.multiply(pairs, half, pairs)
+        totals = np.add.reduce(self.body, -1, None, self.totals)
         # the boundary terms, a column of rows at a time, in the operand
         # order of total += beta * f0 * f0 + eta * eta / m
-        params = self.params
-        for i, tag in enumerate(self.tags):
-            total, eta = totals[..., i], eta_values[..., i]
-            if tag == "H1":
-                total += eta * eta / params.m
-            elif tag == "H2":
-                total += params.beta * f0[..., i] * f0[..., i] + eta * eta / params.m
-            elif tag == "H":
-                total += eta * eta / (params.m + params.alpha * params.a)
-            elif tag == "Hbb1":
-                total += params.beta * f0[..., i] * f0[..., i]
+        for i, total, f0, beta, mass in self.terms:
+            eta = eta_values[..., i]
+            if beta is None:
+                total += eta * eta / mass
+            elif mass is None:
+                total += beta * f0 * f0
+            else:
+                total += beta * f0 * f0 + eta * eta / mass
         return totals
 
 

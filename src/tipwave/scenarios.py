@@ -441,11 +441,11 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
     with contextlib.ExitStack() as stack:  # closes the output files however the run ends
         records = _RecordWriter(stack, out, loop.names, grid.nodes(), traces)
         step, states_now, etas, levels = loop.step, loop.boundary_states, loop.etas, loop.levels
-        push, pending, dt = recorder.push, records.pending.append, grid.dt
+        push, pending = recorder.push, records.pending.append
         for k in range(n_steps + 1):
             if k:
                 step()
-            t = k * dt  # record k's state: the initial data, then each step's result
+            t = loop.t  # record k's state at k*dt: the initial data, then each step's result
             eta, psi = states = states_now()
             push(t, levels.curr, etas(states))
             pending((t, eta, psi))

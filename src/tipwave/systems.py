@@ -108,13 +108,12 @@ def control_eso(v1, vx1, q1, qx1, dt: float, params: SystemParams) -> float:
             - params.a * ((vx1[-1] - vx1[-2]) / dt - (qx1[-1] - qx1[-2]) / dt))
 
 
-def _rates(history, dt: float, i: int, j: int) -> tuple[float, float]:
-    """Backward first differences of entries ``i`` and ``j`` of the last two
-    boundary samples; 0.0 each while ``history`` holds a single sample."""
+def _rate(history, dt: float, i: int) -> float:
+    """Backward first difference of entry ``i`` of the last two boundary
+    samples; 0.0 while ``history`` holds a single sample."""
     if len(history) < 2:
-        return 0.0, 0.0
-    before, last = history[-2], history[-1]
-    return (last[i] - before[i]) / dt, (last[j] - before[j]) / dt
+        return 0.0
+    return (history[-1][i] - history[-2][i]) / dt
 
 
 class _StackedLoop:
@@ -214,8 +213,7 @@ class _StackedLoop:
                     raise BlowUpError(name, self.step_index + 1,
                                       (self.step_index + 1) * plan.dt, peak)
         self.step_index += 1
-        # FieldHistory.rotate, written out: one call fewer a step
-        levels.prev, levels.curr, levels.new = levels.curr, new, levels.prev
+        levels.rotate()
         self._edges = (curr_edges, self._sample())
 
 
@@ -239,13 +237,11 @@ class SingleFieldLoop(_StackedLoop):
         super().__init__(grid, params, spec, (position,), (velocity,))
 
     def _inputs(self) -> tuple[tuple[float], tuple[float]]:
-        t = self.step_index * self.plan.dt
-        return (0.0,), (eval_f(self.spec, self._history[-1][0]) + eval_d(self.spec, t),)
+        return (0.0,), (eval_f(self.spec, self._history[-1][0]) + eval_d(self.spec, self.t),)
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, eta) with eta = m * u_t(1), the plant's tip momentum."""
-        u_rate, _ = _rates(self._history, self.plan.dt, 0, 0)
-        eta = self.params.m * u_rate
+        eta = self.params.m * _rate(self._history, self.plan.dt, 0)
         return eta, eta
 
     def etas(self, states: tuple[float, float]) -> tuple[float]:
@@ -273,10 +269,9 @@ class ObserverLoop(_StackedLoop):
         self._couple(self.levels.curr)
 
     def _inputs(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        dt = self.plan.dt
         u1, uhat1, _, uhatx1, ux0 = zip(*self._history)
-        control = control_observer(uhat1, uhatx1, dt, self.params)
-        disturbance = eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.step_index * dt)
+        control = control_observer(uhat1, uhatx1, self.plan.dt, self.params)
+        disturbance = eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.t)
         return (0.0, ux0[-1]), (control + disturbance, control)
 
     def _couple(self, level: NDArray[np.float64]) -> None:
@@ -285,16 +280,15 @@ class ObserverLoop(_StackedLoop):
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi) = boundary-dynamics states of plant and observer."""
-        p, history = self.params, self._history
-        u_rate, uhat_rate = _rates(history, self.plan.dt, 0, 1)
+        p, history, dt = self.params, self._history, self.plan.dt
         shared = p.a * history[-1][3]
-        eta = p.m * u_rate + shared
-        psi = p.m * uhat_rate + shared
+        eta = p.m * _rate(history, dt, 0) + shared
+        psi = p.m * _rate(history, dt, 1) + shared
         return eta, psi
 
     def etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
-        u_rate, uhat_rate = _rates(self._history, self.plan.dt, 0, 1)
-        return (*states, self.params.m * (uhat_rate - u_rate))
+        history, dt = self._history, self.plan.dt
+        return (*states, self.params.m * (_rate(history, dt, 1) - _rate(history, dt, 0)))
 
 
 class EsoLoop(_StackedLoop):
@@ -314,33 +308,30 @@ class EsoLoop(_StackedLoop):
 
     def __init__(self, grid: Grid, params: SystemParams,
                  u0, ut0, v0, vt0, q0, qt0, spec: DisturbanceSpec = NO_DISTURBANCE):
-        n = grid.n_nodes
-        # flat positions of the u, v and q tips in a level's stepped line
-        self._tips = (n - 1, 2 * n - 1, 3 * n - 1)
         super().__init__(grid, params, spec, (u0, v0, q0), (ut0, vt0, qt0))
 
     def _inputs(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-        dt = self.plan.dt
         u1, v1, q1, _, vx1, qx1, ux0 = zip(*self._history)
-        control = control_eso(v1, vx1, q1, qx1, dt, self.params)
-        tip = control + eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.step_index * dt)
+        control = control_eso(v1, vx1, q1, qx1, self.plan.dt, self.params)
+        tip = control + eval_f(self.spec, u1[-1]) + eval_d(self.spec, self.t)
         # q's pinned tip is a placeholder here, set from the closed u, v rows
         return (0.0, ux0[-1], 0.0), (tip, control, 0.0)
 
     def _couple(self, level: NDArray[np.float64]) -> None:
         """Pin q's tip to the mismatch v - u of the closed rows."""
-        line = self.plan.views[id(level)][0]
-        u, v, q = self._tips
+        plan = self.plan
+        line = plan.views[id(level)][0]
+        # each row's tip sits at the last flat position of its closure record
+        (_, _, _, u), (_, _, _, v), (_, _, _, q) = plan.closures
         line[q] = line[v] - line[u]
 
     def boundary_states(self) -> tuple[float, float]:
         """(eta, psi): tip-dynamics states of the closed loop."""
-        p, history = self.params, self._history
-        u_rate, q_rate = _rates(history, self.plan.dt, 0, 2)
+        p, history, dt = self.params, self._history, self.plan.dt
         last = history[-1]
         slope_gap = p.a * (last[4] - last[5])
-        eta = p.m * u_rate + slope_gap
-        psi = eta - p.m * q_rate
+        eta = p.m * _rate(history, dt, 0) + slope_gap
+        psi = eta - p.m * _rate(history, dt, 2)
         return eta, psi
 
     def etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
