@@ -211,9 +211,7 @@ class _EnergyPass:
         s, fp = work
         n = grid.n_cells
         self.prev, self.curr, self.s, self.fp = prev, curr, s, fp
-        self.params, self.dx, self.dt = params, grid.dx, grid.dt
         self.shape = s.shape[:-1]
-        self.tags = tuple(space_tags)
         sf, fpf = s.reshape(-1), fp.reshape(-1)
         self.s0 = sf[::n + 1]  # column 0 of every row, as one line
         # central differences over all rows as one line, whose row ends the
@@ -245,7 +243,7 @@ class _EnergyPass:
         self.totals, f0 = np.empty(self.shape), np.empty(self.shape)
         self.terms = tuple((i, self.totals[..., i], f0[..., i],
                             *(None if c is None else np.array(c) for c in kinds[tag]))
-                           for i, tag in enumerate(self.tags) if tag in kinds)
+                           for i, tag in enumerate(space_tags) if tag in kinds)
         # f(0) as one line, taken only when some term reads it
         self.f0 = f0.reshape(-1) if any(term[3] is not None for term in self.terms) else None
 
