@@ -51,6 +51,8 @@ _EARLY_WINDOW = 2.0  # time units used as the "startup" reference for boundednes
 # least records per write of the per-record CSVs; a run writes them every
 # chunk, the least multiple of its energy recorder's block that holds this many
 RECORD_CHUNK = 256
+# least values a snapshot holds (fields x nodes) for textfmt to format it
+VECTOR_SNAPSHOT_VALUES = 2048
 
 
 class ConfigError(ValueError):
@@ -340,9 +342,13 @@ class _RecordWriter:
     """Every CSV a time-domain run streams, written as the run goes:
     ``snapshots_<name>.csv`` of each field in ``names``, ``energy_<key>.csv``
     of each trace and ``boundary_states.csv``, each opened on ``stack`` with
-    its header. ``snapshot`` fills the run's template, a ``T,<x>,%r`` line
-    per node, with one ``repr(t)`` in place of each T for every field and
-    one ``%`` per field (float reprs hold neither T nor %). Each ``write``
+    its header. A snapshot goes out one field's row at a time, on one of two
+    paths with the same bytes. Below ``VECTOR_SNAPSHOT_VALUES`` values a
+    snapshot fills the run's template, a ``T,<x>,%r`` line per node, with
+    one ``repr(t)`` in place of each T for every field and one ``%`` per
+    field (float reprs hold neither T nor %). At or above it, ``textfmt``
+    finds each row's ``repr`` digits in NumPy, beside the ``t`` and ``x``
+    columns it fills once a snapshot. Each ``write``
     adds the records the traces hold and the files do not, formatting each
     record's time once for all the files, and moves the ``pending`` rows to
     the ``boundary`` columns. Unbuffered: one write a file."""
@@ -351,7 +357,11 @@ class _RecordWriter:
                  traces: dict[str, EnergyTrace]):
         self.traces, self.pending = traces, []
         self.boundary = {key: float_column() for key in ("t", "eta", "psi")}
-        self.template = "".join([f"T,{xj!r},%r\n" for xj in x.tolist()])
+        if len(names) * len(x) >= VECTOR_SNAPSHOT_VALUES:
+            from .textfmt import SnapshotLines  # only a run that takes the path imports it
+            self.template, self.lines = None, SnapshotLines(x)
+        else:
+            self.template = "".join([f"T,{xj!r},%r\n" for xj in x.tolist()])
         files = [*((f"snapshots_{name}.csv", "t,x,value") for name in names),
                  *((f"energy_{key}.csv", EnergyTrace.CSV_HEADER) for key in traces),
                  ("boundary_states.csv", "t,eta,psi")]
@@ -363,9 +373,13 @@ class _RecordWriter:
         *self.energy_files, self.boundary_file = handles[len(names):]
 
     def snapshot(self, t: float, rows) -> None:
-        lines = self.template.replace("T", repr(t))  # once for every field
-        for fh, values in zip(self.snapshot_files, rows):
-            fh.write((lines % tuple(values.tolist())).encode())
+        if self.template is None:
+            texts = self.lines(t, rows)
+        else:
+            lines = self.template.replace("T", repr(t))  # once for every field
+            texts = ((lines % tuple(values.tolist())).encode() for values in rows)
+        for fh, text in zip(self.snapshot_files, texts):
+            fh.write(text)
 
     def write(self) -> None:
         start, rows = len(self.boundary["t"]), self.pending

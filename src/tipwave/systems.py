@@ -282,13 +282,14 @@ class ObserverLoop(_StackedLoop):
         """(eta, psi) = boundary-dynamics states of plant and observer."""
         p, history, dt = self.params, self._history, self.plan.dt
         shared = p.a * history[-1][3]
-        eta = p.m * _rate(history, dt, 0) + shared
-        psi = p.m * _rate(history, dt, 1) + shared
-        return eta, psi
+        self._rates = rate_u, rate_uhat = _rate(history, dt, 0), _rate(history, dt, 1)
+        return p.m * rate_u + shared, p.m * rate_uhat + shared
 
     def etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
-        history, dt = self._history, self.plan.dt
-        return (*states, self.params.m * (_rate(history, dt, 1) - _rate(history, dt, 0)))
+        """The states and the error row's eta, from the rates of the
+        ``boundary_states`` call that returned ``states``."""
+        rate_u, rate_uhat = self._rates
+        return (*states, self.params.m * (rate_uhat - rate_u))
 
 
 class EsoLoop(_StackedLoop):

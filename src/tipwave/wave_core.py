@@ -52,6 +52,7 @@ about 0.04 us longer, for the same bits.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -133,6 +134,9 @@ class Grid:
             problems.append(f"grid too coarse: n_cells={self.n_cells} < 3")
         if not 0.0 < self.r <= 1.0:
             problems.append(f"Courant ratio must satisfy 0 < r <= 1, got {self.r}")
+        elif self.n_cells >= 3 and self.dt * self.dt < sys.float_info.min:
+            # the closures and the control laws divide by r**2 and dt**2
+            problems.append(f"time step dt = {self.dt!r} is too small: dt**2 underflows")
         if problems:
             raise StructuralError("; ".join(problems))
 

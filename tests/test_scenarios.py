@@ -21,6 +21,7 @@ from tipwave.scenarios import (
     ConfigError,
     PRESETS,
     RECORD_CHUNK,
+    VECTOR_SNAPSHOT_VALUES,
     ScenarioConfig,
     _build_loop,
     _poly_on_grid,
@@ -529,32 +530,73 @@ SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
 class TestSnapshotWriter:
     @given(n_cells=st.integers(3, 2000),
            r=st.sampled_from([0.5, 1.0, 0.3, 0.25, 0.9]),
+           fields=st.integers(1, 3),
            ks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3, unique=True),
            extra=st.lists(st.floats(), max_size=20),
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_node_writer(self, tmp_path_factory, n_cells, r, ks, extra, seed):
+    def test_matches_per_node_writer(self, tmp_path_factory, n_cells, r, fields, ks, extra,
+                                     seed):
+        """Either snapshot path: a snapshot of fewer than 2,048 values fills
+        the template, one of more goes through textfmt."""
         grid = Grid(n_cells=n_cells, r=r)
         rng = np.random.default_rng(seed)
         n = grid.n_nodes
+        names = ["u", "v", "q"][:fields]
         snapshots = []
         for k in sorted(ks):
-            # magnitudes 1e-300..1e300, special values (NaN and +-inf too),
-            # integral floats and arbitrary doubles, mixed along the row
-            values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
-            pick = rng.random(n)
-            values = np.where(pick < 0.2, rng.choice(SPECIAL_VALUES, n), values)
+            # magnitudes 1e-300..1e300, values in 1e-4 <= |v| < 10 (long and
+            # short reprs), special values (NaN and +-inf too), integral
+            # floats and arbitrary doubles, mixed along the row
+            shape = (fields, n)
+            values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+            pick = rng.random(shape)
+            values = np.where(pick < 0.2, rng.choice(SPECIAL_VALUES, shape), values)
             values = np.where((pick >= 0.2) & (pick < 0.3),
-                              np.round(rng.uniform(-1e6, 1e6, n)), values)
-            values[rng.integers(0, n, len(extra))] = extra
+                              np.round(rng.uniform(-1e6, 1e6, shape)), values)
+            window = rng.uniform(-10, 10, shape)
+            values = np.where((pick >= 0.3) & (pick < 0.6), window, values)
+            values = np.where((pick >= 0.6) & (pick < 0.7), np.round(window, 4), values)
+            values[0, rng.integers(0, n, len(extra))] = extra
             snapshots.append((k * grid.dt, values))
         out = tmp_path_factory.mktemp("snap")
-        write_snapshots_per_node(out / "expected.csv", grid.nodes(), snapshots)
         with contextlib.ExitStack() as stack:
-            writer = _RecordWriter(stack, str(out), ["u"], grid.nodes(), {})
+            writer = _RecordWriter(stack, str(out), names, grid.nodes(), {})
+            assert (writer.template is None) == (fields * n >= VECTOR_SNAPSHOT_VALUES)
             for t, values in snapshots:
-                writer.snapshot(t, [values])
-        assert (out / "snapshots_u.csv").read_bytes() == (out / "expected.csv").read_bytes()
+                writer.snapshot(t, list(values))
+        for i, name in enumerate(names):
+            write_snapshots_per_node(out / "expected.csv", grid.nodes(),
+                                     [(t, values[i]) for t, values in snapshots])
+            assert (out / f"snapshots_{name}.csv").read_bytes() == \
+                (out / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize("text, vector", [
+        ("preset = reproduce_sec4\nhorizon = 0.5\n", False),
+        ("preset = reproduce_sec4\nn_cells = 800\nhorizon = 0.05\n", True),
+    ], ids=["303_values", "2403_values"])
+    def test_sec4_snapshots_either_side_of_threshold(self, tmp_path, monkeypatch, text,
+                                                     vector):
+        """reproduce_sec4 writes 3 x 101 values a snapshot through the
+        template and 3 x 801 through textfmt; both write the lines of the
+        %r template, formatted here row by row."""
+        seen = []
+        real = _RecordWriter.snapshot
+
+        def snapshot(self, t, rows):
+            seen.append((t, [row.copy() for row in rows], self.template is None))
+            real(self, t, rows)
+
+        monkeypatch.setattr(_RecordWriter, "snapshot", snapshot)
+        cfg = parse_config(text + "spectral_summary = false\n")
+        run_scenario(cfg, out_dir=str(tmp_path))
+        assert {path for *_, path in seen} == {vector}
+        x = cfg.grid().nodes().tolist()
+        for i, name in enumerate(("u", "v", "q")):
+            expected = "t,x,value\n" + "".join([
+                "".join([f"T,{xj!r},%r\n" for xj in x]).replace("T", repr(t))
+                % tuple(rows[i].tolist()) for t, rows, _ in seen])
+            assert (tmp_path / f"snapshots_{name}.csv").read_text() == expected
 
 
 # sha256 of every artifact: the CSVs were recorded before the loops were
@@ -676,6 +718,20 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["simulate", cfg, "--override", "u0=", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "config error: u0 needs at least one coefficient, got ()\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r", ["1e-300", "1e-160", "1e-155"])
+    def test_underflowing_time_step_is_config_error(self, tmp_path, capsys, r):
+        """At r = 1e-300 r**2, which the closures divide by, is 0; at 1e-160
+        dt**2, which the ESO control law divides by, is 0; at 1e-155 dt**2
+        is subnormal and its reciprocal overflows. Each grid is refused
+        while the config is read: one line, exit 1, no output directory."""
+        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\n")
+        out = tmp_path / "out"
+        assert cli_main(["simulate", cfg, "--override", f"r={r}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: time step dt = ") and err.count("\n") == 1
+        assert err.endswith(" is too small: dt**2 underflows\n")
         assert not out.exists()
 
     def test_blow_up_exit_code(self, tmp_path, capsys):
