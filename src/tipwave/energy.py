@@ -36,22 +36,22 @@ a NumPy pass whose output did not took up to 2.5x as long.
 The passes run in an ``_EnergyPass``, which checks the arguments and
 cuts every view the passes use once: the recorder builds one over its
 ring and work buffers and measures each full block through it, and
-``energies`` builds a transient one per call (the recorder's last,
-partial block goes through ``energies``). The one-sided differences
-take their end columns in pairs, (0, N), (1, N-1) and (2, N-2), so both
-ends cost five small operations, not ten; the far end's difference
-comes out negated, which is exact and squares alike. The boundary terms
-are added a row's column of levels at a time, a few array operations a
-row whatever the block's length, and f(0) is taken only for tags that
-read it. Every factor is a 0-d array, as a ufunc call with a Python
-float operand costs more for the same bits. On a 2-core AVX-512 Xeon
-with NumPy 2.4.6 a level of the recorder's 5-level block at 3 x 1601
-nodes took about 24 us, against 25 us when the boundary terms were
-added record by record in Python floats, and a level of an 81-level
-block at 3 x 101 nodes about 1.95 us, against 2.7 us. On one level
-those array operations cost more than the floats did: a single-level
-``energies`` call at 3 x 1601 nodes takes about 12 us longer, and a run
-makes at most one ``energies`` call.
+builds a transient one over their first levels for a run's last,
+partial block; ``energies`` builds a transient one per call. The
+one-sided differences take their end columns in pairs, (0, N), (1, N-1)
+and (2, N-2), so both ends cost five small operations, not ten; the far
+end's difference comes out negated, which is exact and squares alike.
+The boundary terms are added a row's column of levels at a time, a few
+array operations a row whatever the block's length, and f(0) is taken
+only for tags that read it. Every factor is a 0-d array, as a ufunc
+call with a Python float operand costs more for the same bits. On a
+2-core AVX-512 Xeon with NumPy 2.4.6 a level of the recorder's 5-level
+block at 3 x 1601 nodes took about 24 us, against 25 us when the
+boundary terms were added record by record in Python floats, and a
+level of an 81-level block at 3 x 101 nodes about 1.95 us, against
+2.7 us. On one level those array operations cost more than the floats
+did: a single-level ``energies`` call at 3 x 1601 nodes takes about
+12 us longer, and a run makes no ``energies`` call.
 
 An ``EnergyTrace`` keeps its records in two float64 columns
 (``array('d')``), which the recorder fills a block at a time.
@@ -308,9 +308,9 @@ class EnergyRecorder:
     holds as many levels as fit in ``ENERGY_BLOCK_BYTES`` (at least one);
     each full block is measured by the one ``_EnergyPass`` the recorder
     builds over its ring and work buffers, and the partial one at
-    ``flush`` by an ``energies`` call, so both run the same passes. A
-    block's records reach the traces in record order, checked as
-    ``EnergyTrace.append`` checks them but once per block.
+    ``flush`` by a pass cut over their first levels, so both run the same
+    passes. A block's records reach the traces in record order, checked
+    as ``EnergyTrace.append`` checks them but once per block.
     """
 
     def __init__(self, traces, prev, params: SystemParams, grid: Grid):
@@ -341,12 +341,11 @@ class EnergyRecorder:
         n = len(self.times)
         if not n:
             return
-        if n == self.size:
-            values = self.block(self.etas)
-        else:
-            values = np.array(energies(self.tags, self.ring[:n], self.ring[1:n + 1], self.etas,
-                                       self.params, self.grid,
-                                       work=[buf[:n] for buf in self.work]))
+        block = self.block
+        if n < self.size:
+            block = _EnergyPass(self.tags, self.ring[:n], self.ring[1:n + 1],
+                                [buf[:n] for buf in self.work], self.params, self.grid)
+        values = block(self.etas)
         times = self.times
         # NumPy's min and max propagate a NaN, so the value check misses none
         if (all(map(operator.lt, times, times[1:])) and times[-1] < math.inf

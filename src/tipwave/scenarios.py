@@ -151,12 +151,16 @@ class ScenarioConfig:
                                   f"{grid.dt!r}): the run would take no step")
             # finite coefficients can still overflow on the nodes; that is
             # reported here, not warned about while it happens
-            with np.errstate(all="ignore"):
-                for f in dataclasses.fields(self):
-                    coeffs = getattr(self, f.name)
-                    if (f.type == "tuple[float, ...]" and coeffs
-                            and not np.isfinite(_poly_on_grid(coeffs, grid)).all()):
-                        violations.append(f"{f.name} = {coeffs!r} is not finite on the grid")
+            try:
+                with np.errstate(all="ignore"):
+                    for f in dataclasses.fields(self):
+                        coeffs = getattr(self, f.name)
+                        if (f.type == "tuple[float, ...]" and coeffs
+                                and not np.isfinite(_poly_on_grid(coeffs, grid)).all()):
+                            violations.append(f"{f.name} = {coeffs!r} is not finite on the grid")
+            except MemoryError:
+                violations.append(f"n_cells = {self.n_cells} is too large: the grid's "
+                                  f"{grid.n_nodes} nodes cannot be allocated")
         _build(self.disturbance, violations)
         if params is not None and self.mode == "spectrum" and self.family in spectral.FAMILY_TAGS:
             _build(lambda: spectral.CharFamily(self.family, params), violations)
@@ -454,14 +458,14 @@ def _run_time_domain(config: ScenarioConfig, out: str) -> ScenarioResult:
 
     with contextlib.ExitStack() as stack:  # closes the output files however the run ends
         records = _RecordWriter(stack, out, loop.names, grid.nodes(), traces)
-        step, states_now, etas, levels = loop.step, loop.boundary_states, loop.etas, loop.levels
+        step, states_now, levels = loop.step, loop.boundary_states, loop.levels
         push, pending = recorder.push, records.pending.append
         for k in range(n_steps + 1):
             if k:
                 step()
             t = loop.t  # record k's state at k*dt: the initial data, then each step's result
-            eta, psi = states = states_now()
-            push(t, levels.curr, etas(states))
+            eta, psi, etas = states_now()
+            push(t, levels.curr, etas)
             pending((t, eta, psi))
             if k % config.stride == 0 or k == n_steps:
                 records.snapshot(t, loop.fields().values())

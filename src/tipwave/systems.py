@@ -1,14 +1,16 @@
 """Coupled closed-loop systems and their boundary control laws.
 
 Three drivers share one interface (``step()``, ``t``, ``fields()``,
-``boundary_states()``, ``etas(states)``) and one stepper: each stores
-its fields as rows of one stacked array per time level, closed by its
-``left_kinds`` and ``right_kinds``, and holds the ``DisturbanceSpec`` it
-runs under, so ``step()`` takes no inputs. Each writes its levels only
-through the ``wave_core.StepPlan`` it builds once from its grid, params
-and kinds, with the inputs of its ``_inputs()``. No loop measures its
-energies: an ``energy.EnergyRecorder`` takes each level with its rows'
-``etas(boundary_states())``, in the spaces of ``energy_rows``.
+``boundary_states()``) and one stepper: each stores its fields as rows
+of one stacked array per time level, closed by its ``left_kinds`` and
+``right_kinds``, and holds the ``DisturbanceSpec`` it runs under, so
+``step()`` takes no inputs. Each writes its levels only through the
+``wave_core.StepPlan`` it builds once from its grid, params and kinds,
+with the inputs of its ``_inputs()``. No loop measures its energies:
+``boundary_states()`` returns (eta, psi, etas), the tip states and one
+boundary-dynamics state per row, all from the latest samples and with
+no state kept between calls, and an ``energy.EnergyRecorder`` takes each
+level with those etas, in the spaces of ``energy_rows``.
 
 * ``SingleFieldLoop``  one wave field with any boundary pair (open
   plant, or either error system of the estimator analysis);
@@ -185,12 +187,8 @@ class _StackedLoop:
             slopes.append((3.0 * c - 4.0 * b + a) / two_dx)
         c0, c1, c2 = rows[0][:3]
         slopes.append((-3.0 * c0 + 4.0 * c1 - c2) / two_dx)
-        self._push(tuple(tips + slopes))
+        self._history.append(tuple(tips + slopes))
         return rows
-
-    def _push(self, sample: tuple[float, ...]) -> None:
-        """Keep ``sample`` as the latest boundary sample."""
-        self._history.append(sample)
 
     def _couple(self, level: NDArray[np.float64]) -> None:
         """Write the rows of ``level`` that follow from its stepped rows."""
@@ -239,13 +237,10 @@ class SingleFieldLoop(_StackedLoop):
     def _inputs(self) -> tuple[tuple[float], tuple[float]]:
         return (0.0,), (eval_f(self.spec, self._history[-1][0]) + eval_d(self.spec, self.t),)
 
-    def boundary_states(self) -> tuple[float, float]:
-        """(eta, eta) with eta = m * u_t(1), the plant's tip momentum."""
+    def boundary_states(self) -> tuple[float, float, tuple[float]]:
+        """(eta, eta, (eta,)) with eta = m * u_t(1), the plant's tip momentum."""
         eta = self.params.m * _rate(self._history, self.plan.dt, 0)
-        return eta, eta
-
-    def etas(self, states: tuple[float, float]) -> tuple[float]:
-        return (states[0],)
+        return eta, eta, (eta,)
 
 
 class ObserverLoop(_StackedLoop):
@@ -278,18 +273,14 @@ class ObserverLoop(_StackedLoop):
         """The observer error row, uhat - u."""
         np.subtract(level[1], level[0], out=level[2])
 
-    def boundary_states(self) -> tuple[float, float]:
-        """(eta, psi) = boundary-dynamics states of plant and observer."""
+    def boundary_states(self) -> tuple[float, float, tuple[float, float, float]]:
+        """(eta, psi, etas): the boundary-dynamics states of plant and
+        observer, and the rows' etas, the error row's m * (uhat_t - u_t)(1)."""
         p, history, dt = self.params, self._history, self.plan.dt
         shared = p.a * history[-1][3]
-        self._rates = rate_u, rate_uhat = _rate(history, dt, 0), _rate(history, dt, 1)
-        return p.m * rate_u + shared, p.m * rate_uhat + shared
-
-    def etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
-        """The states and the error row's eta, from the rates of the
-        ``boundary_states`` call that returned ``states``."""
-        rate_u, rate_uhat = self._rates
-        return (*states, self.params.m * (rate_uhat - rate_u))
+        rate_u, rate_uhat = _rate(history, dt, 0), _rate(history, dt, 1)
+        eta, psi = p.m * rate_u + shared, p.m * rate_uhat + shared
+        return eta, psi, (eta, psi, p.m * (rate_uhat - rate_u))
 
 
 class EsoLoop(_StackedLoop):
@@ -326,14 +317,12 @@ class EsoLoop(_StackedLoop):
         (_, _, _, u), (_, _, _, v), (_, _, _, q) = plan.closures
         line[q] = line[v] - line[u]
 
-    def boundary_states(self) -> tuple[float, float]:
-        """(eta, psi): tip-dynamics states of the closed loop."""
+    def boundary_states(self) -> tuple[float, float, tuple[float, float, float]]:
+        """(eta, psi, etas): tip-dynamics states of the closed loop, and the
+        rows' etas; the estimators' spaces have none."""
         p, history, dt = self.params, self._history, self.plan.dt
         last = history[-1]
         slope_gap = p.a * (last[4] - last[5])
         eta = p.m * _rate(history, dt, 0) + slope_gap
         psi = eta - p.m * _rate(history, dt, 2)
-        return eta, psi
-
-    def etas(self, states: tuple[float, float]) -> tuple[float, float, float]:
-        return states[0], 0.0, 0.0
+        return eta, psi, (eta, 0.0, 0.0)

@@ -206,17 +206,18 @@ class StepPlan:
     the closures' scalar constants, one record per row (``closures``:
     whether it is Robin at x = 0, whether it has a tip mass at x = 1, and
     the flat positions of its end nodes in the stepped line, where a step
-    writes them), two scratch lines for the interior stencil, each
-    starting on a 64-byte boundary, and the flat line of
-    the stepped rows of each of the three level buffers with its
-    ``[1:-1]``, ``[2:]`` and ``[:-2]`` views (the whole line is the
-    blow-up guard's, in the loop that steps through the plan). The views
-    are keyed by buffer, so they follow ``FieldHistory.rotate``. The plan
-    keeps no values of the levels: a step closes its rows from the edge
-    rows of ``read_edges`` that its caller passes in. Every expression
-    keeps the operand order of the closures it implements; the constants
-    are left-to-right prefixes of them, so a planned step or back-step
-    gives the same bits as the closures written out in full.
+    writes them; the back-step closes each row by the same record), two
+    scratch lines for the interior stencil, each starting on a 64-byte
+    boundary, and the flat line of the stepped rows of each of the three
+    level buffers with its ``[1:-1]``, ``[2:]`` and ``[:-2]`` views (the
+    whole line is the blow-up guard's, in the loop that steps through the
+    plan). The views are keyed by buffer, so they follow
+    ``FieldHistory.rotate``. The plan keeps no values of the levels: a
+    step closes its rows from the edge rows of ``read_edges`` that its
+    caller passes in. Every expression keeps the operand order of the
+    closures it implements; the constants are left-to-right prefixes of
+    them, so a planned step or back-step gives the same bits as the
+    closures written out in full.
     """
 
     def __init__(self, levels: FieldHistory, grid: Grid, params: SystemParams,
@@ -234,7 +235,6 @@ class StepPlan:
         r, dx, dt = grid.r, grid.dx, grid.dt
         gamma, beta, m = params.gamma, params.beta, params.m
         self.levels = levels
-        self.left_kinds, self.right_kinds = tuple(left_kinds), tuple(right_kinds)
         self.dx, self.dt = dx, dt
         self.gamma, self.beta = gamma, beta
         self.r2 = r * r
@@ -258,7 +258,7 @@ class StepPlan:
     def _cut_views(self) -> None:
         # The rows are contiguous, so the stencil runs over them as one line;
         # the values it leaves at the row ends are overwritten by the closures.
-        k = len(self.left_kinds)
+        k = len(self.closures)
         self.views = {}
         for buf in (self.levels.prev, self.levels.curr, self.levels.new):
             line = buf[:k].reshape(-1)
@@ -309,7 +309,7 @@ class StepPlan:
         u(-dt) = u(0) - dt u_t(0) + (dt^2/2) u_tt(0) with u_tt(0) from the
         ghost-eliminated relations ``step`` closes the rows with, fed the
         inputs at t = 0, so the first step is second-order accurate."""
-        p = self.levels.curr[:len(self.left_kinds)]
+        p = self.levels.curr[:len(self.closures)]
         w = np.asarray(velocities, dtype=float)
         if w.shape != p.shape:
             raise StructuralError(f"initial velocities {w.shape} must be {p.shape}")
@@ -318,17 +318,17 @@ class StepPlan:
         # the end nodes are closed below
         prev[:, 1:-1] = (p[:, 1:-1] - dt * w[:, 1:-1]
                          + 0.5 * (self.r2 * (p[:, 2:] - 2.0 * p[:, 1:-1] + p[:, :-2])))
-        for row, pi, wi, left, ext, right, s in zip(prev, p, w, self.left_kinds, exts,
-                                                    self.right_kinds, right_inputs):
-            if left == LEFT_ROBIN:
+        for row, pi, wi, (robin, tip, _, _), ext, s in zip(prev, p, w, self.closures, exts,
+                                                           right_inputs):
+            if robin:
                 accel = (2.0 * pi[1] - 2.0 * pi[0]
                          - self.two_dx * (gamma * wi[0] + beta * pi[0] + ext)) / (dx * dx)
                 row[0] = pi[0] - dt * wi[0] + 0.5 * dt * dt * accel
             else:
                 row[0] = 0.0
-            if right == RIGHT_TIP_MASS:
-                tip = self.dt2 * (s - (pi[-1] - pi[-2]) / dx) / self.tip_mass
-                row[-1] = pi[-1] - dt * wi[-1] + 0.5 * tip
+            if tip:
+                dt2_accel = self.dt2 * (s - (pi[-1] - pi[-2]) / dx) / self.tip_mass
+                row[-1] = pi[-1] - dt * wi[-1] + 0.5 * dt2_accel
             else:
                 row[-1] = s
 

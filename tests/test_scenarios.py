@@ -368,8 +368,8 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("mode", ["open_plant", "observer_loop", "eso_loop"])
     def test_boundary_records_are_python_floats(self, tmp_path, mode):
-        """boundary_states.csv is written from t = k*dt and the loops'
-        boundary_states() pairs with no float() coercion."""
+        """boundary_states.csv is written from t = k*dt and the eta and psi
+        of the loops' boundary_states() with no float() coercion."""
         cfg = parse_config(f"mode = {mode}\nhorizon = 0.05\nspectral_summary = false\n")
         result = run_scenario(cfg, out_dir=str(tmp_path / mode))
         for key in ("t", "eta", "psi"):
@@ -394,7 +394,7 @@ class TestRunScenario:
                 loop.step()
             times.append(k * loop.grid.dt)
             values = energies(tags, loop.levels.prev, loop.levels.curr,
-                              loop.etas(loop.boundary_states()), loop.params, loop.grid)
+                              loop.boundary_states()[2], loop.params, loop.grid)
             for column, value in zip(expected.values(), values):
                 column.append(value)
         assert set(result.energy_traces) == set(expected)
@@ -823,6 +823,19 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == \
             "config error: u0 = (1e+308, 1e+308) is not finite on the grid\n"
+        assert not out.exists()
+
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys):
+        """A grid whose nodes NumPy refuses at once (72.8 TiB) is one config
+        error line naming n_cells, not a MemoryError traceback."""
+        cfg = self.write_cfg(tmp_path, "preset = reproduce_sec4\n")
+        out = tmp_path / "out"
+        code = cli_main(["simulate", cfg, "--override", "n_cells=10000000000000",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: n_cells = 10000000000000 is too large: the grid's "
+            "10000000000001 nodes cannot be allocated\n")
         assert not out.exists()
 
     def test_spectrum_missing_branch(self, tmp_path, capsys, monkeypatch):

@@ -39,7 +39,7 @@ def push_tip_samples(loop, tips):
     the plant's tip value u(1)."""
     latest = loop._history[-1]
     for tip in tips:
-        loop._push((tip,) + latest[1:])
+        loop._history.append((tip,) + latest[1:])
 
 
 class TestControlObserver:
@@ -141,22 +141,25 @@ class TestBoundaryStates:
     def test_zero_state(self, grid, params):
         x = grid.nodes()
         loop = EsoLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x)
-        assert loop.boundary_states() == (0.0, 0.0)
+        assert loop.boundary_states() == (0.0, 0.0, (0.0, 0.0, 0.0))
 
     def test_linear_tip_velocity(self, grid, params):
         x = grid.nodes()
         loop = EsoLoop(grid, params, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x, 0 * x)
         dt = grid.dt
         push_tip_samples(loop, [0.0, dt, 2 * dt])  # u_t(1) = 1
-        assert loop.boundary_states() == pytest.approx((5.0, 5.0), rel=1e-12)
+        eta, psi, etas = loop.boundary_states()
+        assert (eta, psi) == pytest.approx((5.0, 5.0), rel=1e-12)
+        assert etas == (eta, 0.0, 0.0)
 
     def test_plant_driver_reports_tip_momentum(self, grid, params):
         x = grid.nodes()
         loop = SingleFieldLoop(grid, params, 0 * x, 0 * x,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
         push_tip_samples(loop, [0.0, grid.dt])
-        eta, psi = loop.boundary_states()
+        eta, psi, etas = loop.boundary_states()
         assert eta == psi == pytest.approx(params.m, rel=1e-12)
+        assert etas == (eta,)
 
     def test_samples_match_fields(self, grid, params):
         """Each step's boundary sample is read off the fields it follows."""
@@ -189,13 +192,13 @@ class TestObserverLoop:
                             -np.ones_like(x) / params.beta, 0 * x, unit)
         tags = [tag for _, tag in loop.energy_rows]
         e0 = energies(tags, loop.levels.prev, loop.levels.curr,
-                      loop.etas(loop.boundary_states()), params, grid)[0]  # u_H1
+                      loop.boundary_states()[2], params, grid)[0]  # u_H1
         for _ in range(int(round(20.0 / grid.dt))):
             loop.step()
         np.testing.assert_allclose(loop.fields()["u"], x, atol=1e-10)
         np.testing.assert_allclose(loop.fields()["uhat"], -1.0 / params.beta, atol=1e-10)
         e1 = energies(tags, loop.levels.prev, loop.levels.curr,
-                      loop.etas(loop.boundary_states()), params, grid)[0]
+                      loop.boundary_states()[2], params, grid)[0]
         assert abs(e1 - e0) <= 0.05 * e0
 
     def test_error_energy_decays(self, grid, params):
@@ -204,11 +207,11 @@ class TestObserverLoop:
                             -2 * x ** 3, 0 * x)
         tags = [tag for _, tag in loop.energy_rows]
         e0 = energies(tags, loop.levels.prev, loop.levels.curr,
-                      loop.etas(loop.boundary_states()), params, grid)[2]  # err_H2
+                      loop.boundary_states()[2], params, grid)[2]  # err_H2
         for _ in range(int(round(30.0 / grid.dt))):
             loop.step()
         e1 = energies(tags, loop.levels.prev, loop.levels.curr,
-                      loop.etas(loop.boundary_states()), params, grid)[2]
+                      loop.boundary_states()[2], params, grid)[2]
         assert e1 < 0.5 * e0
 
 
@@ -224,7 +227,7 @@ class TestErrorSystemDissipation:
         for k in range(int(round(5.0 / grid.dt)) + 1):
             if k:
                 loop.step()
-            recorder.push(loop.t, loop.levels.curr, loop.etas(loop.boundary_states()))
+            recorder.push(loop.t, loop.levels.curr, loop.boundary_states()[2])
         recorder.flush()
         e = trace.values
         return max(0.0, *(now - before for before, now in zip(e, e[1:]))), grid.dx
@@ -292,11 +295,11 @@ class TestEsoLoop:
         loop = SingleFieldLoop(grid, params, x ** 3 - 3 * x ** 2, 0 * x,
                                LEFT_DIRICHLET_ZERO, RIGHT_TIP_MASS)
         e0, = energies(("H1",), loop.levels.prev, loop.levels.curr,
-                       loop.etas(loop.boundary_states()), params, grid)
+                       loop.boundary_states()[2], params, grid)
         for _ in range(int(round(10.0 / grid.dt))):
             loop.step()
         e1, = energies(("H1",), loop.levels.prev, loop.levels.curr,
-                       loop.etas(loop.boundary_states()), params, grid)
+                       loop.boundary_states()[2], params, grid)
         assert abs(e1 - e0) / e0 < 1e-3
 
 
@@ -392,7 +395,7 @@ def test_one_edge_read_per_level(grid, params, make, monkeypatch):
 
 # The boundary bookkeeping as the loops wrote it over the transposed sample
 # history: ``_rate``, ``control_observer`` and ``control_eso`` kept verbatim
-# as the byte oracle of ``boundary_states``, ``etas`` and ``_inputs``.
+# as the byte oracle of ``boundary_states`` and ``_inputs``.
 
 def oracle_rate(samples, dt):
     if len(samples) < 2:
@@ -416,7 +419,8 @@ def oracle_control_eso(v1, vx1, q1, qx1, dt, params):
 
 
 def oracle_bookkeeping(loop):
-    """(boundary states, etas, inputs) of ``loop``, from its sample history."""
+    """(boundary states with their etas, inputs) of ``loop``, from its
+    sample history."""
     series = list(zip(*loop._history))
     p, spec, dt = loop.params, loop.spec, loop.plan.dt
     t = loop.step_index * dt
@@ -426,7 +430,7 @@ def oracle_bookkeeping(loop):
         eta = p.m * oracle_rate(u1, dt) + slope_gap
         control = oracle_control_eso(v1, vx1, q1, qx1, dt, p)
         tip = control + eval_f(spec, u1[-1]) + eval_d(spec, t)
-        return ((eta, eta - p.m * oracle_rate(q1, dt)), (eta, 0.0, 0.0),
+        return ((eta, eta - p.m * oracle_rate(q1, dt), (eta, 0.0, 0.0)),
                 ((0.0, ux0[-1], 0.0), (tip, control, 0.0)))
     if isinstance(loop, ObserverLoop):
         u1, uhat1, _, uhatx1, ux0 = series
@@ -434,10 +438,10 @@ def oracle_bookkeeping(loop):
         states = (p.m * oracle_rate(u1, dt) + shared, p.m * oracle_rate(uhat1, dt) + shared)
         control = oracle_control_observer(uhat1, uhatx1, dt, p)
         disturbance = eval_f(spec, u1[-1]) + eval_d(spec, t)
-        return (states, (*states, p.m * (oracle_rate(uhat1, dt) - oracle_rate(u1, dt))),
+        return ((*states, (*states, p.m * (oracle_rate(uhat1, dt) - oracle_rate(u1, dt)))),
                 ((0.0, ux0[-1]), (control + disturbance, control)))
     eta = p.m * oracle_rate(series[0], dt)
-    return (eta, eta), (eta,), ((0.0,), (eval_f(spec, series[0][-1]) + eval_d(spec, t),))
+    return (eta, eta, (eta,)), ((0.0,), (eval_f(spec, series[0][-1]) + eval_d(spec, t),))
 
 
 def nested_hex(values):
@@ -446,16 +450,18 @@ def nested_hex(values):
 
 @LOOP_CASES
 def test_boundary_bookkeeping_matches_oracle(grid, params, make):
-    """Each loop's ``boundary_states()``, ``etas`` of them and ``_inputs()``
-    equal the oracle's, bit for bit: on construction, through the warm-up
-    steps whose controls are 0 and after each of 40 steps."""
+    """Each loop's ``boundary_states()``, its etas included, and
+    ``_inputs()`` equal the oracle's, bit for bit: on construction,
+    through the warm-up steps whose controls are 0 and after each of 40
+    steps. ``boundary_states()`` is called twice a level and keeps no
+    state, so both calls give the oracle's bits."""
     loop = make(grid, params, grid.nodes())
     for step in range(41):
         if step:
             loop.step()
-        states = loop.boundary_states()
-        got = (states, loop.etas(states), loop._inputs())
-        assert nested_hex(got) == nested_hex(oracle_bookkeeping(loop))
+        expected = nested_hex(oracle_bookkeeping(loop))
+        for _ in range(2):
+            assert nested_hex((loop.boundary_states(), loop._inputs())) == expected
 
 
 # ----------------------------------------------------------------------

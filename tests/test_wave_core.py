@@ -384,7 +384,7 @@ class TestBackwardDerivatives:
         grid = Grid(n_cells=4, r=0.4)  # dx = 0.25, dt = 0.1
         loop = SingleFieldLoop(grid, SystemParams(), np.zeros(5) + 1.0, np.zeros(5),
                                LEFT_ROBIN, RIGHT_TIP_MASS)
-        assert loop.boundary_states() == (0.0, 0.0)  # warm-up substitution
+        assert loop.boundary_states() == (0.0, 0.0, (0.0,))  # warm-up substitution
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
