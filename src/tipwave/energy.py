@@ -133,13 +133,6 @@ class EnergyTrace:
     def __len__(self) -> int:
         return len(self.times)
 
-    def csv_rows(self, t_text, start: int = 0) -> str:
-        """The CSV lines of the records from ``start`` on, one for each
-        text in ``t_text``, the ``repr`` of each record's time."""
-        tag = self.space_tag
-        return "".join([f"{t},{v!r},{tag}\n"
-                        for t, v in zip(t_text, self.values[start:start + len(t_text)])])
-
     @classmethod
     def read_csv(cls, path, space_tag: str) -> EnergyTrace:
         """Read back a run's ``energy_<row>_<tag>.csv``, which its writer

@@ -51,8 +51,6 @@ _EARLY_WINDOW = 2.0  # time units used as the "startup" reference for boundednes
 # least records per write of the per-record CSVs; a run writes them every
 # chunk, the least multiple of its energy recorder's block that holds this many
 RECORD_CHUNK = 256
-# least values a snapshot holds (fields x nodes) for textfmt to format it
-VECTOR_SNAPSHOT_VALUES = 2048
 
 
 class ConfigError(ValueError):
@@ -346,26 +344,21 @@ class _RecordWriter:
     """Every CSV a time-domain run streams, written as the run goes:
     ``snapshots_<name>.csv`` of each field in ``names``, ``energy_<key>.csv``
     of each trace and ``boundary_states.csv``, each opened on ``stack`` with
-    its header. A snapshot goes out one field's row at a time, on one of two
-    paths with the same bytes. Below ``VECTOR_SNAPSHOT_VALUES`` values a
-    snapshot fills the run's template, a ``T,<x>,%r`` line per node, with
-    one ``repr(t)`` in place of each T for every field and one ``%`` per
-    field (float reprs hold neither T nor %). At or above it, ``textfmt``
-    finds each row's ``repr`` digits in NumPy, beside the ``t`` and ``x``
-    columns it fills once a snapshot. Each ``write``
-    adds the records the traces hold and the files do not, formatting each
-    record's time once for all the files, and moves the ``pending`` rows to
-    the ``boundary`` columns. Unbuffered: one write a file."""
+    its header. ``textfmt`` writes every line: the snapshots a batch at a
+    time, the last batch when ``stack`` closes, before the files do. Each
+    ``write`` adds the records the traces hold and the files do not, their
+    times, energies and boundary states formatted in one pass, and moves
+    the ``pending`` rows to the ``boundary`` columns. Unbuffered: one write
+    a file."""
 
     def __init__(self, stack: contextlib.ExitStack, out: str, names, x,
                  traces: dict[str, EnergyTrace]):
-        self.traces, self.pending = traces, []
+        from . import textfmt  # imported here: a spectrum run never loads it
+
+        self.textfmt, self.traces, self.pending = textfmt, traces, []
         self.boundary = {key: float_column() for key in ("t", "eta", "psi")}
-        if len(names) * len(x) >= VECTOR_SNAPSHOT_VALUES:
-            from .textfmt import SnapshotLines  # only a run that takes the path imports it
-            self.template, self.lines = None, SnapshotLines(x)
-        else:
-            self.template = "".join([f"T,{xj!r},%r\n" for xj in x.tolist()])
+        self.tags = [trace.space_tag.encode().ljust(textfmt.VALUE_WIDTH, b"\0")
+                     for trace in traces.values()]
         files = [*((f"snapshots_{name}.csv", "t,x,value") for name in names),
                  *((f"energy_{key}.csv", EnergyTrace.CSV_HEADER) for key in traces),
                  ("boundary_states.csv", "t,eta,psi")]
@@ -373,28 +366,26 @@ class _RecordWriter:
                    for name, _ in files]
         for fh, (_, header) in zip(handles, files):
             fh.write(f"{header}\n".encode())
-        self.snapshot_files = handles[:len(names)]
-        *self.energy_files, self.boundary_file = handles[len(names):]
+        self.snapshots = textfmt.SnapshotBatches(handles[:len(names)], x)
+        stack.callback(self.snapshots.flush)
+        self.record_files = handles[len(names):]
 
     def snapshot(self, t: float, rows) -> None:
-        if self.template is None:
-            texts = self.lines(t, rows)
-        else:
-            lines = self.template.replace("T", repr(t))  # once for every field
-            texts = ((lines % tuple(values.tolist())).encode() for values in rows)
-        for fh, text in zip(self.snapshot_files, texts):
-            fh.write(text)
+        self.snapshots.add(t, rows)
 
     def write(self) -> None:
         start, rows = len(self.boundary["t"]), self.pending
-        t_text = [repr(t) for t, _, _ in rows]
-        for fh, trace in zip(self.energy_files, self.traces.values()):
-            fh.write(trace.csv_rows(t_text, start).encode())
-        self.boundary_file.write("".join([f"{t},{e!r},{p!r}\n"
-                                          for t, (_, e, p) in zip(t_text, rows)]).encode())
         for column, values in zip(self.boundary.values(), zip(*rows)):
             column.fromlist(list(values))
         rows.clear()
+        end = len(self.boundary["t"])
+        columns = [*self.boundary.values(), *(trace.values for trace in self.traces.values())]
+        t, eta, psi, *energies = self.textfmt.texts(*(c[start:end] for c in columns))
+        # t,E,tag in each energy file and t,eta,psi in the boundary file: one layout
+        texts = self.textfmt.lines((end - start,), t, b",", [*energies, eta], b",",
+                                   [*self.tags, psi], b"\n")
+        for fh, text in zip(self.record_files, texts):
+            fh.write(text)
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:

@@ -1,5 +1,5 @@
-"""The bytes of ``t,x_j,repr(v_j)`` snapshot lines, a row of float64 values
-at a time, with ``repr``'s digits found in NumPy.
+"""The bytes of a time-domain run's CSV lines, ``repr``'s text of float64
+values found in NumPy a batch of values at a time.
 
 ``repr`` prints the shortest decimal that reads back as the same double,
 and of several such the nearest one (the rule that Ryu derives: Adams,
@@ -36,11 +36,20 @@ window, NaN and +-inf, and an x exactly halfway between two multiples of
 The 17 digits go out as the lead digit, with the sign, the leading zeros
 and the point, from a 240-entry table, and as four groups of four from a
 20,000-entry table whose second half leaves a group's trailing zeros
-out. The lines sit NUL-padded in a byte array, and one
-``bytearray.translate`` per row drops the NULs.
+out. A call of ``_digits`` costs a few dozen NumPy calls, about 55 us
+besides its values, so the writers hand it up to ``BATCH_VALUES`` values a
+call: ``texts`` formats a record chunk's times, energies and boundary
+states in one pass, and ``SnapshotBatches`` queues the snapshots whose
+values of one field fill a call. ``lines`` sets the texts beside each
+other as NUL-padded columns of one byte array, filling the columns that
+the files share once, and one ``bytearray.translate`` a file drops the
+NULs.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -82,6 +91,9 @@ _LEADS = np.array([
     for sign in ("", "-") for d in (0, 1) for e in range(6) for a in range(10)
 ]).view("<u8")
 VALUE_WIDTH = 24  # bytes; the longest float repr, "-2.2250738585072014e-308", fills them
+# most values a _digits call takes; a snapshot batch holds as many snapshots
+# as fit one field's values in a call, one at least
+BATCH_VALUES = 2048
 
 
 def _digits(v, lead, groups):
@@ -132,30 +144,87 @@ def _digits(v, lead, groups):
     return by_repr
 
 
-class SnapshotLines:
-    """The lines ``t,x_j,repr(v_j)\\n`` of snapshot rows over the nodes x."""
+def _fill(values, text) -> None:
+    """Write ``repr``'s bytes of each of the float64 ``values``, NUL-padded,
+    into a row of ``text`` (uint8, VALUE_WIDTH bytes a row at any stride),
+    ``_digits`` taking up to BATCH_VALUES of them a call: its temporaries
+    add to the peak RSS."""
+    for start in range(0, len(values), BATCH_VALUES):
+        part, into = values[start:start + BATCH_VALUES], text[start:start + BATCH_VALUES]
+        by_repr = _digits(part, into[:, :8].view("<u8")[:, 0], into[:, 8:].view("<u4"))
+        if by_repr.size:
+            reprs = [repr(v).encode() for v in part[by_repr].tolist()]
+            into[by_repr] = np.array(reprs, f"S{VALUE_WIDTH}").view(np.uint8).reshape(
+                -1, VALUE_WIDTH)
 
-    def __init__(self, x):
-        texts = [f"{xj!r},".encode() for xj in x.tolist()]
-        nodes = np.array(texts, dtype=f"S{max(map(len, texts))}")
-        self.nodes = nodes.view(np.uint8).reshape(len(texts), nodes.itemsize)
 
-    def __call__(self, t: float, rows):
-        """Yield the bytes of each row in turn: the time and node columns
-        are filled once, and each row writes only its values."""
-        stamp = f"{t!r},".encode()
-        n, prefix = self.nodes.shape[0], len(stamp) + self.nodes.shape[1]
-        buffer = bytearray(n * (prefix + VALUE_WIDTH + 1))
-        line = np.frombuffer(buffer, np.uint8).reshape(n, -1)
-        line[:, :len(stamp)] = np.frombuffer(stamp, np.uint8)
-        line[:, len(stamp):prefix] = self.nodes
-        line[:, -1] = ord("\n")
-        text = line[:, prefix:-1]
-        lead, groups = text[:, :8].view("<u8")[:, 0], text[:, 8:].view("<u4")
-        for values in rows:
-            by_repr = _digits(values, lead, groups)
-            if by_repr.size:
-                texts = [repr(v).encode() for v in values[by_repr].tolist()]
-                text[by_repr] = np.array(texts, dtype=f"S{VALUE_WIDTH}").view(np.uint8).reshape(
-                    -1, VALUE_WIDTH)
-            yield buffer.translate(None, b"\0")
+def texts(*arrays):
+    """``repr``'s bytes of every value of ``arrays`` (of float64), NUL-padded,
+    found in one pass: for each array a, a uint8 array of shape
+    a.shape + (VALUE_WIDTH,)."""
+    arrays = [np.asarray(a, np.float64) for a in arrays]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    text = np.empty((flat.size, VALUE_WIDTH), np.uint8)
+    _fill(flat, text)
+    ends = np.cumsum([a.size for a in arrays])[:-1]
+    return [part.reshape(*a.shape, VALUE_WIDTH) for a, part in zip(arrays, np.split(text, ends))]
+
+
+def lines(shape, *columns):
+    """Yield the lines of ``columns`` for each file in turn, one line for
+    each element of ``shape``. A column is bytes that every line holds,
+    NUL-padded texts of shape (..., width) as ``texts`` returns them, which
+    broadcast to ``shape``, float64 values of the whole shape, whose texts go
+    straight into the lines, or a list of such columns of one width, one
+    for each file. A shared column is filled once, a file's own in its turn,
+    and one ``bytearray.translate`` drops a file's NULs."""
+    parts = [[np.frombuffer(c, np.uint8) if isinstance(c, bytes) else c
+              for c in (column if isinstance(column, list) else [column])] for column in columns]
+    floats = [part[0].dtype == np.float64 for part in parts]
+    ends = list(itertools.accumulate(VALUE_WIDTH if is_float else part[0].shape[-1]
+                                     for part, is_float in zip(parts, floats)))
+    buffer = bytearray(math.prod(shape) * ends[-1])
+    line = np.frombuffer(buffer, np.uint8).reshape(-1, ends[-1])
+    slots = [line[:, start:end] for start, end in zip([0, *ends], ends)]
+    for i in range(max(map(len, parts))):
+        for slot, part, is_float in zip(slots, parts, floats):
+            if i < len(part) and is_float:
+                _fill(part[i].ravel(), slot)
+            elif i < len(part):
+                slot.reshape(*shape, slot.shape[1])[...] = part[i]
+        yield buffer.translate(None, b"\0")
+
+
+class SnapshotBatches:
+    """The lines ``t,x_j,repr(v_j)\\n`` of a run's snapshots over the nodes
+    x, one file a field. ``add`` queues a copy of a snapshot; a batch of
+    ``size`` snapshots, the most whose values of one field ``_digits`` takes
+    in one call (one at least), goes out in one write a file, and ``flush``
+    writes the rest. The time and node columns are filled once a batch."""
+
+    def __init__(self, files, x):
+        self.files, self.nodes = files, _column([f"{xj!r}," for xj in x.tolist()])
+        self.size = max(1, BATCH_VALUES // len(x))
+        self.values = np.empty((len(files), self.size, len(x)))
+        self.times = []
+
+    def add(self, t: float, rows) -> None:
+        self.values[:, len(self.times)] = tuple(rows)
+        self.times.append(t)
+        if len(self.times) == self.size:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.times:
+            stamps = _column([f"{t!r}," for t in self.times])[:, None]
+            values = self.values[:, :len(self.times)]
+            texts = lines(values.shape[1:], stamps, self.nodes, list(values), b"\n")
+            for fh, text in zip(self.files, texts):
+                fh.write(text)
+            self.times.clear()
+
+
+def _column(strings):
+    """ASCII strings as a column of NUL-padded texts, as wide as the longest."""
+    column = np.array([text.encode() for text in strings])
+    return column.view(np.uint8).reshape(len(strings), column.itemsize)

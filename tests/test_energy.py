@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import sys
@@ -17,9 +18,19 @@ from tipwave.energy import (
     _fit_log_linear,
     energies,
 )
-from tipwave.scenarios import parse_config, run_scenario
+from tipwave.scenarios import _RecordWriter, parse_config, run_scenario
 
 ALL_TAGS = ("H1", "H2", "H", "Hbb", "Hbb1")
+
+
+def write_trace(path, trace, key):
+    """``energy_<key>.csv`` as a run's writer writes it from ``trace``, and
+    the text of that file."""
+    with contextlib.ExitStack() as stack:
+        writer = _RecordWriter(stack, str(path), ["u"], np.zeros(4), {key: trace})
+        writer.pending.extend((t, 0.0, 0.0) for t in trace.times)
+        writer.write()
+    return (path / f"energy_{key}.csv").read_text()
 
 
 def energy(space_tag, prev, curr, eta, params, grid):
@@ -398,14 +409,16 @@ class TestEnergyTrace:
         with pytest.raises(ValueError, match="got nan"):
             EnergyTrace("H1").append(float("nan"), 1.0)
 
-    def test_csv_roundtrip(self):
+    def test_csv_roundtrip(self, tmp_path):
         tr = EnergyTrace("Hbb")
         for k in range(5):
             tr.append(0.1 * k, math.exp(-k))
-        rows = tr.csv_rows([repr(t) for t in tr.times]).splitlines()
-        assert EnergyTrace.CSV_HEADER == "t,E,tag"
-        t0, e0, tag = rows[0].split(",")
+        rows = write_trace(tmp_path, tr, "u_Hbb").splitlines()
+        assert rows[0] == EnergyTrace.CSV_HEADER == "t,E,tag"
+        t0, e0, tag = rows[1].split(",")
         assert float(t0) == 0.0 and float(e0) == 1.0 and tag == "Hbb"
+        back = EnergyTrace.read_csv(tmp_path / "energy_u_Hbb.csv", "Hbb")
+        assert (back.times, back.values) == (tr.times, tr.values)
 
     def test_csv_read_back(self, tmp_path):
         """A run's trace file reads back as the trace the run recorded."""
@@ -429,13 +442,13 @@ class TestEnergyTrace:
                 f"{path}, line 1: expected the header t,E,tag, got {header!r}")):
             EnergyTrace.read_csv(path, "H1")
 
-    def test_csv_prints_plain_floats_for_numpy_input(self):
+    def test_csv_prints_plain_floats_for_numpy_input(self, tmp_path):
         tr = EnergyTrace("H1")
         for k in range(3):
             tr.append(np.float64(0.1) * k, np.float64(1.5) ** -k)
-        text = tr.csv_rows([repr(t) for t in tr.times])
+        text = write_trace(tmp_path, tr, "u_H1")
         assert "np.float64(" not in text
-        assert text.splitlines()[1] == "0.1,0.6666666666666666,H1"
+        assert text.splitlines()[2] == "0.1,0.6666666666666666,H1"
 
 
 class TestFitDecayRate:

@@ -21,7 +21,6 @@ from tipwave.scenarios import (
     ConfigError,
     PRESETS,
     RECORD_CHUNK,
-    VECTOR_SNAPSHOT_VALUES,
     ScenarioConfig,
     _build_loop,
     _poly_on_grid,
@@ -31,6 +30,7 @@ from tipwave.scenarios import (
     serialize_config,
 )
 from tipwave.systems import BlowUpError, EsoLoop, ObserverLoop
+from tipwave.textfmt import BATCH_VALUES
 from tipwave.wave_core import Grid
 
 from test_spectral import lands_on_neighbour
@@ -432,9 +432,18 @@ class TestRunScenario:
         summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
         assert f"warning: {warning}" in summary
 
-    def test_snapshots_closed_on_blow_up(self, tmp_path):
+    def test_snapshots_closed_on_blow_up(self, tmp_path, monkeypatch):
         """While a blow-up is being handled, each snapshot file already
-        holds every row written, ending on a whole row."""
+        holds every snapshot taken, byte for byte the %r template's lines,
+        though the last batch was still queued when the run raised."""
+        taken = []
+        real = _RecordWriter.snapshot
+
+        def snapshot(self, t, rows):
+            taken.append((t, [row.copy() for row in rows], self.snapshots.size))
+            real(self, t, rows)
+
+        monkeypatch.setattr(_RecordWriter, "snapshot", snapshot)
         cfg = parse_config("mode = open_plant\nhorizon = 2\nu0 = 0 9e11\n"
                            "d_kind = constant\nd_constant = 1e14\nstride = 20\n")
         out = tmp_path / "out"
@@ -444,10 +453,9 @@ class TestRunScenario:
             except BlowUpError:
                 text = (out / "snapshots_u.csv").read_text()
                 raise
-        assert text.startswith("t,x,value\n") and text.endswith("\n")
-        rows = text.splitlines()[1:]
-        assert rows and all(len(row.split(",")) == 3 for row in rows)
-        assert len(rows) % cfg.grid().n_nodes == 0
+        assert len(taken) % taken[0][2] != 0
+        assert text == "t,x,value\n" + template_lines(cfg.grid().nodes(), [
+            (t, rows[0]) for t, rows, _ in taken])
 
     def test_records_written_before_blow_up(self, tmp_path):
         """The energy traces and boundary states go out every chunk of
@@ -491,6 +499,19 @@ class TestRunScenario:
         assert len(result.boundary["t"]) == 1 + round(cfg.horizon / cfg.grid().dt)
         assert calls[0] <= 1
 
+    def test_spectrum_run_never_imports_textfmt(self, tmp_path):
+        """Only the time-domain writer loads textfmt, so a spectrum run's
+        peak RSS carries none of its compile and tables."""
+        code = ("import sys\nfrom tipwave.scenarios import parse_config, run_scenario\n"
+                "config = parse_config('mode = spectrum\\nfamily = A\\nn_max = 20\\n')\n"
+                "run_scenario(config, out_dir=sys.argv[1])\n"
+                "print('tipwave.textfmt' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tipwave.__file__))}
+        result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                                env=env, check=True, capture_output=True, text=True)
+        assert result.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "out" / "spectrum_A.csv").exists()
+
     def test_summary_prints_plain_floats(self, short_run):
         assert "np.float64" not in open(short_run.summary_path).read()
 
@@ -509,6 +530,14 @@ class TestRunScenario:
         result = run_scenario(cfg, out_dir=str(tmp_path / "obs"))
         assert set(result.abscissae) == {"A", "A2", "combined"}
         assert result.abscissae["combined"] == pytest.approx(-0.0228969, abs=1e-4)
+
+
+def template_lines(x, snapshots):
+    """The %r template oracle: a ``T,<x>,%r`` line per node, each snapshot's
+    ``repr(t)`` in place of T and its values filled in with one ``%``."""
+    template = "".join([f"T,{xj!r},%r\n" for xj in x.tolist()])
+    return "".join([template.replace("T", repr(t)) % tuple(values.tolist())
+                    for t, values in snapshots])
 
 
 def write_snapshots_per_node(path, x, snapshots):
@@ -537,8 +566,9 @@ class TestSnapshotWriter:
     @settings(max_examples=60, deadline=None)
     def test_matches_per_node_writer(self, tmp_path_factory, n_cells, r, fields, ks, extra,
                                      seed):
-        """Either snapshot path: a snapshot of fewer than 2,048 values fills
-        the template, one of more goes through textfmt."""
+        """Snapshots go out in batches of as many as hold BATCH_VALUES
+        values of a field, one at least: a file holds every whole batch
+        queued so far, and the last batch when the files close."""
         grid = Grid(n_cells=n_cells, r=r)
         rng = np.random.default_rng(seed)
         n = grid.n_nodes
@@ -560,42 +590,44 @@ class TestSnapshotWriter:
             values[0, rng.integers(0, n, len(extra))] = extra
             snapshots.append((k * grid.dt, values))
         out = tmp_path_factory.mktemp("snap")
+        size = max(1, BATCH_VALUES // n)
         with contextlib.ExitStack() as stack:
             writer = _RecordWriter(stack, str(out), names, grid.nodes(), {})
-            assert (writer.template is None) == (fields * n >= VECTOR_SNAPSHOT_VALUES)
-            for t, values in snapshots:
+            for taken, (t, values) in enumerate(snapshots, start=1):
                 writer.snapshot(t, list(values))
+                written = taken - taken % size
+                for name in names:
+                    assert (out / f"snapshots_{name}.csv").read_bytes().count(b"\n") == \
+                        1 + written * n
         for i, name in enumerate(names):
             write_snapshots_per_node(out / "expected.csv", grid.nodes(),
                                      [(t, values[i]) for t, values in snapshots])
             assert (out / f"snapshots_{name}.csv").read_bytes() == \
                 (out / "expected.csv").read_bytes()
 
-    @pytest.mark.parametrize("text, vector", [
-        ("preset = reproduce_sec4\nhorizon = 0.5\n", False),
-        ("preset = reproduce_sec4\nn_cells = 800\nhorizon = 0.05\n", True),
+    @pytest.mark.parametrize("text, size", [
+        ("preset = reproduce_sec4\nhorizon = 0.5\n", 20),
+        ("preset = reproduce_sec4\nn_cells = 800\nhorizon = 0.05\n", 2),
     ], ids=["303_values", "2403_values"])
-    def test_sec4_snapshots_either_side_of_threshold(self, tmp_path, monkeypatch, text,
-                                                     vector):
-        """reproduce_sec4 writes 3 x 101 values a snapshot through the
-        template and 3 x 801 through textfmt; both write the lines of the
-        %r template, formatted here row by row."""
+    def test_sec4_snapshots_either_side_of_threshold(self, tmp_path, monkeypatch, text, size):
+        """reproduce_sec4 queues up to 20 snapshots of 101 values a field
+        (its 6 here go out as the files close) and 2 of 801, as BATCH_VALUES
+        allows; both write the lines of the %r template, formatted here row
+        by row."""
         seen = []
         real = _RecordWriter.snapshot
 
         def snapshot(self, t, rows):
-            seen.append((t, [row.copy() for row in rows], self.template is None))
+            seen.append((t, [row.copy() for row in rows], self.snapshots.size))
             real(self, t, rows)
 
         monkeypatch.setattr(_RecordWriter, "snapshot", snapshot)
         cfg = parse_config(text + "spectral_summary = false\n")
         run_scenario(cfg, out_dir=str(tmp_path))
-        assert {path for *_, path in seen} == {vector}
-        x = cfg.grid().nodes().tolist()
+        assert {batch for *_, batch in seen} == {size}
         for i, name in enumerate(("u", "v", "q")):
-            expected = "t,x,value\n" + "".join([
-                "".join([f"T,{xj!r},%r\n" for xj in x]).replace("T", repr(t))
-                % tuple(rows[i].tolist()) for t, rows, _ in seen])
+            expected = "t,x,value\n" + template_lines(cfg.grid().nodes(), [
+                (t, rows[i]) for t, rows, _ in seen])
             assert (tmp_path / f"snapshots_{name}.csv").read_text() == expected
 
 

@@ -1,12 +1,14 @@
 """textfmt writes ``repr``'s bytes for every float64, and settles the
 window's values without ``repr``."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tipwave.textfmt import VALUE_WIDTH, SnapshotLines, _digits
+from tipwave.textfmt import VALUE_WIDTH, SnapshotBatches, _digits
 
 N = 100_000
 
@@ -15,8 +17,12 @@ def assert_reprs(values):
     """The writer's bytes for ``values`` at one node and time are repr's,
     with no floating-point flag raised on the way."""
     values = np.ascontiguousarray(values, dtype=np.float64)
+    out = io.BytesIO()
     with np.errstate(all="raise"):
-        got = b"".join(SnapshotLines(np.zeros(len(values)))(0.5, [values]))
+        batches = SnapshotBatches([out], np.zeros(len(values)))
+        batches.add(0.5, [values])
+        batches.flush()
+    got = out.getvalue()
     want = "".join([f"0.5,0.0,{v!r}\n" for v in values.tolist()]).encode()
     if got != want:
         bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
