@@ -499,6 +499,31 @@ class TestRunScenario:
         assert len(result.boundary["t"]) == 1 + round(cfg.horizon / cfg.grid().dt)
         assert calls[0] <= 1
 
+    @pytest.mark.parametrize("text, overrides, covered", [
+        # q decays through the subnormals: 578 of them
+        ("preset = reproduce_sec4\n", ["n_cells=1600", "horizon=0.5"],
+         lambda mags: mags[mags > 0].min() < 2.2250738585072014e-308),
+        # u grows past 1e16, to 1.9e17: 155 values in exponent form
+        ("mode = open_plant\nd_kind = constant\nd_constant = 1e9\nhorizon = 1\n", [],
+         lambda mags: mags.max() >= 1e16),
+    ], ids=["sec4_n1600_subnormals", "open_plant_past_1e16"])
+    def test_csv_values_are_reprs(self, tmp_path, text, overrides, covered):
+        """Every line of every CSV a run writes is its values' repr texts:
+        each value, read back as a double and written by repr, gives the
+        line's bytes again."""
+        run_scenario(parse_config(text, overrides=overrides), out_dir=str(tmp_path))
+        values = []
+        for name in sorted(os.listdir(tmp_path)):
+            if not name.endswith(".csv"):
+                continue
+            header, *lines = (tmp_path / name).read_text().split("\n")
+            assert lines.pop() == ""
+            for line in lines:
+                fields = [float(f) if f[0] in "-0123456789n" else f for f in line.split(",")]
+                assert ",".join(repr(f) if isinstance(f, float) else f for f in fields) == line, name
+                values += [f for f in fields if isinstance(f, float)]
+        assert covered(np.abs(np.array(values)))
+
     def test_spectrum_run_never_imports_textfmt(self, tmp_path):
         """Only the time-domain writer loads textfmt, so a spectrum run's
         peak RSS carries none of its compile and tables."""
